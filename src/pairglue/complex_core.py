@@ -138,9 +138,6 @@ class PairedComplex:
         self.edge_names = tuple(edge_names)
         self.preferred_tree = tuple(preferred_tree)
 
-    def face_length(self, label):
-        return len(self.faces[label])
-
     def face_slots(self, label):
         return [(label, k) for k in range(len(self.faces[label]))]
 

@@ -80,17 +80,16 @@ def build_m24(n):
 
     involution = []
     for i in range(1, n + 1):
-        j = _idx  # shorthand below
         involution.extend([
             ((f"A{i}", 0), ("D", i - 1), True),
             ((f"Bb{i}", 0), ("Db", (i - 3) % n), True),
-            ((f"B{i}", 0), (f"Ab{j(i - 2, n)}", 0), True),
+            ((f"B{i}", 0), (f"Ab{_idx(i - 2, n)}", 0), True),
             ((f"C{i}", 2), (f"Cb{i}", 1), True),
             ((f"A{i}", 2), (f"B{i}", 1), False),
-            ((f"A{i}", 1), (f"Ab{j(i - 1, n)}", 1), True),
+            ((f"A{i}", 1), (f"Ab{_idx(i - 1, n)}", 1), True),
             ((f"B{i}", 2), (f"C{i}", 1), False),
-            ((f"Ab{i}", 2), (f"Cb{j(i + 1, n)}", 0), False),
-            ((f"C{j(i + 1, n)}", 0), (f"Bb{i}", 1), True),
+            ((f"Ab{i}", 2), (f"Cb{_idx(i + 1, n)}", 0), False),
+            ((f"C{_idx(i + 1, n)}", 0), (f"Bb{i}", 1), True),
             ((f"Bb{i}", 2), (f"Cb{i}", 2), False),
         ])
 
@@ -140,20 +139,19 @@ def build_m25(n):
     faces["D"] = tuple(P(i) for i in range(1, n + 1))
     faces["Db"] = tuple(_db_cycle(n))
 
-    j = _idx
     involution = []
     for i in range(1, n + 1):
         involution.extend([
             ((f"A{i}", 0), ("D", i - 1), True),
-            ((f"Bb{j(i - 1, n)}", 1), ("Db", (i - 3) % n), False),
-            ((f"Ab{i}", 0), (f"B{j(i + 1, n)}", 1), False),
-            ((f"Cb{i}", 0), (f"C{j(i + 1, n)}", 2), True),
-            ((f"A{j(i + 2, n)}", 2), (f"Ab{i}", 2), True),
+            ((f"Bb{_idx(i - 1, n)}", 1), ("Db", (i - 3) % n), False),
+            ((f"Ab{i}", 0), (f"B{_idx(i + 1, n)}", 1), False),
+            ((f"Cb{i}", 0), (f"C{_idx(i + 1, n)}", 2), True),
+            ((f"A{_idx(i + 2, n)}", 2), (f"Ab{i}", 2), True),
             ((f"A{i}", 1), (f"B{i}", 2), True),
-            ((f"Ab{i}", 1), (f"Cb{j(i + 2, n)}", 1), False),
-            ((f"B{i}", 0), (f"C{j(i + 1, n)}", 0), True),
-            ((f"Cb{j(i + 2, n)}", 2), (f"Bb{i}", 0), True),
-            ((f"C{j(i + 2, n)}", 1), (f"Bb{i}", 2), False),
+            ((f"Ab{i}", 1), (f"Cb{_idx(i + 2, n)}", 1), False),
+            ((f"B{i}", 0), (f"C{_idx(i + 1, n)}", 0), True),
+            ((f"Cb{_idx(i + 2, n)}", 2), (f"Bb{i}", 0), True),
+            ((f"C{_idx(i + 2, n)}", 1), (f"Bb{i}", 2), False),
         ])
 
     edge_names = []

@@ -3,9 +3,13 @@
 A finite group is passed around as a plain multiplication table: a square
 tuple of tuples of element indices with the identity at index 0, so
 ``table[i][j]`` is the product of elements ``i`` and ``j``.  The counter
-first runs the generator-elimination loop to shrink the search space, then
-enumerates generator images depth first, rejecting a branch as soon as some
-relator with all its generators assigned fails to evaluate to the identity.
+works on the presentation's :func:`auto_simplify` result, which the
+presentation computes once and keeps, so counting one presentation into many
+tables simplifies it once.  Each relator is compiled to runs ``(generator,
+exponent)``, and the search precomputes, per run, the power of every
+candidate image.  It enumerates generator images depth first and evaluates a
+relator with one table lookup per run as soon as all its generators have
+images, rejecting the branch when the value is not the identity.
 """
 
 from itertools import permutations, product
@@ -46,17 +50,40 @@ def validate_table(table):
                         f"associativity fails at ({i}, {j}, {k})")
 
 
-def _inverses(table):
-    order = len(table)
-    return tuple(next(j for j in range(order) if table[i][j] == 0)
-                 for i in range(order))
+def _power_cycles(table):
+    """For each element x, the list [e, x, x^2, ...] of its distinct powers.
+
+    The k-th power of x, for any integer k, is ``cycle[k % len(cycle)]``.
+    """
+    cycles = []
+    for x in range(len(table)):
+        cycle = [0]
+        value = x
+        while value != 0:
+            cycle.append(value)
+            value = table[value][x]
+        cycles.append(cycle)
+    return cycles
+
+
+def _runs(relator, index_of):
+    """The relator as runs ``(generator index, exponent)``, empty runs dropped."""
+    runs = []
+    for name, sign in relator:
+        gen_index = index_of[name]
+        if runs and runs[-1][0] == gen_index:
+            runs[-1][1] += sign
+        else:
+            runs.append([gen_index, sign])
+    return [(gen_index, exponent) for gen_index, exponent in runs if exponent]
 
 
 def count_homomorphisms(presentation, table):
     """Number of homomorphisms from the presented group into the table group.
 
-    The presentation is reduced first; if more than six generators survive,
-    a CapacityError is raised rather than attempting a hopeless search.
+    The count runs on ``auto_simplify(presentation)``, which the presentation
+    computes on first use and keeps; if more than six generators survive, a
+    CapacityError is raised rather than attempting a hopeless search.
 
     >>> from .presentations import Presentation
     >>> from .words import Word
@@ -73,38 +100,51 @@ def count_homomorphisms(presentation, table):
             f"the search handles at most {MAX_SEARCH_GENERATORS}")
 
     order = len(table)
-    inverse = _inverses(table)
+    cycles = _power_cycles(table)
     index_of = {g: i for i, g in enumerate(generators)}
 
-    # Precompile relators as (max generator index, letter index/sign pairs);
-    # a relator is checked at the first depth where all its letters have
-    # images.  Empty relators hold vacuously.
-    compiled = []
+    # Every distinct (generator, exponent) run gets an integer slot holding
+    # the image's power under the current assignment; ``powers[slot][x]`` is
+    # that power for image x.  A relator, as a tuple of slots, is checked at
+    # the depth of its last generator.  Relators that cancel hold vacuously.
+    slot_of = {}
+    powers = []
+    slots_by_depth = [[] for _ in generators]
+    checks_by_depth = [[] for _ in generators]
     for relator in reduced.relators:
-        letters = tuple((index_of[name], sign) for name, sign in relator)
-        if letters:
-            compiled.append((max(i for i, _ in letters), letters))
-    by_depth = {}
-    for depth, letters in compiled:
-        by_depth.setdefault(depth, []).append(letters)
+        runs = _runs(relator, index_of)
+        if not runs:
+            continue
+        for run in runs:
+            if run not in slot_of:
+                gen_index, exponent = run
+                slot_of[run] = len(powers)
+                slots_by_depth[gen_index].append(len(powers))
+                powers.append(tuple(cycle[exponent % len(cycle)]
+                                    for cycle in cycles))
+        depth = max(gen_index for gen_index, _ in runs)
+        checks_by_depth[depth].append(tuple(slot_of[run] for run in runs))
+    for checks in checks_by_depth:
+        checks.sort(key=len)  # short relators reject a branch sooner
 
-    images = [0] * len(generators)
-
-    def evaluates_to_identity(letters):
-        value = 0
-        for gen_index, sign in letters:
-            image = images[gen_index]
-            value = table[value][image if sign > 0 else inverse[image]]
-        return value == 0
+    current = [0] * len(powers)
 
     def search(depth):
         if depth == len(generators):
             return 1
+        slots = slots_by_depth[depth]
+        checks = checks_by_depth[depth]
         total = 0
         for candidate in range(order):
-            images[depth] = candidate
-            if all(evaluates_to_identity(letters)
-                   for letters in by_depth.get(depth, ())):
+            for slot in slots:
+                current[slot] = powers[slot][candidate]
+            for relator in checks:
+                value = 0
+                for slot in relator:
+                    value = table[value][current[slot]]
+                if value:
+                    break
+            else:
                 total += search(depth + 1)
         return total
 

@@ -13,22 +13,30 @@ Keeping both routes intact is the point: they must agree on every invariant
 computed downstream, and the tests hold them against each other.
 """
 
-from ..complex_core import _orbit_data, natural_key
+from collections import Counter
+
+from ..complex_core import _orbit_data
 from ..errors import DomainError, EliminationError
-from ..families import M24, M25, build_family
-from .words import Word, cyclic_reduce, free_reduce
+from ..families import build_family
+from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
 
 
 class Presentation:
-    """An ordered generator list plus a list of relator words."""
+    """An ordered generator list plus a list of relator words.
 
-    __slots__ = ("generators", "relators")
+    Presentations are immutable: assigning to an attribute raises
+    AttributeError.  The result of :func:`auto_simplify` is computed on first
+    use and kept on the instance, so a presentation is simplified once however
+    many times it is counted or reduced.
+    """
+
+    __slots__ = ("generators", "relators", "_simplified")
 
     def __init__(self, generators, relators):
-        self.generators = tuple(str(g) for g in generators)
-        if len(set(self.generators)) != len(self.generators):
+        generators = tuple(str(g) for g in generators)
+        if len(set(generators)) != len(generators):
             raise DomainError("duplicate generator name in presentation")
-        known = set(self.generators)
+        known = set(generators)
         rels = []
         for relator in relators:
             if not isinstance(relator, Word):
@@ -38,7 +46,19 @@ class Presentation:
                 raise DomainError(
                     f"unknown generator {sorted(unknown)[0]!r} in relator")
             rels.append(relator)
-        self.relators = tuple(rels)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", tuple(rels))
+        object.__setattr__(self, "_simplified", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Presentation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"Presentation is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Presentation, (self.generators, self.relators))
 
     def __eq__(self, other):
         return (isinstance(other, Presentation)
@@ -178,55 +198,56 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
     return Presentation(generators, relators)
 
 
-def _rotations(letters):
-    for r in range(len(letters)):
-        yield r, letters[r:] + letters[:r]
-
-
 def _defining_candidates(presentation, generator):
     """All relators of the form ``g * w^-1`` (up to rotation/inversion).
 
-    Yields tuples ``(sort_key, relator_index, replacement)`` where the
-    replacement word ``w`` is free of ``generator``.  The deterministic rank
-    is (cyclically reduced length, relator index, rotation, inversion flag).
+    Returns a list of tuples ``(sort_key, relator_index, replacement)`` where
+    the replacement word ``w`` is free of ``generator``.  A relator defines
+    ``g`` exactly when its cyclic reduction contains ``g`` once: rotated to
+    start at that letter (and inverted first when the letter is ``g^-1``) it
+    reads ``g * w^-1``.  So there is at most one candidate per relator, found
+    in one pass over its letters.  The list is sorted by the deterministic
+    rank (cyclically reduced length, relator index, rotation, inversion
+    flag).
     """
     out = []
     for index, relator in enumerate(presentation.relators):
-        reduced = cyclic_reduce(relator)
-        for inverted, base in ((0, reduced.letters),
-                               (1, reduced.inverse().letters)):
-            for rotation, rotated in _rotations(base):
-                if rotated[0] != (generator, 1):
-                    continue
-                tail = rotated[1:]
-                if any(name == generator for name, _ in tail):
-                    continue
-                replacement = Word(tail).inverse()
-                key = (len(reduced), index, rotation, inverted)
-                out.append((key, index, replacement))
+        letters = cyclic_reduce(relator).letters
+        names = [name for name, _ in letters]
+        if names.count(generator) != 1:
+            continue
+        position = names.index(generator)
+        # the letters after g, read cyclically: the relator is g^+-1 * rest
+        rest = letters[position + 1:] + letters[:position]
+        length = len(letters)
+        if letters[position][1] == 1:
+            key = (length, index, position, 0)
+            replacement = _word(_inverse_letters(rest))
+        else:
+            key = (length, index, length - 1 - position, 1)
+            replacement = _word(rest)
+        out.append((key, index, replacement))
     out.sort(key=lambda item: item[0])
     return out
 
 
-def _substitute(word, generator, replacement):
-    letters = []
-    for name, sign in word.letters:
-        if name != generator:
-            letters.append((name, sign))
-        elif sign == 1:
-            letters.extend(replacement.letters)
-        else:
-            letters.extend(replacement.inverse().letters)
-    return free_reduce(Word(letters))
-
-
 def _apply_elimination(presentation, generator, relator_index, replacement):
+    forward = replacement.letters
+    backward = _inverse_letters(forward)
     generators = [g for g in presentation.generators if g != generator]
     relators = []
     for index, relator in enumerate(presentation.relators):
         if index == relator_index:
             continue
-        new = _substitute(relator, generator, replacement)
+        letters = []
+        for letter in relator.letters:
+            if letter[0] != generator:
+                letters.append(letter)
+            elif letter[1] == 1:
+                letters.extend(forward)
+            else:
+                letters.extend(backward)
+        new = free_reduce(_word(tuple(letters)))
         if new.letters:
             relators.append(new)
     return Presentation(generators, relators)
@@ -254,21 +275,36 @@ def auto_simplify(presentation):
 
     At each step every generator owning a defining relator competes; the one
     whose best defining relator is globally shortest wins, earliest generator
-    on ties.  Stops when no generator can be eliminated.
+    on ties.  Stops when no generator can be eliminated.  The result is kept
+    on the presentation, so later calls return it without recomputing.
     """
+    simplified = presentation._simplified
+    if simplified is None:
+        simplified = _simplify(presentation)
+        object.__setattr__(presentation, "_simplified", simplified)
+    return simplified
+
+
+def _simplify(presentation):
     current = presentation
     while True:
-        best = None
-        for position, generator in enumerate(current.generators):
-            candidates = _defining_candidates(current, generator)
-            if not candidates:
-                continue
-            rank = (candidates[0][0][0], position)
-            if best is None or rank < best[0]:
-                best = (rank, generator, candidates[0])
-        if best is None:
+        # One scan ranks every generator: a relator whose cyclic reduction
+        # holds g once defines g, at the length of that reduction.
+        shortest = {}
+        for relator in current.relators:
+            letters = cyclic_reduce(relator).letters
+            length = len(letters)
+            counts = Counter(name for name, _ in letters)
+            for name, count in counts.items():
+                if count == 1 and length < shortest.get(name, length + 1):
+                    shortest[name] = length
+        if not shortest:
+            # nothing is left to eliminate: the result simplifies to itself
+            object.__setattr__(current, "_simplified", current)
             return current
-        _, generator, (_, index, replacement) = best
+        position = {g: i for i, g in enumerate(current.generators)}
+        generator = min(shortest, key=lambda g: (shortest[g], position[g]))
+        _, index, replacement = _defining_candidates(current, generator)[0]
         current = _apply_elimination(current, generator, index, replacement)
 
 

@@ -1,7 +1,8 @@
 """Words in a free group over named generators.
 
 A word is a flat sequence of signed letters ``(name, +1|-1)``; no run-length
-compression is applied at the data level.  The text form used throughout the
+compression is applied at the data level.  Words are immutable: assigning to
+an attribute raises AttributeError.  The text form used throughout the
 package writes an inverse letter with a ``-`` prefix:
 
 >>> w = Word.parse("a1 b3 -d")
@@ -23,7 +24,16 @@ class Word:
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
             normalized.append((str(name), sign))
-        self.letters = tuple(normalized)
+        object.__setattr__(self, "letters", tuple(normalized))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Word is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Word is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Word, (self.letters,))
 
     @classmethod
     def parse(cls, text):
@@ -49,7 +59,7 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other):
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __str__(self):
         return " ".join(name if sign == 1 else f"-{name}"
@@ -59,7 +69,7 @@ class Word:
         return f"Word.parse({str(self)!r})"
 
     def inverse(self):
-        return Word((name, -sign) for name, sign in reversed(self.letters))
+        return _word(_inverse_letters(self.letters))
 
     def generators(self):
         """The set of generator names occurring in the word."""
@@ -74,6 +84,18 @@ class Word:
         return sum(sign for name, sign in self.letters if name == generator)
 
 
+def _word(letters):
+    """A word on a tuple of letters that are already ``(str, +1|-1)`` pairs."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
+def _inverse_letters(letters):
+    """The letters of the inverse word, as a tuple."""
+    return tuple([(name, -sign) for name, sign in reversed(letters)])
+
+
 def free_reduce(word):
     """Cancel adjacent inverse pairs until none remain.  Idempotent.
 
@@ -86,15 +108,17 @@ def free_reduce(word):
             stack.pop()
         else:
             stack.append((name, sign))
-    return Word(stack)
+    return _word(tuple(stack))
 
 
 def cyclic_reduce(word):
     """Freely reduce, then strip inverse first/last pairs."""
-    letters = list(free_reduce(word).letters)
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        letters = letters[1:-1]
-    return Word(letters)
+    letters = free_reduce(word).letters
+    start, stop = 0, len(letters)
+    while (stop - start >= 2
+           and letters[start] == (letters[stop - 1][0], -letters[stop - 1][1])):
+        start, stop = start + 1, stop - 1
+    return _word(letters[start:stop])
 
 
 def _letter_order(letter):
@@ -126,7 +150,7 @@ def cyclic_normal_form(word):
     if not reduced.letters:
         return reduced
     candidates = []
-    for base in (reduced.letters, reduced.inverse().letters):
+    for base in (reduced.letters, _inverse_letters(reduced.letters)):
         for r in range(len(base)):
             candidates.append(base[r:] + base[:r])
-    return Word(min(candidates, key=_word_order))
+    return _word(min(candidates, key=_word_order))

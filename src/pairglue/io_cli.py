@@ -40,6 +40,7 @@ from .symmetry import singularity_report, strongly_cyclic
 
 COMPLEX_HEADER = "pgv1 complex"
 PRESENTATION_HEADER = "pgv1 presentation"
+EX_SOFTWARE = 70  # sysexits.h: internal software error
 
 
 def serialize_complex(complex_):
@@ -354,7 +355,8 @@ def _build_parser():
         description="Face-pairing quotient complexes: manifold certification, "
                     "fundamental-group tooling, homology and symmetry analysis.")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        help="add orbit traces to analyze output")
+                        help="add orbit traces to analyze output and "
+                             "tracebacks to internal errors")
     commands = parser.add_subparsers(dest="command", required=True)
 
     def family_options(sub):
@@ -412,6 +414,14 @@ def main(argv=None):
     except PairglueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a fault in pairglue itself, not in the input
+        if args.verbose:
+            # imported only here: it would add more to ``import pairglue``
+            # than the rest of the package's stdlib imports
+            import traceback
+            traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

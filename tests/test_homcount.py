@@ -6,11 +6,14 @@ the number of homomorphisms into A is |A|^r times the product over i of
 the number of elements a in A with d_i * a = 0.
 """
 
+from itertools import product
+
 import pytest
 
 from pairglue import (
     Presentation,
     Word,
+    auto_simplify,
     build_m24,
     build_m25,
     count_homomorphisms,
@@ -146,3 +149,50 @@ def test_counts_invariant_along_scripted_reduction():
             for step in steps:
                 for name, table in catalog.items():
                     assert count_homomorphisms(step, table) == baseline[name]
+
+
+# ---------------------------------------- brute force, nonabelian targets
+
+NONABELIAN_TARGETS = ("D3", "D4", "Q8", "D5", "D6", "A4", "Dic3")
+
+
+def brute_force_count(presentation, table):
+    """Try every tuple of images of the simplified generators, evaluating
+    each relator one letter at a time."""
+    reduced = auto_simplify(presentation)
+    inverse = [row.index(0) for row in table]
+    total = 0
+    for images in product(range(len(table)), repeat=len(reduced.generators)):
+        image_of = dict(zip(reduced.generators, images))
+        for relator in reduced.relators:
+            value = 0
+            for name, sign in relator:
+                image = image_of[name]
+                value = table[value][image if sign == 1 else inverse[image]]
+            if value != 0:
+                break
+        else:
+            total += 1
+    return total
+
+
+def test_count_matches_brute_force_on_nonabelian_targets():
+    catalog = small_groups()
+    cases = [reduced_family_presentation(family, n)
+             for family in ("m24", "m25") for n in (2, 3)]
+    # runs longer than every target's order, inverse runs, a run that
+    # cancels inside a relator, and a relator that is not freely reduced
+    cases.append(Presentation(["a", "b"], [
+        Word.parse("-a -a -a -a -a b b b b b b b"),
+        Word.parse(" ".join(["a"] * 13 + ["-b"] * 14 + ["a", "b"] * 2)),
+        Word.parse("a b -b a a -b -b -b")]))
+    cases.append(Presentation(["a", "b", "c"], [
+        Word.parse("a a b -a -a -a -b c c"),
+        Word.parse("-c -c -c -c -c -c -c b b a a -b -b")]))
+    for presentation in cases:
+        reduced = auto_simplify(presentation)
+        assert 1 <= len(reduced.generators) <= 3
+        for name in NONABELIAN_TARGETS:
+            table = catalog[name]
+            assert count_homomorphisms(presentation, table) == \
+                brute_force_count(presentation, table), (name, presentation)

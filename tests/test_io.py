@@ -275,3 +275,20 @@ def test_cli_usage_errors_exit_two(capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "symmetry", "--family", "m25", "--n", "4",
                    "--step", "3")[0] == 2
+
+
+def test_cli_internal_errors_exit_seventy(capsys, monkeypatch):
+    from pairglue import io_cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(io_cli, "_cmd_h1", broken)
+    code, out, err = run_cli(capsys, "h1", "--family", "m24", "--n", "2")
+    assert code == io_cli.EX_SOFTWARE == 70
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+    code, _, err = run_cli(capsys, "-v", "h1", "--family", "m24", "--n", "2")
+    assert code == 70
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("internal error: RuntimeError: boom\n")

@@ -1,5 +1,8 @@
 """Presentation extraction, Tietze machinery, scripted reductions, presets."""
 
+import copy
+import pickle
+
 import pytest
 
 from pairglue import (
@@ -9,18 +12,23 @@ from pairglue import (
     auto_simplify,
     build_m24,
     build_m25,
+    count_homomorphisms,
     cyclic_normal_form,
+    cyclic_reduce,
     family_elimination_order,
+    free_reduce,
     h1,
     presentation_from_cw,
     presentation_from_pairings,
     preset_presentation,
     reduced_family_presentation,
     scripted_reduction,
+    small_groups,
     tietze_eliminate,
     vertex_orbits,
 )
 from pairglue.errors import DomainError, EliminationError, StructureError
+from pairglue.group_theory.presentations import _defining_candidates
 
 
 def idx(i, n):
@@ -317,3 +325,162 @@ def test_h25_matches_cw_route_after_tree_elimination():
         c = tietze_eliminate(presentation_from_cw(build_m25(n)), "v")
         assert sorted(hp.generators) == sorted(c.generators)
         assert cnfset(hp) == cnfset(c)
+
+
+# ------------------------------------- one-pass defining-relator search
+
+def rotation_candidates(presentation, generator):
+    """Reference: the rotation-based search the one-pass search replaced.
+
+    Materialises every rotation of every cyclically reduced relator and of
+    its inverse, and keeps those that read ``g * w^-1`` with ``w`` free of g.
+    """
+    out = []
+    for index, relator in enumerate(presentation.relators):
+        reduced = cyclic_reduce(relator)
+        for inverted, base in ((0, reduced.letters),
+                               (1, reduced.inverse().letters)):
+            for rotation in range(len(base)):
+                rotated = base[rotation:] + base[:rotation]
+                if rotated[0] != (generator, 1):
+                    continue
+                tail = rotated[1:]
+                if any(name == generator for name, _ in tail):
+                    continue
+                key = (len(reduced), index, rotation, inverted)
+                out.append((key, index, Word(tail).inverse()))
+    out.sort(key=lambda item: item[0])
+    return out
+
+
+def reference_simplify(presentation):
+    """Reference: the elimination schedule of auto_simplify, letter by letter."""
+    current = presentation
+    while True:
+        best = None
+        for position, generator in enumerate(current.generators):
+            candidates = rotation_candidates(current, generator)
+            if candidates:
+                rank = (candidates[0][0][0], position)
+                if best is None or rank < best[0]:
+                    best = (rank, generator, candidates[0])
+        if best is None:
+            return current
+        _, generator, (_, index, replacement) = best
+        relators = []
+        for i, relator in enumerate(current.relators):
+            if i == index:
+                continue
+            letters = []
+            for name, sign in relator:
+                if name != generator:
+                    letters.append((name, sign))
+                else:
+                    word = replacement if sign == 1 else replacement.inverse()
+                    letters.extend(word.letters)
+            new = free_reduce(Word(letters))
+            if new.letters:
+                relators.append(new)
+        current = Presentation(
+            [g for g in current.generators if g != generator], relators)
+
+
+def family_presentations(n):
+    for family, build in (("m24", build_m24), ("m25", build_m25)):
+        complex_ = build(n)
+        yield presentation_from_pairings(complex_)
+        yield presentation_from_cw(complex_)
+        yield from scripted_reduction(family, n)
+
+
+def test_defining_candidates_match_rotation_search_on_families():
+    for n in range(1, 7):
+        for presentation in family_presentations(n):
+            for generator in presentation.generators:
+                assert _defining_candidates(presentation, generator) == \
+                    rotation_candidates(presentation, generator), (n, generator)
+
+
+@pytest.mark.parametrize("text", [
+    "a b c",                # g absent
+    "g",                    # g alone
+    "-g",                   # g^-1 alone
+    "a g b c",              # g once
+    "a b -g c",             # g^-1 once
+    "g a b g",              # g twice
+    "g a -g b",             # g and g^-1
+    "a g -a",               # not cyclically reduced: reduces to g
+    "b a -g -a -b c",       # not cyclically reduced, g^-1 inside
+    "a g -a -a g a",        # reduces to g g
+    "a b -b g c -c",        # not freely reduced
+    "g -g",                 # reduces to the empty word
+])
+def test_defining_candidates_match_rotation_search_by_hand(text):
+    relators = [Word.parse(text), Word.parse("c -g a"), Word.parse(text)]
+    presentation = Presentation(["a", "b", "c", "g"], relators)
+    for generator in presentation.generators:
+        assert _defining_candidates(presentation, generator) == \
+            rotation_candidates(presentation, generator), generator
+
+
+def test_auto_simplify_follows_the_reference_schedule():
+    for n in range(1, 9):
+        for build in (build_m24, build_m25):
+            p = presentation_from_pairings(build(n))
+            assert auto_simplify(p) == reference_simplify(p), (build, n)
+    for n in range(1, 5):
+        for build in (build_m24, build_m25):
+            p = presentation_from_cw(build(n))
+            assert auto_simplify(p) == reference_simplify(p), (build, n)
+
+
+def test_auto_simplify_fingerprints():
+    for build, n, generators, letters in ((build_m24, 6, 4, 102),
+                                          (build_m25, 8, 3, 1396)):
+        s = auto_simplify(presentation_from_pairings(build(n)))
+        assert len(s.generators) == generators
+        assert sum(len(r) for r in s.relators) == letters
+
+
+# ------------------------------------------- immutability, simplify once
+
+def test_presentations_and_words_are_immutable():
+    p = Presentation(["a", "b"], [Word.parse("a b -a")])
+    with pytest.raises(AttributeError):
+        p.generators = ("a",)
+    with pytest.raises(AttributeError):
+        p.relators = ()
+    with pytest.raises(AttributeError):
+        p.relators[0].letters = ()
+    with pytest.raises(AttributeError):
+        del p.generators
+    assert p == Presentation(["a", "b"], [Word.parse("a b -a")])
+    assert str(p.relators[0]) == "a b -a"
+    # copies are rebuilt through the constructors
+    assert copy.copy(p) == copy.deepcopy(p) == pickle.loads(pickle.dumps(p)) == p
+
+
+def test_presentation_is_simplified_once(monkeypatch):
+    from pairglue.group_theory import presentations
+
+    calls = []
+    simplify = presentations._simplify
+
+    def counted(presentation):
+        calls.append(presentation)
+        return simplify(presentation)
+
+    monkeypatch.setattr(presentations, "_simplify", counted)
+    p = presentation_from_pairings(build_m25(4))
+    tables = small_groups()
+    assert len(tables) == 24
+    counts = [count_homomorphisms(p, table) for table in tables.values()]
+    assert calls == [p]
+    assert auto_simplify(p) is auto_simplify(p)
+    assert auto_simplify(auto_simplify(p)) is auto_simplify(p)
+    assert calls == [p]
+    # an equal presentation built afresh has its own, equal result
+    again = presentation_from_pairings(build_m25(4))
+    assert auto_simplify(again) == auto_simplify(p)
+    assert [count_homomorphisms(again, t) for t in tables.values()] == counts
+    assert calls == [p, again]
