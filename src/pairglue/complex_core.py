@@ -7,6 +7,10 @@ compute the cells of that quotient (vertex classes, edge classes with their
 cycle words, face pairs) and certify manifoldness through the Euler
 characteristic.
 
+Complexes and pairings are immutable.  A complex is analysed once, on first
+use: its validation violations, edge-class traversal and vertex classes are
+kept on it, and the analysis functions return fresh lists or read-only views.
+
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, and a slot is addressed as
 ``(face_label, k)``.  Vertex labels play no role in identification; they may
@@ -15,6 +19,7 @@ repeat along a single face (small complexes have monogons and loops).
 
 import re
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import StructureError
 
@@ -41,7 +46,38 @@ def format_slot(slot):
     return f"{slot[0]}.{slot[1]}"
 
 
-class Pairing:
+class _Immutable:
+    """Base of the value classes: slots are set once, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+def _find(parent, x):
+    """Root of ``x`` in the union-find forest ``parent`` (path halving)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent, a, b):
+    """Merge the classes of ``a`` and ``b``; False when already merged."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[ra] = rb
+    return True
+
+
+class Pairing(_Immutable):
     """An identification of one face with another.
 
     The correspondence is cyclic-affine on slot indices: vertex ``j`` of the
@@ -55,11 +91,15 @@ class Pairing:
     __slots__ = ("name", "source", "target", "offset", "direction")
 
     def __init__(self, name, source, target, offset=0, direction=1):
-        self.name = name
-        self.source = source
-        self.target = target
-        self.offset = offset
-        self.direction = direction
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "direction", direction)
+
+    def __reduce__(self):
+        return (Pairing, (self.name, self.source, self.target, self.offset,
+                          self.direction))
 
     def __repr__(self):
         return (f"Pairing({self.name!r}, {self.source!r}, {self.target!r}, "
@@ -92,7 +132,7 @@ class Pairing:
         return (self.offset - k - 1) % length, -sense
 
 
-class PairedComplex:
+class PairedComplex(_Immutable):
     """A polyhedron boundary with paired faces.
 
     Parameters
@@ -111,32 +151,42 @@ class PairedComplex:
     are optional presentation metadata (see group_theory.presentations) and
     take no part in structural identity or serialization.
 
-    Construction is deliberately permissive: malformed data is accepted and
-    reported by :func:`validate`, which is what the error contract requires.
+    ``faces`` and ``involution`` are read-only mappings, the other fields
+    tuples or scalars.  Construction is deliberately permissive: malformed
+    data is accepted and reported by :func:`validate` (on first analysis),
+    which is what the error contract requires.
     """
+
+    __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
+                 "n", "edge_names", "preferred_tree", "_analysis")
 
     def __init__(self, vertex_labels, faces, involution, pairings,
                  name="complex", n=None, edge_names=(), preferred_tree=()):
-        self.vertex_labels = tuple(vertex_labels)
-        if hasattr(faces, "items"):
-            face_items = faces.items()
-        else:
-            face_items = faces
-        self.faces = {label: tuple(vertices) for label, vertices in face_items}
         if hasattr(involution, "items"):
-            self.involution = {slot: (tuple(mate), bool(aligned))
-                               for slot, (mate, aligned) in involution.items()}
+            mates = {slot: (tuple(mate), bool(aligned))
+                     for slot, (mate, aligned) in involution.items()}
         else:
-            self.involution = {}
+            mates = {}
             for a, b, aligned in involution:
                 a, b = tuple(a), tuple(b)
-                self.involution[a] = (b, bool(aligned))
-                self.involution[b] = (a, bool(aligned))
-        self.pairings = tuple(pairings)
-        self.name = name
-        self.n = n
-        self.edge_names = tuple(edge_names)
-        self.preferred_tree = tuple(preferred_tree)
+                mates[a] = (b, bool(aligned))
+                mates[b] = (a, bool(aligned))
+        faces = {label: tuple(vertices) for label, vertices in dict(faces).items()}
+        object.__setattr__(self, "vertex_labels", tuple(vertex_labels))
+        object.__setattr__(self, "faces", MappingProxyType(faces))
+        object.__setattr__(self, "involution", MappingProxyType(mates))
+        object.__setattr__(self, "pairings", tuple(pairings))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_names", tuple(edge_names))
+        object.__setattr__(self, "preferred_tree", tuple(preferred_tree))
+        object.__setattr__(self, "_analysis", None)
+
+    def __reduce__(self):
+        return (PairedComplex, (self.vertex_labels, dict(self.faces),
+                                dict(self.involution), self.pairings,
+                                self.name, self.n, self.edge_names,
+                                self.preferred_tree))
 
     def face_slots(self, label):
         return [(label, k) for k in range(len(self.faces[label]))]
@@ -178,11 +228,8 @@ class PairedComplex:
             return False
         if self.involution != other.involution:
             return False
-        mine = {p.name: (p.source, p.target, p.offset, p.direction)
-                for p in self.pairings}
-        theirs = {p.name: (p.source, p.target, p.offset, p.direction)
-                  for p in other.pairings}
-        return mine == theirs
+        return ({p.name: p for p in self.pairings}
+                == {p.name: p for p in other.pairings})
 
     def __repr__(self):
         return (f"<PairedComplex {self.name!r}: {len(self.vertex_labels)} vertices, "
@@ -203,14 +250,40 @@ the representative edge around its class and back to itself.
 VertexOrbit = namedtuple("VertexOrbit", ["representative", "member_vertices"])
 
 
+# The validation violations and, for a valid complex, the edge-class
+# traversal (see _orbit_data) and the tuple of vertex classes.
+_Analysis = namedtuple("_Analysis",
+                       ["violations", "orbit_data", "vertex_classes"])
+
+
+def _analyse(complex_):
+    """The analysis of a complex, computed on first use and kept on it."""
+    analysis = complex_._analysis
+    if analysis is None:
+        violations = tuple(_violations(complex_))
+        if violations:
+            analysis = _Analysis(violations, None, None)
+        else:
+            analysis = _Analysis(violations, _traverse_edges(complex_),
+                                 _vertex_classes(complex_))
+        object.__setattr__(complex_, "_analysis", analysis)
+    return analysis
+
+
 def validate(complex_):
     """Check every structural invariant; return the list of violations.
 
     An empty list means the complex is legal.  Violations are data (strings
     naming the offending face/slot/pairing), not exceptions: the analysis
     functions raise :class:`StructureError` themselves when handed a complex
-    that does not validate.
+    that does not validate.  The check runs once per complex; each call
+    returns a fresh list.
     """
+    return list(_analyse(complex_).violations)
+
+
+def _violations(complex_):
+    """The body of :func:`validate`: every violation, in a fixed order."""
     violations = []
     c = complex_
     known_vertices = set(c.vertex_labels)
@@ -318,18 +391,26 @@ def validate(complex_):
 
 
 def _require_valid(complex_):
-    violations = validate(complex_)
-    if violations:
-        raise StructureError(violations)
+    """The complex's analysis; raises StructureError when it is invalid."""
+    analysis = _analyse(complex_)
+    if analysis.violations:
+        raise StructureError(analysis.violations)
+    return analysis
 
 
 def _orbit_data(complex_):
-    """Traverse every edge class; the workhorse behind edge_orbits.
+    """The edge-class traversal; the workhorse behind edge_orbits.
 
-    Returns ``(orbits, slot_sign, orbit_index)`` where ``slot_sign[slot]`` is
-    +1/-1 according to whether the class traversal first crossed the slot
-    along or against its stored direction, and ``orbit_index[slot]`` is the
-    position of the slot's class in ``orbits``.
+    Returns ``(orbits, slot_sign, orbit_index)``: the tuple of edge classes
+    and two read-only mappings, ``slot_sign[slot]`` +1/-1 as the traversal
+    first crossed the slot along or against its stored direction, and
+    ``orbit_index[slot]`` the position of the slot's class in ``orbits``.
+    """
+    return _require_valid(complex_).orbit_data
+
+
+def _traverse_edges(complex_):
+    """Traverse every edge class of a valid complex (see :func:`_orbit_data`).
 
     The traversal starts at the scan-order representative, repeatedly applies
     the pairing of the current slot's face (the inverse pairing when that face
@@ -339,7 +420,6 @@ def _orbit_data(complex_):
     from .group_theory.words import Word
 
     c = complex_
-    _require_valid(c)
     by_face = c.pairing_by_face()
 
     def pairing_move(slot, sense):
@@ -386,7 +466,8 @@ def _orbit_data(complex_):
         orbits.append(EdgeOrbit(representative=rep,
                                 member_edges=tuple(sorted(members, key=slot_key)),
                                 cycle_word=Word(letters)))
-    return orbits, slot_sign, orbit_index
+    return (tuple(orbits), MappingProxyType(slot_sign),
+            MappingProxyType(orbit_index))
 
 
 def edge_orbits(complex_):
@@ -395,42 +476,34 @@ def edge_orbits(complex_):
     Each class comes with its closed cycle word of pairing letters.  Raises
     StructureError when the complex does not validate.
     """
-    return _orbit_data(complex_)[0]
+    return list(_orbit_data(complex_)[0])
 
 
 def vertex_orbits(complex_):
     """Vertex classes of the glued complex (pairings generate the relation)."""
+    return list(_require_valid(complex_).vertex_classes)
+
+
+def _vertex_classes(complex_):
+    """Compute the vertex classes of a valid complex by union-find."""
     c = complex_
-    _require_valid(c)
     parent = {v: v for v in c.vertex_labels}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for pairing in c.pairings:
         source = c.faces[pairing.source]
         target = c.faces[pairing.target]
         for j, v in enumerate(source):
-            union(v, target[pairing.vertex_image(j, len(source))])
+            _join(parent, v, target[pairing.vertex_image(j, len(source))])
 
     classes = {}
     for v in c.vertex_labels:
-        classes.setdefault(find(v), []).append(v)
+        classes.setdefault(_find(parent, v), []).append(v)
     out = []
     for members in classes.values():
         members.sort(key=natural_key)
         out.append(VertexOrbit(representative=members[0],
                                member_vertices=tuple(members)))
     out.sort(key=lambda orbit: natural_key(orbit.representative))
-    return out
+    return tuple(out)
 
 
 def cell_counts(complex_):

@@ -28,13 +28,14 @@ def _idx(i, n):
     return (i - 1) % n + 1
 
 
+def _labellers(letters, n):
+    """One label function per letter: ``X(i)`` is ``X<i mod n>`` (1-based)."""
+    return [lambda i, letter=letter: f"{letter}{_idx(i, n)}"
+            for letter in letters]
+
+
 def _vertices(n):
     return [f"{letter}{i}" for letter in "PQRS" for i in range(1, n + 1)]
-
-
-def _db_cycle(n):
-    # slot k of Db holds S_{k+3} (mod n, 1-based): S3 S4 ... S1 S2
-    return [f"S{_idx(k + 3, n)}" for k in range(n)]
 
 
 def _pairings(n):
@@ -46,6 +47,14 @@ def _pairings(n):
     return out
 
 
+def _edge_names(n, *anchors):
+    """Edge-name metadata: generator x_i (then y_i, z_i) names the edge class
+    of slot k of face F_i, for the anchors (F, k) in turn."""
+    return [(f"{name}{i}", f"{face}{i}", k, False)
+            for name, (face, k) in zip("xyz", anchors)
+            for i in range(1, n + 1)]
+
+
 def build_m24(n):
     """First family.  Closed orientable for every n; one vertex class.
 
@@ -54,18 +63,7 @@ def build_m24(n):
     (1, 10, 10, 1)
     """
     _check_n(n)
-
-    def P(i):
-        return f"P{_idx(i, n)}"
-
-    def Q(i):
-        return f"Q{_idx(i, n)}"
-
-    def R(i):
-        return f"R{_idx(i, n)}"
-
-    def S(i):
-        return f"S{_idx(i, n)}"
+    P, Q, R, S = _labellers("PQRS", n)
 
     faces = {}
     for i in range(1, n + 1):
@@ -76,7 +74,7 @@ def build_m24(n):
         faces[f"C{i}"] = (S(i), R(i), Q(i))
         faces[f"Cb{i}"] = (R(i + 1), Q(i), S(i))
     faces["D"] = tuple(P(i) for i in range(1, n + 1))
-    faces["Db"] = tuple(_db_cycle(n))
+    faces["Db"] = tuple(S(k + 3) for k in range(n))
 
     involution = []
     for i in range(1, n + 1):
@@ -93,13 +91,7 @@ def build_m24(n):
             ((f"Bb{i}", 2), (f"Cb{i}", 2), False),
         ])
 
-    edge_names = []
-    for i in range(1, n + 1):
-        edge_names.append((f"x{i}", f"A{i}", 0, False))
-    for i in range(1, n + 1):
-        edge_names.append((f"y{i}", f"B{i}", 1, False))
-    for i in range(1, n + 1):
-        edge_names.append((f"z{i}", f"C{i}", 1, False))
+    edge_names = _edge_names(n, ("A", 0), ("B", 1), ("C", 1))
     edge_names.append(("u", "A1", 1, False))
 
     return PairedComplex(_vertices(n), faces, involution, _pairings(n),
@@ -115,18 +107,7 @@ def build_m25(n):
     (2, 14, 13, 1)
     """
     _check_n(n)
-
-    def P(i):
-        return f"P{_idx(i, n)}"
-
-    def Q(i):
-        return f"Q{_idx(i, n)}"
-
-    def R(i):
-        return f"R{_idx(i, n)}"
-
-    def S(i):
-        return f"S{_idx(i, n)}"
+    P, Q, R, S = _labellers("PQRS", n)
 
     faces = {}
     for i in range(1, n + 1):
@@ -137,7 +118,7 @@ def build_m25(n):
         faces[f"C{i}"] = (Q(i - 1), R(i), S(i - 1))
         faces[f"Cb{i}"] = (S(i), Q(i), R(i))
     faces["D"] = tuple(P(i) for i in range(1, n + 1))
-    faces["Db"] = tuple(_db_cycle(n))
+    faces["Db"] = tuple(S(k + 3) for k in range(n))
 
     involution = []
     for i in range(1, n + 1):
@@ -154,13 +135,7 @@ def build_m25(n):
             ((f"C{_idx(i + 2, n)}", 1), (f"Bb{i}", 2), False),
         ])
 
-    edge_names = []
-    for i in range(1, n + 1):
-        edge_names.append((f"x{i}", f"A{i}", 0, False))
-    for i in range(1, n + 1):
-        edge_names.append((f"y{i}", f"A{i}", 1, False))
-    for i in range(1, n + 1):
-        edge_names.append((f"z{i}", f"B{i}", 0, False))
+    edge_names = _edge_names(n, ("A", 0), ("A", 1), ("B", 0))
     # The class containing the P_i Q_i edges is traversed against the stored
     # slot direction of its anchor, hence the reversed flag; for even n the
     # class splits by parity into two generators u and v, and v is the

@@ -242,15 +242,9 @@ def h1(presentation):
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
     'Z3'
     """
-    # Built generator-by-relator directly: transposing an empty relator
-    # block would forget how many generators there are.
-    matrix = IntegerMatrix(
-        tuple(tuple(relator.exponent_sum(g) for relator in presentation.relators)
-              for g in presentation.generators))
-    if matrix.num_rows == 0:
-        return AbelianGroup(0, ())
-    if matrix.num_cols == 0:
+    if not presentation.relators:
         return AbelianGroup(len(presentation.generators), ())
+    matrix = abelianization_matrix(presentation).transpose()
     diagonal_matrix, _, _ = smith_normal_form(matrix)
     diagonal = [diagonal_matrix.rows[i][i]
                 for i in range(min(matrix.num_rows, matrix.num_cols))]

@@ -15,13 +15,13 @@ computed downstream, and the tests hold them against each other.
 
 from collections import Counter
 
-from ..complex_core import _orbit_data
+from ..complex_core import _Immutable, _join, _orbit_data, vertex_orbits
 from ..errors import DomainError, EliminationError
-from ..families import build_family
+from ..families import _labellers, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
 
 
-class Presentation:
+class Presentation(_Immutable):
     """An ordered generator list plus a list of relator words.
 
     Presentations are immutable: assigning to an attribute raises
@@ -49,13 +49,6 @@ class Presentation:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "_simplified", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Presentation is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"Presentation is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return (Presentation, (self.generators, self.relators))
@@ -92,32 +85,17 @@ def _spanning_tree(orbit_edges, vertex_class, generators, preferred):
             raise DomainError("tree edges given for a complex with one vertex class")
         return []
     parent = {c: c for c in classes}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def try_join(name):
-        a, b = orbit_edges[name]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        return True
-
     tree = []
     if preferred:
         for name in preferred:
             if name not in orbit_edges:
                 raise DomainError(f"unknown tree generator {name!r}")
-            if not try_join(name):
+            if not _join(parent, *orbit_edges[name]):
                 raise DomainError(f"tree generator {name!r} closes a cycle")
             tree.append(name)
     else:
         for name in generators:
-            if try_join(name):
+            if _join(parent, *orbit_edges[name]):
                 tree.append(name)
     if len(tree) != len(classes) - 1:
         raise DomainError("tree edges do not span the glued 1-skeleton")
@@ -138,8 +116,6 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
     reversed hands its generator the direction opposite to the anchor slot's
     stored arrow, which fixes the sign of every appearance.
     """
-    from ..complex_core import vertex_orbits
-
     orbits, slot_sign, orbit_index = _orbit_data(complex_)
 
     names = [f"e{i + 1}" for i in range(len(orbits))]
@@ -395,18 +371,7 @@ def preset_presentation(preset, n=1):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"preset parameter n must be a positive integer, got {n!r}")
 
-    def m(i):
-        return (i - 1) % n + 1
-
-    def x(i):
-        return f"x{m(i)}"
-
-    def y(i):
-        return f"y{m(i)}"
-
-    def z(i):
-        return f"z{m(i)}"
-
+    x, y, z = _labellers("xyz", n)
     gens = ([x(i) for i in range(1, n + 1)]
             + [y(i) for i in range(1, n + 1)]
             + [z(i) for i in range(1, n + 1)]

@@ -12,10 +12,10 @@ package writes an inverse letter with a ``-`` prefix:
 'd -b3 -a1'
 """
 
-from ..complex_core import natural_key
+from ..complex_core import _Immutable, natural_key
 
 
-class Word:
+class Word(_Immutable):
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
@@ -25,12 +25,6 @@ class Word:
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
             normalized.append((str(name), sign))
         object.__setattr__(self, "letters", tuple(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Word is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Word is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return (Word, (self.letters,))

@@ -23,7 +23,6 @@ from .complex_core import (
     edge_orbits,
     format_slot,
     is_manifold,
-    natural_key,
     slot_key,
     vertex_orbits,
 )
@@ -68,11 +67,21 @@ def serialize_complex(complex_):
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(token, number, message, signed=False):
+    """``int(token)`` for ASCII digits (after one ``-`` if ``signed``), else
+    ParseError; ``str.isdigit`` alone also passes digits ``int`` rejects."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(number, message)
+    return int(token)
+
+
 def _parse_slot(token, number):
     label, _, index = token.rpartition(".")
-    if not label or not index.isdigit():
-        raise ParseError(number, f"bad slot {token!r} (expected FACE.k)")
-    return (label, int(index))
+    message = f"bad slot {token!r} (expected FACE.k)"
+    if not label:
+        raise ParseError(number, message)
+    return (label, _parse_int(index, number, message))
 
 
 def parse_complex(text):
@@ -109,9 +118,10 @@ def parse_complex(text):
                 raise ParseError(number, "name takes exactly one value")
             name = fields[1]
         elif keyword == "n":
-            if len(fields) != 2 or not fields[1].lstrip("-").isdigit():
+            if len(fields) != 2:
                 raise ParseError(number, "n takes one integer")
-            n = int(fields[1])
+            n = _parse_int(fields[1], number, "n takes one integer",
+                           signed=True)
         elif keyword == "vertices":
             if vertices is not None:
                 raise ParseError(number, "duplicate vertices line")
@@ -143,9 +153,9 @@ def parse_complex(text):
             pname, source, target, sign = fields[1:5]
             if sign not in ("+", "-"):
                 raise ParseError(number, "pairing sign must be '+' or '-'")
-            if not all(t.isdigit() for t in fields[5:]):
-                raise ParseError(number, "pairing image list must be integers")
-            images = [int(t) for t in fields[5:]]
+            images = [_parse_int(t, number,
+                                 "pairing image list must be integers")
+                      for t in fields[5:]]
             direction = 1 if sign == "+" else -1
             offset = images[0] if images else 0
             length = len(images)
@@ -268,8 +278,7 @@ def _cmd_analyze(args):
         line = (f"vertex class {orbit.representative}: "
                 f"{len(orbit.member_vertices)} vertices")
         if args.verbose:
-            line += " (" + " ".join(sorted(orbit.member_vertices,
-                                           key=natural_key)) + ")"
+            line += " (" + " ".join(orbit.member_vertices) + ")"
         print(line)
     for orbit in edge_orbits(complex_):
         line = (f"edge class {format_slot(orbit.representative)}: "

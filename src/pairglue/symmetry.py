@@ -57,20 +57,18 @@ class ComplexAutomorphism:
                 f"order {self.order}>")
 
 
-def _permutation_order(mapping):
+def _cycles(mapping, starts):
+    """The cycles of a permutation, each from its first member in ``starts``."""
     seen = set()
-    order = 1
-    for start in mapping:
-        if start in seen:
-            continue
-        length = 0
+    for start in starts:
+        cycle = []
         x = start
         while x not in seen:
             seen.add(x)
+            cycle.append(x)
             x = mapping[x]
-            length += 1
-        order = lcm(order, length)
-    return order
+        if cycle:
+            yield cycle
 
 
 def _extend_vertex_map(complex_, vertex_map):
@@ -171,8 +169,8 @@ def _extend_vertex_map(complex_, vertex_map):
                                            face_map[p.target])].name
                    for p in c.pairings}
 
-    order = lcm(_permutation_order(dict(vertex_map)),
-                _permutation_order(slot_map))
+    order = lcm(*(len(cycle) for mapping in (vertex_map, slot_map)
+                  for cycle in _cycles(mapping, mapping)))
     return ComplexAutomorphism(c, dict(vertex_map), face_map, face_rotation,
                                slot_map, pairing_map, order)
 
@@ -260,17 +258,12 @@ def _face_transport(automorphism):
     rep_of = {}
     rot_of = {}
     folded = {}
-    for rep in sorted(c.faces, key=natural_key):
-        if rep in rep_of:
-            continue
-        face, rot = rep, 0
-        while True:
+    for cycle in _cycles(auto.face_map, sorted(c.faces, key=natural_key)):
+        rep, rot = cycle[0], 0
+        for face in cycle:
             rep_of[face] = rep
             rot_of[face] = rot
             rot += auto.face_rotation[face]
-            face = auto.face_map[face]
-            if face == rep:
-                break
         length = len(c.faces[rep])
         # rot is now the rotation the orbit-stabilizing power induces on rep
         folded[rep] = gcd(length, rot % length)
@@ -303,14 +296,9 @@ def quotient_complex(complex_, automorphism):
     c = complex_
     rep_of, rot_of, folded, project = _face_transport(auto)
 
-    vrep_of = {}
-    for start in sorted(c.vertex_labels, key=natural_key):
-        if start in vrep_of:
-            continue
-        v = start
-        while v not in vrep_of:
-            vrep_of[v] = start
-            v = auto.vertex_map[v]
+    vertex_starts = sorted(c.vertex_labels, key=natural_key)
+    vrep_of = {v: cycle[0] for cycle in _cycles(auto.vertex_map, vertex_starts)
+               for v in cycle}
 
     face_reps = [f for f in sorted(c.faces, key=natural_key) if rep_of[f] == f]
     faces_q = {rep: tuple(vrep_of[v] for v in c.faces[rep][:folded[rep]])
@@ -330,16 +318,9 @@ def quotient_complex(complex_, automorphism):
 
     by_name = {p.name: p for p in c.pairings}
     pairings_q = []
-    seen = set()
-    for p in c.pairings:
-        if p.name in seen:
-            continue
-        orbit = [p]
-        q = by_name[auto.pairing_map[p.name]]
-        while q.name != p.name:
-            orbit.append(q)
-            q = by_name[auto.pairing_map[q.name]]
-        seen.update(member.name for member in orbit)
+    for names in _cycles(auto.pairing_map, by_name):
+        orbit = [by_name[name] for name in names]
+        p = orbit[0]
         rep_name = min((member.name for member in orbit), key=natural_key)
         source_rep = rep_of[p.source]
         target_rep = rep_of[p.target]
@@ -413,10 +394,17 @@ def singularity_report(family, n, step=1):
     branched component with index equal to the length ratio; the rotation
     axis itself is appended as a component whenever the covering is
     nontrivial, with branching index equal to the covering degree.
+
+    The base is the member with parameter ``step``: the quotient is checked
+    against it, and UnsupportedQuotientError raised when they differ.
     """
     auto = rotation(family, n, step)
     upstairs = auto.domain
     quotient = quotient_complex(upstairs, auto)
+    if not quotient.same_structure(build_family(family, step)):
+        raise UnsupportedQuotientError(
+            f"quotient of {family}({n}) by the step {step} rotation is not "
+            f"{family}({step})")
     _, _, _, project = _face_transport(auto)
     up_orbits, _, _ = _orbit_data(upstairs)
     down_orbits, _, down_index = _orbit_data(quotient)

@@ -5,6 +5,9 @@ pairing correspondences (membership, no traversal involved) and a literal
 replay of each cycle word through the stored offsets and directions.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from pairglue import (
@@ -15,10 +18,13 @@ from pairglue import (
     cell_counts,
     edge_orbits,
     is_manifold,
+    presentation_from_cw,
+    presentation_from_pairings,
     validate,
     vertex_orbits,
 )
-from pairglue.complex_core import slot_key
+from pairglue import complex_core
+from pairglue.complex_core import _orbit_data, slot_key
 from pairglue.errors import StructureError
 
 
@@ -248,3 +254,95 @@ def test_orbit_functions_refuse_invalid_input():
         edge_orbits(broken)
     with pytest.raises(StructureError):
         cell_counts(broken)
+
+
+# ------------------------------------------- immutability, analysis once
+
+def test_complexes_and_pairings_are_immutable():
+    c = build_m25(4)
+    for name, value in (("name", "other"), ("n", 5), ("faces", {}),
+                        ("pairings", ()), ("_analysis", None)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    with pytest.raises(AttributeError):
+        del c.vertex_labels
+    with pytest.raises(TypeError):
+        c.faces["X"] = ("P1",)
+    with pytest.raises(TypeError):
+        c.involution[("A1", 0)] = (("A1", 1), True)
+    pairing = c.pairings[0]
+    with pytest.raises(AttributeError):
+        pairing.offset = 1
+    with pytest.raises(AttributeError):
+        del pairing.name
+    assert c.same_structure(build_m25(4))
+    assert pairing == Pairing("a1", "A1", "Ab1", 0, 1)
+
+
+def test_complex_copy_and_pickle_round_trip():
+    for c in (build_m24(3), build_m25(4), tetra_like()):
+        edges = edge_orbits(c)
+        for twin in (copy.copy(c), copy.deepcopy(c),
+                     pickle.loads(pickle.dumps(c))):
+            assert twin is not c and twin.same_structure(c)
+            assert (twin.name, twin.n, twin.edge_names, twin.preferred_tree) \
+                == (c.name, c.n, c.edge_names, c.preferred_tree)
+            assert list(twin.faces) == list(c.faces)
+            assert edge_orbits(twin) == edges
+        for p in c.pairings:
+            assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
+            assert repr(copy.copy(p)) == repr(p)
+
+
+def test_returned_analysis_cannot_be_corrupted():
+    c = build_m25(4)
+    edges, vertices = edge_orbits(c), vertex_orbits(c)
+    edge_orbits(c).clear()
+    vertex_orbits(c).append("junk")
+    validate(c).append("junk")
+    returned = edge_orbits(c)
+    returned[0] = None
+    assert edge_orbits(c) == edges == edge_orbits(build_m25(4))
+    assert vertex_orbits(c) == vertices == vertex_orbits(build_m25(4))
+    assert validate(c) == []
+    _, slot_sign, orbit_index = _orbit_data(c)
+    with pytest.raises(TypeError):
+        slot_sign[("A1", 0)] = -slot_sign[("A1", 0)]
+    with pytest.raises(TypeError):
+        orbit_index[("A1", 0)] = 0
+
+
+def count_analysis(monkeypatch):
+    """Record the complex each analysis body runs on, by body name."""
+    calls = {}
+    for name in ("_violations", "_traverse_edges", "_vertex_classes"):
+        def counted(complex_, _name=name, _body=getattr(complex_core, name)):
+            calls.setdefault(_name, []).append(complex_)
+            return _body(complex_)
+        monkeypatch.setattr(complex_core, name, counted)
+    return calls
+
+
+def test_each_complex_is_analysed_once(monkeypatch):
+    calls = count_analysis(monkeypatch)
+    c, d = build_m25(4), build_m24(3)
+    for complex_ in (c, d, c, d):
+        assert validate(complex_) == []
+        assert is_manifold(complex_) == (True, 0)
+        cell_counts(complex_)
+        edge_orbits(complex_)
+        vertex_orbits(complex_)
+        presentation_from_pairings(complex_)
+        presentation_from_cw(complex_)
+    assert calls == {"_violations": [c, d], "_traverse_edges": [c, d],
+                     "_vertex_classes": [c, d]}
+
+    calls.clear()
+    broken = PairedComplex(c.vertex_labels, c.faces, c.involution, [])
+    for _ in range(2):
+        assert validate(broken)
+        for analysis in (edge_orbits, vertex_orbits, cell_counts,
+                         presentation_from_pairings):
+            with pytest.raises(StructureError):
+                analysis(broken)
+    assert calls == {"_violations": [broken]}

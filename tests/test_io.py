@@ -71,6 +71,11 @@ def test_parse_complex_errors_carry_line_numbers():
          "face F doubly paired"),
         ("pgv1 complex\nvertices a\nvertices b\n", 3, "duplicate vertices"),
         ("pgv1 complex\nn lots\n", 2, "one integer"),
+        ("pgv1 complex\nn --5\n", 2, "one integer"),
+        ("pgv1 complex\nn \u00b2\n", 2, "one integer"),
+        ("pgv1 complex\nedge F.\u00b2 G.0 same\n", 2, "bad slot"),
+        ("pgv1 complex\npairing f F G + 0 \u00b2\n", 2,
+         "image list must be integers"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(ParseError) as exc:

@@ -15,7 +15,12 @@ from pairglue import (
     strongly_cyclic,
     verify_automorphism,
 )
-from pairglue.errors import DomainError, StructureError
+from pairglue import symmetry
+from pairglue.errors import (
+    DomainError,
+    StructureError,
+    UnsupportedQuotientError,
+)
 
 
 def shift_map(n, step):
@@ -204,6 +209,16 @@ def test_report_strongly_cyclic_sweep():
         assert not strongly_cyclic(singularity_report("m25", n))
     # at n = 2 the split classes swap freely, so only the axis branches
     assert strongly_cyclic(singularity_report("m25", 2))
+
+
+def test_report_checks_quotient_against_base_member(monkeypatch):
+    def wrong_base(family, n):
+        return build_family(family, n + 1 if n <= 2 else n)
+
+    monkeypatch.setattr(symmetry, "build_family", wrong_base)
+    for family, n, step in (("m24", 5, 1), ("m25", 6, 2)):
+        with pytest.raises(UnsupportedQuotientError, match="is not"):
+            singularity_report(family, n, step)
 
 
 def test_report_notes_axis_provenance():
