@@ -19,6 +19,7 @@ repeat along a single face (small complexes have monogons and loops).
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import StructureError
@@ -26,6 +27,7 @@ from .errors import StructureError
 _DIGIT_RUN = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=None)
 def natural_key(label):
     """Sort key that orders embedded integers numerically.
 
@@ -153,8 +155,9 @@ class PairedComplex(_Immutable):
 
     ``faces`` and ``involution`` are read-only mappings, the other fields
     tuples or scalars.  Construction is deliberately permissive: malformed
-    data is accepted and reported by :func:`validate` (on first analysis),
-    which is what the error contract requires.
+    data, such as faces that the involution does not join into one nonempty
+    boundary, is accepted and reported by :func:`validate` (on first
+    analysis), which is what the error contract requires.
     """
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
@@ -273,8 +276,9 @@ def _analyse(complex_):
 def validate(complex_):
     """Check every structural invariant; return the list of violations.
 
-    An empty list means the complex is legal.  Violations are data (strings
-    naming the offending face/slot/pairing), not exceptions: the analysis
+    An empty list means the complex is legal; its boundary is then nonempty,
+    connected, oriented, and reversed by every pairing.  Violations are data
+    (strings naming the offending face/slot/pairing), not exceptions: the analysis
     functions raise :class:`StructureError` themselves when handed a complex
     that does not validate.  The check runs once per complex; each call
     returns a fresh list.
@@ -284,7 +288,7 @@ def validate(complex_):
 
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order."""
-    violations = []
+    violations = [] if complex_.faces else ["boundary has no faces"]
     c = complex_
     known_vertices = set(c.vertex_labels)
 
@@ -364,11 +368,16 @@ def _violations(complex_):
 
     # Orientation phase: orient every face so that neighbouring faces traverse
     # each shared edge in opposite directions, then require every pairing to
-    # reverse that orientation (the glued space is then orientable).
+    # reverse that orientation (the glued space is then orientable).  One walk
+    # must reach every face, as the boundary is connected.
     orient = {}
     for start in sorted(c.faces, key=natural_key):
         if start in orient:
             continue
+        if orient:
+            violations.append(f"boundary is not connected: face {start} is "
+                              f"not reached from face {next(iter(orient))}")
+            return violations
         orient[start] = 1
         queue = [start]
         while queue:
@@ -509,9 +518,9 @@ def _vertex_classes(complex_):
 def cell_counts(complex_):
     """Cell census (sigma0, sigma1, sigma2, sigma3) of the glued complex.
 
-    sigma3 is 1 by construction (a single polyhedron), sigma2 the number of
-    face pairs, sigma1 the number of edge classes, sigma0 the number of
-    vertex classes.
+    sigma3 is 1 (validation requires one connected boundary, so a single
+    polyhedron), sigma2 the number of face pairs, sigma1 the number of edge
+    classes, sigma0 the number of vertex classes.
     """
     return CellCounts(sigma0=len(vertex_orbits(complex_)),
                       sigma1=len(edge_orbits(complex_)),

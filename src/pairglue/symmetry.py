@@ -4,7 +4,7 @@ An automorphism here is a relabelling of the polyhedron that preserves every
 piece of structure at once: faces map to faces matching the vertex images,
 the boundary involution commutes with the induced slot map, and each pairing
 is carried onto another pairing.  Only the vertex permutation is supplied;
-everything else is searched for and checked.
+the rest is forced over the connected boundary, without recursion, and checked.
 
 Quotients fold each cell orbit to a single cell.  A face fixed setwise by
 part of the group folds to a shorter polygon (its length divided by the
@@ -71,14 +71,51 @@ def _cycles(mapping, starts):
             yield cycle
 
 
+def _forced_placements(c, candidates, pairing_lookup, face, placement):
+    """Every face's placement forced by placing ``face``, or None.
+
+    The mate of each slot goes to the mate of the slot's image, with the same
+    alignment, onto a candidate, and pairings go onto pairings.  The images
+    are then closed under the involution, so on a connected boundary they are
+    all the faces, each once.
+    """
+    assignment = {face: placement}
+    stack = [face]
+    while stack:
+        face = stack.pop()
+        g, r = assignment[face]
+        length = len(c.faces[face])
+        for k in range(length):
+            (mface, mk), aligned = c.involution[(face, k)]
+            (mg, mk_image), aligned_image = c.involution[(g, (k + r) % length)]
+            forced = (mg, (mk_image - mk) % len(c.faces[mface]))
+            if aligned_image != aligned:
+                return None
+            if mface not in assignment and forced in candidates[mface]:
+                assignment[mface] = forced
+                stack.append(mface)
+            elif assignment.get(mface) != forced:
+                return None
+    for p in c.pairings:
+        gs, rs = assignment[p.source]
+        gt, rt = assignment[p.target]
+        image = pairing_lookup.get((gs, gt))
+        if (image is None or image.direction != p.direction
+                or image.offset != (p.offset - p.direction * rs + rt)
+                % len(c.faces[gt])):
+            return None
+    return assignment
+
+
 def _extend_vertex_map(complex_, vertex_map):
     """Extend a vertex permutation to a full automorphism, or fail loudly.
 
-    The vertex map must be a bijection on the vertex labels.  Face images
-    are found by matching image vertex cycles up to rotation; when several
-    faces share a cycle the assignment is searched depth first under the
-    involution and pairing constraints.  Raises StructureError if no
-    consistent extension exists.
+    The vertex map must be a bijection on the vertex labels.  A face's
+    candidate placements ``(g, r)``, from an index of every rotation of every
+    face cycle, are the faces ``g`` whose cycle read from slot ``r`` is the
+    image of its own.  The first candidate of the natural-least face whose
+    forced placements (see :func:`_forced_placements`) survive gives the
+    automorphism; raises StructureError if none does.
     """
     c = complex_
     _require_valid(c)
@@ -88,83 +125,34 @@ def _extend_vertex_map(complex_, vertex_map):
             ["vertex map is not a permutation of the vertex labels"])
 
     faces_sorted = sorted(c.faces, key=natural_key)
+    placements = {}
+    for g in faces_sorted:
+        cycle = c.faces[g]
+        for r in range(len(cycle)):
+            placements.setdefault(cycle[r:] + cycle[:r], []).append((g, r))
     candidates = {}
     for face in faces_sorted:
-        image_cycle = tuple(vertex_map[v] for v in c.faces[face])
-        length = len(image_cycle)
-        options = []
-        for g in faces_sorted:
-            cycle = c.faces[g]
-            if len(cycle) != length:
-                continue
-            options.extend(
-                (g, r) for r in range(length)
-                if all(cycle[(k + r) % length] == image_cycle[k]
-                       for k in range(length)))
-        if not options:
+        options = placements.get(tuple(vertex_map[v] for v in c.faces[face]))
+        if options is None:
             raise StructureError(
                 [f"no face matches the image of face {face} under the vertex map"])
         candidates[face] = options
 
-    by_face = c.pairing_by_face()
     pairing_lookup = {(p.source, p.target): p for p in c.pairings}
-    assignment = {}
-    used = set()
-
-    def involution_ok(face):
-        g, r = assignment[face]
-        length = len(c.faces[face])
-        for k in range(length):
-            (mface, mk), aligned = c.involution[(face, k)]
-            if mface not in assignment:
-                continue
-            mg, mr = assignment[mface]
-            image = (g, (k + r) % length)
-            expected = ((mg, (mk + mr) % len(c.faces[mface])), aligned)
-            if c.involution[image] != expected:
-                return False
-        return True
-
-    def pairing_ok(face):
-        pairing, _ = by_face[face]
-        if pairing.source not in assignment or pairing.target not in assignment:
-            return True
-        gs, rs = assignment[pairing.source]
-        gt, rt = assignment[pairing.target]
-        image = pairing_lookup.get((gs, gt))
-        if image is None or image.direction != pairing.direction:
-            return False
-        length = len(c.faces[gt])
-        return image.offset == (pairing.offset
-                                - pairing.direction * rs + rt) % length
-
-    def search(i):
-        if i == len(faces_sorted):
-            return True
-        face = faces_sorted[i]
-        for g, r in candidates[face]:
-            if g in used:
-                continue
-            assignment[face] = (g, r)
-            used.add(g)
-            if involution_ok(face) and pairing_ok(face) and search(i + 1):
-                return True
-            del assignment[face]
-            used.discard(g)
-        return False
-
-    if not search(0):
+    for placement in candidates[faces_sorted[0]]:
+        assignment = _forced_placements(c, candidates, pairing_lookup,
+                                        faces_sorted[0], placement)
+        if assignment is not None:
+            break
+    else:
         raise StructureError(
             ["vertex map does not extend to an automorphism of the paired complex"])
 
     face_map = {f: assignment[f][0] for f in faces_sorted}
     face_rotation = {f: assignment[f][1] for f in faces_sorted}
-    slot_map = {}
-    for f in faces_sorted:
-        g, r = assignment[f]
-        length = len(c.faces[f])
-        for k in range(length):
-            slot_map[(f, k)] = (g, (k + r) % length)
+    slot_map = {(f, k): (face_map[f],
+                         (k + face_rotation[f]) % len(c.faces[f]))
+                for f in faces_sorted for k in range(len(c.faces[f]))}
     pairing_map = {p.name: pairing_lookup[(face_map[p.source],
                                            face_map[p.target])].name
                    for p in c.pairings}
@@ -286,14 +274,17 @@ def quotient_complex(complex_, automorphism):
     source is the representative face.  Every descent step is checked; a
     violation raises UnsupportedQuotientError.
     """
-    if (isinstance(automorphism, ComplexAutomorphism)
-            and automorphism.domain is complex_):
-        auto = automorphism
-    elif isinstance(automorphism, ComplexAutomorphism):
-        auto = _extend_vertex_map(complex_, automorphism.vertex_map)
-    else:
-        auto = _extend_vertex_map(complex_, dict(automorphism))
-    c = complex_
+    auto = automorphism
+    if not (isinstance(auto, ComplexAutomorphism) and auto.domain is complex_):
+        auto = _extend_vertex_map(complex_, dict(
+            auto.vertex_map if isinstance(auto, ComplexAutomorphism) else auto))
+    return _quotient(auto)[0]
+
+
+def _quotient(auto):
+    """``(quotient, project)``: the body of :func:`quotient_complex`, with
+    the slot projection from :func:`_face_transport` for reuse."""
+    c = auto.domain
     rep_of, rot_of, folded, project = _face_transport(auto)
 
     vertex_starts = sorted(c.vertex_labels, key=natural_key)
@@ -355,7 +346,7 @@ def quotient_complex(complex_, automorphism):
     if problems:
         raise UnsupportedQuotientError(
             "quotient is not a valid paired complex: " + "; ".join(problems))
-    return quotient
+    return quotient, project
 
 
 SingularComponent = namedtuple(
@@ -400,12 +391,11 @@ def singularity_report(family, n, step=1):
     """
     auto = rotation(family, n, step)
     upstairs = auto.domain
-    quotient = quotient_complex(upstairs, auto)
+    quotient, project = _quotient(auto)
     if not quotient.same_structure(build_family(family, step)):
         raise UnsupportedQuotientError(
             f"quotient of {family}({n}) by the step {step} rotation is not "
             f"{family}({step})")
-    _, _, _, project = _face_transport(auto)
     up_orbits, _, _ = _orbit_data(upstairs)
     down_orbits, _, down_index = _orbit_data(quotient)
 

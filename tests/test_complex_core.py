@@ -200,6 +200,24 @@ def test_validator_accepts_minimal_complex():
     assert validate(tetra_like()) == []
 
 
+def test_validator_requires_one_connected_boundary():
+    c = tetra_like()
+    faces = dict(c.faces)
+    faces.update({f"{label}2": cycle for label, cycle in c.faces.items()})
+    involution = dict(c.involution)
+    involution.update({(f"{face}2", k): ((f"{mate}2", mk), aligned)
+                       for (face, k), ((mate, mk), aligned)
+                       in c.involution.items()})
+    two = PairedComplex(c.vertex_labels, faces, involution,
+                        [Pairing("f", "F", "G"), Pairing("f2", "F2", "G2")])
+    assert validate(two) == [
+        "boundary is not connected: face F2 is not reached from face F"]
+    with pytest.raises(StructureError):
+        cell_counts(two)
+    assert validate(PairedComplex(["p"], {}, {}, [])) == [
+        "boundary has no faces"]
+
+
 def test_validator_reports_unpaired_face():
     c = tetra_like()
     broken = PairedComplex(c.vertex_labels, c.faces, c.involution, [])

@@ -1,9 +1,15 @@
 """Rotational symmetries, quotient complexes, branching reports."""
 
+import random
+from math import gcd, lcm
+
 import pytest
 
 from pairglue import (
     AutomorphismCheck,
+    ComplexAutomorphism,
+    PairedComplex,
+    Pairing,
     build_family,
     build_m24,
     build_m25,
@@ -13,14 +19,17 @@ from pairglue import (
     rotation,
     singularity_report,
     strongly_cyclic,
+    validate,
     verify_automorphism,
 )
 from pairglue import symmetry
+from pairglue.complex_core import _find, _join, _require_valid, natural_key
 from pairglue.errors import (
     DomainError,
     StructureError,
     UnsupportedQuotientError,
 )
+from pairglue.io_cli import main
 
 
 def shift_map(n, step):
@@ -224,3 +233,266 @@ def test_report_checks_quotient_against_base_member(monkeypatch):
 def test_report_notes_axis_provenance():
     report = singularity_report("m24", 3)
     assert "axis" in report.note
+
+
+def test_report_projects_through_one_face_transport(monkeypatch):
+    calls = []
+    body = symmetry._face_transport
+
+    def counted(auto):
+        calls.append(auto)
+        return body(auto)
+
+    monkeypatch.setattr(symmetry, "_face_transport", counted)
+    for family, n, step in (("m24", 5, 1), ("m25", 6, 2), ("m24", 1, 1)):
+        calls.clear()
+        singularity_report(family, n, step)
+        assert len(calls) == 1
+
+
+# ------------------------------------- forced propagation vs the old search
+
+def reference_extend_vertex_map(complex_, vertex_map):
+    """Reference: the recursive face-assignment search propagation replaced.
+
+    Lists each face's candidates by comparing it with every face, then
+    assigns faces in natural order depth first, checking the involution and
+    the pairings against the faces assigned so far.
+    """
+    c = complex_
+    _require_valid(c)
+    labels = set(c.vertex_labels)
+    if set(vertex_map) != labels or set(vertex_map.values()) != labels:
+        raise StructureError(
+            ["vertex map is not a permutation of the vertex labels"])
+
+    faces_sorted = sorted(c.faces, key=natural_key)
+    candidates = {}
+    for face in faces_sorted:
+        image_cycle = tuple(vertex_map[v] for v in c.faces[face])
+        length = len(image_cycle)
+        options = []
+        for g in faces_sorted:
+            cycle = c.faces[g]
+            if len(cycle) != length:
+                continue
+            options.extend(
+                (g, r) for r in range(length)
+                if all(cycle[(k + r) % length] == image_cycle[k]
+                       for k in range(length)))
+        if not options:
+            raise StructureError(
+                [f"no face matches the image of face {face} under the vertex map"])
+        candidates[face] = options
+
+    by_face = c.pairing_by_face()
+    pairing_lookup = {(p.source, p.target): p for p in c.pairings}
+    assignment = {}
+    used = set()
+
+    def involution_ok(face):
+        g, r = assignment[face]
+        length = len(c.faces[face])
+        for k in range(length):
+            (mface, mk), aligned = c.involution[(face, k)]
+            if mface not in assignment:
+                continue
+            mg, mr = assignment[mface]
+            image = (g, (k + r) % length)
+            expected = ((mg, (mk + mr) % len(c.faces[mface])), aligned)
+            if c.involution[image] != expected:
+                return False
+        return True
+
+    def pairing_ok(face):
+        pairing, _ = by_face[face]
+        if pairing.source not in assignment or pairing.target not in assignment:
+            return True
+        gs, rs = assignment[pairing.source]
+        gt, rt = assignment[pairing.target]
+        image = pairing_lookup.get((gs, gt))
+        if image is None or image.direction != pairing.direction:
+            return False
+        length = len(c.faces[gt])
+        return image.offset == (pairing.offset
+                                - pairing.direction * rs + rt) % length
+
+    def search(i):
+        if i == len(faces_sorted):
+            return True
+        face = faces_sorted[i]
+        for g, r in candidates[face]:
+            if g in used:
+                continue
+            assignment[face] = (g, r)
+            used.add(g)
+            if involution_ok(face) and pairing_ok(face) and search(i + 1):
+                return True
+            del assignment[face]
+            used.discard(g)
+        return False
+
+    if not search(0):
+        raise StructureError(
+            ["vertex map does not extend to an automorphism of the paired complex"])
+
+    face_map = {f: assignment[f][0] for f in faces_sorted}
+    face_rotation = {f: assignment[f][1] for f in faces_sorted}
+    slot_map = {}
+    for f in faces_sorted:
+        g, r = assignment[f]
+        length = len(c.faces[f])
+        for k in range(length):
+            slot_map[(f, k)] = (g, (k + r) % length)
+    pairing_map = {p.name: pairing_lookup[(face_map[p.source],
+                                           face_map[p.target])].name
+                   for p in c.pairings}
+
+    order = lcm(*(len(cycle) for mapping in (vertex_map, slot_map)
+                  for cycle in symmetry._cycles(mapping, mapping)))
+    return ComplexAutomorphism(c, dict(vertex_map), face_map, face_rotation,
+                               slot_map, pairing_map, order)
+
+
+def extension_outcome(extend, complex_, vertex_map):
+    """Every field of the extension, or the text of its StructureError."""
+    try:
+        auto = extend(complex_, vertex_map)
+    except StructureError as exc:
+        return str(exc)
+    assert auto.domain is complex_
+    return (auto.vertex_map, auto.face_map, auto.face_rotation,
+            auto.slot_map, auto.pairing_map, auto.order)
+
+
+def assert_matches_reference(complex_, vertex_map):
+    outcome = extension_outcome(symmetry._extend_vertex_map, complex_,
+                                vertex_map)
+    assert outcome == extension_outcome(reference_extend_vertex_map,
+                                        complex_, vertex_map)
+    return outcome
+
+
+def merge_labels(complex_, rng):
+    """The same boundary with its vertex labels merged at random into 1-4.
+
+    Merging labels keeps every endpoint check, so the result is valid.  Many
+    faces then share a vertex cycle, which gives each face several
+    candidates and makes the order among them matter.
+    """
+    count = rng.randint(1, 4)
+    merged = {v: f"v{rng.randrange(count)}" for v in complex_.vertex_labels}
+    faces = {f: tuple(merged[v] for v in cycle)
+             for f, cycle in complex_.faces.items()}
+    return PairedComplex(sorted(set(merged.values())), faces,
+                         complex_.involution, complex_.pairings)
+
+
+def test_extension_matches_reference_on_every_shift():
+    for family in ("m24", "m25"):
+        for n in range(1, 13):
+            complex_ = build_family(family, n)
+            for step in range(n):
+                outcome = assert_matches_reference(complex_,
+                                                   shift_map(n, step))
+                assert outcome[-1] == n // gcd(n, step)
+
+
+def test_extension_matches_reference_on_random_permutations():
+    rng = random.Random(0x5B1F7)
+    members = [build_family(family, n) for family in ("m24", "m25")
+               for n in range(1, 7)]
+    outcomes = {}
+    for _ in range(1200):
+        complex_ = rng.choice(members)
+        n = complex_.n
+        # the reference backtracks exponentially on merged members from n = 5
+        # on whose map does not extend (4.4 s for one of 32 faces)
+        kind = rng.choice(("shuffle", "affine", "merged") if n <= 4
+                          else ("shuffle", "affine"))
+        if kind == "affine":
+            # permute the letters and act on indices by i -> +-i + b
+            letters = dict(zip("PQRS", rng.sample("PQRS", 4)))
+            sign, b = rng.choice((1, -1)), rng.randrange(n)
+            vertex_map = {f"{a}{i}": f"{letters[a]}{(sign * (i - 1) + b) % n + 1}"
+                          for a in "PQRS" for i in range(1, n + 1)}
+        else:
+            if kind == "merged":
+                complex_ = merge_labels(complex_, rng)
+            labels = list(complex_.vertex_labels)
+            vertex_map = dict(zip(labels, rng.sample(labels, len(labels))))
+        outcome = assert_matches_reference(complex_, vertex_map)
+        result = (" ".join(outcome.split()[:4]) if isinstance(outcome, str)
+                  else "extends")
+        outcomes[result] = outcomes.get(result, 0) + 1
+    assert set(outcomes) == {"no face matches the", "vertex map does not",
+                             "extends"}
+
+
+def random_small_complex(rng):
+    """A random complex of one to three face pairs, or None if it is invalid.
+
+    Slots are matched at random with random alignments, each class of edge
+    endpoints gets a random label among up to three, and each pairing a
+    random offset and direction.  Few faces share the same cycle, so the
+    least face's first candidate often fails where a later one succeeds.
+    """
+    lengths = {}
+    for i in range(rng.randint(1, 3)):
+        lengths[f"F{i}"] = lengths[f"G{i}"] = rng.randint(1, 4)
+    slots = [(f, k) for f, length in lengths.items() for k in range(length)]
+    rng.shuffle(slots)
+    involution = [(slots[j], slots[j + 1], rng.random() < 0.5)
+                  for j in range(0, len(slots), 2)]
+    parent = {(f, j): (f, j) for f, length in lengths.items()
+              for j in range(length)}
+    for (f, k), (g, m), aligned in involution:
+        mate_ends = [(g, m), (g, (m + 1) % lengths[g])]
+        for end, mate_end in zip([(f, k), (f, (k + 1) % lengths[f])],
+                                 mate_ends if aligned else mate_ends[::-1]):
+            _join(parent, end, mate_end)
+    alphabet = "abc"[:rng.randint(1, 3)]
+    label = {}
+    faces = {f: tuple(label.setdefault(_find(parent, (f, j)),
+                                       rng.choice(alphabet))
+                      for j in range(length))
+             for f, length in lengths.items()}
+    pairings = [Pairing(f"p{f[1:]}", f, f"G{f[1:]}",
+                        rng.randrange(lengths[f]), rng.choice((1, -1)))
+                for f in lengths if f[0] == "F"]
+    complex_ = PairedComplex(sorted(set(label.values())), faces, involution,
+                             pairings)
+    return complex_ if not validate(complex_) else None
+
+
+def test_extension_matches_reference_on_random_small_complexes():
+    rng = random.Random(0xFACE)
+    outcomes = set()
+    for _ in range(1500):
+        complex_ = None
+        while complex_ is None:
+            complex_ = random_small_complex(rng)
+        labels = list(complex_.vertex_labels)
+        vertex_map = dict(zip(labels, rng.sample(labels, len(labels))))
+        outcome = assert_matches_reference(complex_, vertex_map)
+        outcomes.add(" ".join(outcome.split()[:4])
+                     if isinstance(outcome, str) else "extends")
+    assert outcomes == {"no face matches the", "vertex map does not",
+                        "extends"}
+
+
+def test_rotation_has_no_recursion_limit():
+    for family, n in (("m24", 170), ("m24", 1000), ("m25", 1000)):
+        assert rotation(family, n).order == n
+
+
+def test_cli_symmetry_beyond_the_old_recursion_limit(capsys):
+    assert main(["symmetry", "--family", "m24", "--n", "170"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        "rotation step 1 on m24(170): degree 170 cover of m24(1)",
+        "singular components:",
+        "  collapsed-edge-class at edge class A1.1: branching index 170",
+        "  rotation-axis at axis: branching index 170",
+        "strongly cyclic: yes"]
+    assert lines[5].startswith("note: ") and len(lines) == 6
