@@ -137,11 +137,27 @@ class AbelianGroup:
         return f"AbelianGroup(rank={self.rank}, invariant_factors={self.invariant_factors})"
 
 
+def _exponent_rows(presentation):
+    """One ``{generator index: exponent sum}`` dict per relator, zeros dropped.
+
+    Each relator is read once, letter by letter.
+    """
+    index = {g: k for k, g in enumerate(presentation.generators)}
+    rows = []
+    for relator in presentation.relators:
+        row = {}
+        for name, sign in relator.letters:
+            k = index[name]
+            row[k] = row.get(k, 0) + sign
+        rows.append({k: x for k, x in row.items() if x})
+    return rows
+
+
 def abelianization_matrix(presentation):
     """Relator-by-generator matrix of net exponent sums."""
-    return IntegerMatrix(
-        tuple(tuple(relator.exponent_sum(g) for g in presentation.generators)
-              for relator in presentation.relators))
+    width = range(len(presentation.generators))
+    return IntegerMatrix(tuple(tuple(row.get(k, 0) for k in width)
+                               for row in _exponent_rows(presentation)))
 
 
 def smith_normal_form(matrix):
@@ -150,46 +166,36 @@ def smith_normal_form(matrix):
     U and V are unimodular, and the diagonal of D is nonnegative with each
     entry dividing the next.  Pivots are chosen as the smallest nonzero
     absolute value of the remaining submatrix, row-major on ties.
+
+    V is built transposed, so its column operations are row operations.  The
+    column operations on the working matrix all add multiples of the pivot
+    column, so they are applied as one row update per row that has a nonzero
+    entry in that column.  Rows and columns before the pivot are already
+    diagonal, so the working matrix is only updated from the pivot on.
     """
     num_rows = matrix.num_rows
     num_cols = matrix.num_cols
     a = [list(row) for row in matrix.rows]
     u = [[1 if i == j else 0 for j in range(num_rows)] for i in range(num_rows)]
-    v = [[1 if i == j else 0 for j in range(num_cols)] for i in range(num_cols)]
+    vt = [[1 if i == j else 0 for j in range(num_cols)] for i in range(num_cols)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(i, j, q):
-        # row i += q * row j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+    def add_row(i, j, q, t):
+        # row i += q * row j; both rows are zero before column t
+        a[i][t:] = [x + q * y for x, y in zip(a[i][t:], a[j][t:])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):
-        # col i += q * col j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
 
     def find_pivot(t):
         best = None
+        least = 0
         for i in range(t, num_rows):
+            row = a[i]
             for j in range(t, num_cols):
-                if a[i][j] and (best is None
-                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                x = row[j]
+                if x and (best is None or abs(x) < least):
                     best = (i, j)
+                    least = abs(x)
+                    if least == 1:
+                        return best
         return best
 
     t = 0
@@ -198,57 +204,137 @@ def smith_normal_form(matrix):
         if pivot is None:
             break
         while True:
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            p = a[t][t]
             dirty = False
             for i in range(t + 1, num_rows):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    add_row(i, t, -(a[i][t] // p), t)
                     if a[i][t]:
                         dirty = True
-            for j in range(t + 1, num_cols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        dirty = True
+            # col t + 1 + k += q[k] * col t for every k, one update per row
+            q = [-(x // p) for x in a[t][t + 1:]]
+            if any(q):
+                for i in range(t, num_rows):
+                    x = a[i][t]
+                    if x:
+                        a[i][t + 1:] = [y + x * c for y, c in zip(a[i][t + 1:], q)]
+                source = vt[t]
+                for j, c in enumerate(q, t + 1):
+                    if c:
+                        vt[j] = [y + c * x for y, x in zip(vt[j], source)]
+            if any(a[t][t + 1:]):
+                dirty = True
             if not dirty:
                 # pivot divides everything in its row/column; check the rest
                 offender = None
-                for i in range(t + 1, num_rows):
-                    for j in range(t + 1, num_cols):
-                        if a[i][j] % a[t][t]:
+                if p != 1:
+                    for i in range(t + 1, num_rows):
+                        if any(x % p for x in a[i][t + 1:]):
                             offender = i
                             break
-                    if offender is not None:
-                        break
                 if offender is None:
                     break
-                add_row(t, offender, 1)
+                add_row(t, offender, 1, t)
             pivot = find_pivot(t)
         t += 1
 
-    return (IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(v))
+    return (IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(zip(*vt)))
+
+
+def _eliminate_unit_pivots(rows, num_cols):
+    """Eliminate ±1 entries of a sparse integer matrix; return (count, core).
+
+    ``rows`` are ``{column: nonzero entry}`` dicts, which are consumed;
+    empty ones are skipped.  Each step picks a ±1 entry of least Markowitz
+    cost (row length - 1) * (column count - 1), clears its column with row
+    operations and then drops its row and column: over the integers that
+    splits off an invariant factor 1.  Costs are kept in a heap and
+    refreshed when a popped entry's cost has grown, so no step rescans the
+    matrix.  The core is the dense matrix of what is left: no entry in it is
+    ±1, and its columns are the nonzero ones in index order.
+    """
+    import heapq  # here, not at the top: importing pairglue stays cheap
+
+    live = {r: row for r, row in enumerate(rows) if row}
+    cols = [set() for _ in range(num_cols)]
+    for r, row in live.items():
+        for c in row:
+            cols[c].add(r)
+
+    def cost(row, c):
+        return (len(row) - 1) * (len(cols[c]) - 1)
+
+    heap = [(cost(row, c), r, c) for r, row in live.items()
+            for c, x in row.items() if x in (1, -1)]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        stored, r, c = heapq.heappop(heap)
+        pivot_row = live.get(r)
+        if pivot_row is None:
+            continue
+        s = pivot_row.get(c)
+        if s not in (1, -1):
+            continue
+        now = cost(pivot_row, c)
+        if now > stored:
+            heapq.heappush(heap, (now, r, c))
+            continue
+        del live[r]
+        for k in pivot_row:
+            cols[k].discard(r)
+        targets, cols[c] = cols[c], set()
+        for i in targets:
+            row = live[i]
+            f = row[c] * s
+            for k, x in pivot_row.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    row[k] = y
+                    cols[k].add(i)
+                    if y in (1, -1):
+                        heapq.heappush(heap, (cost(row, k), i, k))
+                else:
+                    del row[k]
+                    cols[k].discard(i)
+            if not row:
+                del live[i]
+        pivots += 1
+    core_cols = sorted({c for row in live.values() for c in row})
+    core = [[row.get(c, 0) for c in core_cols] for row in live.values()]
+    return pivots, core
 
 
 def h1(presentation):
-    """First homology: cokernel of the transposed abelianization matrix.
+    """First homology: the cokernel of the transposed abelianization matrix.
 
-    Invariant factors equal to 1 are dropped; the free rank is the generator
-    count minus the matrix rank.
+    H1 is Z^generators modulo the row space of the relator-by-generator
+    matrix A, and only the invariant factors of A are needed.  A matrix and
+    its transpose have the same Smith normal form diagonal, so A is reduced
+    as it stands.  Its rows are built sparse, and ±1 entries are eliminated
+    first in a sparsity-preserving order, each one an invariant factor 1.
+    Only the small core that remains goes through :func:`smith_normal_form`.
+    Factors equal to 1 are dropped; the free rank is the generator count
+    minus the rank of A (unit pivots plus nonzero core diagonal entries).
 
     >>> from .presentations import Presentation
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
     'Z3'
     """
-    if not presentation.relators:
-        return AbelianGroup(len(presentation.generators), ())
-    matrix = abelianization_matrix(presentation).transpose()
-    diagonal_matrix, _, _ = smith_normal_form(matrix)
-    diagonal = [diagonal_matrix.rows[i][i]
-                for i in range(min(matrix.num_rows, matrix.num_cols))]
-    nonzero = [d for d in diagonal if d]
-    factors = tuple(d for d in nonzero if d >= 2)
-    rank = len(presentation.generators) - len(nonzero)
-    return AbelianGroup(rank, factors)
+    num_gens = len(presentation.generators)
+    pivots, core = _eliminate_unit_pivots(_exponent_rows(presentation), num_gens)
+    d, _, _ = smith_normal_form(IntegerMatrix(core))
+    nonzero = [d.rows[i][i] for i in range(min(d.num_rows, d.num_cols))
+               if d.rows[i][i]]
+    factors = tuple(x for x in nonzero if x >= 2)
+    return AbelianGroup(num_gens - pivots - len(nonzero), factors)

@@ -2,10 +2,14 @@
 
 The Smith normal form fuzz suite checks the full reconstruction law
 U*m*V = D with unimodular transforms, using a test-local cofactor
-determinant as the independent oracle.
+determinant as the independent oracle.  ``h1`` is checked against the dense
+path it replaced (``reference_h1``) and, for square matrices, against the
+determinant; ``smith_normal_form`` against its previous implementation
+(``reference_smith_normal_form``), transforms included.
 """
 
 import random
+import time
 
 import pytest
 
@@ -15,10 +19,14 @@ from pairglue import (
     Presentation,
     Word,
     abelianization_matrix,
+    auto_simplify,
+    build_family,
     build_m24,
     build_m25,
     h1,
+    presentation_from_cw,
     presentation_from_pairings,
+    reduced_family_presentation,
     smith_normal_form,
 )
 from pairglue.errors import DomainError
@@ -198,3 +206,225 @@ def test_h1_lens_pillow_oracle():
         closed, chi = is_manifold(c)
         assert closed and chi == 0
         assert str(h1(presentation_from_pairings(c))) == f"Z{p}"
+
+
+# ------------------------------------- sparse h1 vs the replaced dense path
+
+def cell_matrix(presentation):
+    """The abelianization matrix, one ``exponent_sum`` per cell."""
+    return [[relator.exponent_sum(g) for g in presentation.generators]
+            for relator in presentation.relators]
+
+
+def reference_h1(presentation):
+    """Reference: the dense path the sparse elimination replaced.
+
+    Full Smith normal form of the transposed relator-by-generator matrix.
+    """
+    generators = presentation.generators
+    if not presentation.relators:
+        return AbelianGroup(len(generators), ())
+    matrix = IntegerMatrix(cell_matrix(presentation)).transpose()
+    d, _, _ = smith_normal_form(matrix)
+    diagonal = [d.rows[i][i] for i in range(min(matrix.num_rows, matrix.num_cols))]
+    nonzero = [x for x in diagonal if x]
+    return AbelianGroup(len(generators) - len(nonzero),
+                        tuple(x for x in nonzero if x >= 2))
+
+
+def family_presentations(n):
+    for family in ("m24", "m25"):
+        c = build_family(family, n)
+        yield (family, n, "pairing"), presentation_from_pairings(c)
+        yield (family, n, "cw"), presentation_from_cw(c)
+
+
+def random_presentation(rng):
+    """Small random presentation; powers >= 2 leave no ±1 entry at all."""
+    generators = [f"g{i}" for i in range(rng.randrange(9))]
+    used = [g for g in generators if rng.random() < 0.8]
+    power = rng.choice((1, 1, 2, 3))
+    relators = []
+    for _ in range(rng.randrange(11)):
+        if not used or rng.random() < 0.1:
+            relators.append(Word(()))
+            continue
+        letters = [(rng.choice(used), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(1, 7))]
+        relators.append(Word(letters * power))
+    return Presentation(generators, relators)
+
+
+def test_abelianization_matrix_matches_cell_by_cell_sums():
+    rng = random.Random(0xAB1)
+    cases = [random_presentation(rng) for _ in range(300)]
+    cases += [p for n in (1, 2, 7) for _, p in family_presentations(n)]
+    cases += [reduced_family_presentation(f, n) for f in ("m24", "m25") for n in (2, 5)]
+    for p in cases:
+        assert abelianization_matrix(p).rows == tuple(map(tuple, cell_matrix(p)))
+
+
+def test_h1_matches_reference_on_families():
+    for n in range(1, 41):
+        for key, p in family_presentations(n):
+            assert h1(p) == reference_h1(p), key
+
+
+def test_h1_matches_reference_on_simplified_presentations():
+    for n in range(1, 9):
+        for family in ("m24", "m25"):
+            simplified = auto_simplify(presentation_from_pairings(
+                build_family(family, n)))
+            assert h1(simplified) == reference_h1(simplified), (family, n)
+            reduced = reduced_family_presentation(family, n)
+            assert h1(reduced) == reference_h1(reduced), (family, n)
+
+
+def test_h1_matches_reference_on_random_presentations():
+    rng = random.Random(0x51F)
+    seen = dict.fromkeys(("empty relator", "unused generator", "no unit entry",
+                          "more relators", "fewer relators"), 0)
+    for _ in range(600):
+        p = random_presentation(rng)
+        assert h1(p) == reference_h1(p), p
+        rows = cell_matrix(p)
+        entries = [x for row in rows for x in row if x]
+        seen["empty relator"] += any(len(r) == 0 for r in p.relators)
+        seen["unused generator"] += any(not any(col) for col in zip(*rows))
+        seen["no unit entry"] += bool(entries) and all(abs(x) > 1 for x in entries)
+        seen["more relators"] += len(p.relators) > len(p.generators)
+        seen["fewer relators"] += len(p.relators) < len(p.generators)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_h1_order_matches_determinant_of_square_matrices():
+    square = {("m24", "pairing"), ("m24", "cw"), ("m25", "cw")}
+    for n in (30, 50):
+        for (family, _, route), p in family_presentations(n):
+            m = abelianization_matrix(p)
+            assert (m.num_rows == m.num_cols) == ((family, route) in square)
+            if m.num_rows == m.num_cols:
+                group = h1(p)
+                assert group.rank == 0
+                assert group.order() == abs(m.determinant()), (family, n, route)
+
+
+def test_h1_scales_to_n_200():
+    golden = {
+        "m24": "Z25 + Z264866479547278633405159653525"
+               " + Z2118931836378229067241277228200",
+        "m25": "Z75 + Z280571172992510140037611932413038677189525"
+               " + Z1122284691970040560150447729652154708758100",
+    }
+    presentations = {family: presentation_from_pairings(build_family(family, 200))
+                     for family in golden}
+    start = time.perf_counter()
+    groups = {family: str(h1(p)) for family, p in presentations.items()}
+    elapsed = time.perf_counter() - start
+    assert groups == golden
+    assert elapsed < 5.0, f"h1 of m24(200) and m25(200) took {elapsed:.2f} s"
+
+
+def test_h1_routes_agree_at_n_100():
+    for family in ("m24", "m25"):
+        c = build_family(family, 100)
+        assert h1(presentation_from_pairings(c)) == h1(presentation_from_cw(c))
+
+
+# ------------------------------- smith_normal_form vs its previous version
+
+def reference_smith_normal_form(matrix):
+    """Reference: the previous implementation, column operations row by row."""
+    num_rows = matrix.num_rows
+    num_cols = matrix.num_cols
+    a = [list(row) for row in matrix.rows]
+    u = [[1 if i == j else 0 for j in range(num_rows)] for i in range(num_rows)]
+    v = [[1 if i == j else 0 for j in range(num_cols)] for i in range(num_cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    def add_row(i, j, q):
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, q):
+        for row in a:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, num_rows):
+            for j in range(t, num_cols):
+                if a[i][j] and (best is None
+                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        return best
+
+    t = 0
+    while t < min(num_rows, num_cols):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        while True:
+            swap_rows(t, pivot[0])
+            swap_cols(t, pivot[1])
+            if a[t][t] < 0:
+                negate_row(t)
+            dirty = False
+            for i in range(t + 1, num_rows):
+                if a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        dirty = True
+            for j in range(t + 1, num_cols):
+                if a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        dirty = True
+            if not dirty:
+                offender = None
+                for i in range(t + 1, num_rows):
+                    for j in range(t + 1, num_cols):
+                        if a[i][j] % a[t][t]:
+                            offender = i
+                            break
+                    if offender is not None:
+                        break
+                if offender is None:
+                    break
+                add_row(t, offender, 1)
+            pivot = find_pivot(t)
+        t += 1
+
+    return (IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(v))
+
+
+def test_snf_transforms_match_reference():
+    rng = random.Random(0x5AF)
+    cases = []
+    for _ in range(300):
+        rows_n, cols_n = rng.randrange(9), rng.randrange(9)
+        bound = rng.choice((1, 3, 20))
+        density = rng.choice((0.3, 1.0))
+        cases.append([[rng.randint(-bound, bound) if rng.random() < density else 0
+                       for _ in range(cols_n)] for _ in range(rows_n)])
+    cases += [[[rng.randint(-20, 20) for _ in range(20)] for _ in range(20)]
+              for _ in range(5)]
+    cases += [cell_matrix(p) for _, p in family_presentations(6)]
+    for rows in cases:
+        m = IntegerMatrix(rows)
+        assert smith_normal_form(m) == reference_smith_normal_form(m), rows

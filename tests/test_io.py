@@ -151,6 +151,12 @@ def test_cli_h1_goldens(capsys):
     assert code == 0 and out == "Z2 + Z18\n"
 
 
+def test_cli_h1_large_member(capsys):
+    code, out, _ = run_cli(capsys, "h1", "--family", "m25", "--n", "100")
+    assert code == 0
+    assert out == "Z75 + Z354224848179261915075 + Z708449696358523830150\n"
+
+
 def test_cli_analyze(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--family", "m24", "--n", "3")
     assert code == 0
