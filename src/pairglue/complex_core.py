@@ -7,9 +7,11 @@ compute the cells of that quotient (vertex classes, edge classes with their
 cycle words, face pairs) and certify manifoldness through the Euler
 characteristic.
 
-Complexes and pairings are immutable.  A complex is analysed once, on first
-use: its validation violations, edge-class traversal and vertex classes are
-kept on it, and the analysis functions return fresh lists or read-only views.
+Complexes and pairings are immutable.  A complex fixes the natural order of
+its face and vertex labels once, when it is constructed, and every scan
+reads that order.  A complex is analysed once, on first use: its validation
+violations, edge-class traversal and vertex classes are kept on it, and the
+analysis functions return fresh lists or read-only views.
 
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, and a slot is addressed as
@@ -19,7 +21,6 @@ repeat along a single face (small complexes have monogons and loops).
 
 import re
 from collections import namedtuple
-from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import StructureError
@@ -27,20 +28,15 @@ from .errors import StructureError
 _DIGIT_RUN = re.compile(r"(\d+)")
 
 
-@lru_cache(maxsize=None)
 def natural_key(label):
     """Sort key that orders embedded integers numerically.
 
     >>> sorted(["P10", "P2", "Q1"], key=natural_key)
     ['P2', 'P10', 'Q1']
     """
-    return tuple(int(run) if run.isdigit() else run
-                 for run in _DIGIT_RUN.split(label))
-
-
-def slot_key(slot):
-    """Deterministic scan order for slots: face label (natural), then index."""
-    return (natural_key(slot[0]), slot[1])
+    parts = _DIGIT_RUN.split(label)  # the digit runs are the odd parts
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def format_slot(slot):
@@ -154,14 +150,20 @@ class PairedComplex(_Immutable):
     take no part in structural identity or serialization.
 
     ``faces`` and ``involution`` are read-only mappings, the other fields
-    tuples or scalars.  Construction is deliberately permissive: malformed
-    data, such as faces that the involution does not join into one nonempty
-    boundary, is accepted and reported by :func:`validate` (on first
-    analysis), which is what the error contract requires.
+    tuples or scalars.  ``face_order`` and ``vertex_order`` hold the face and
+    vertex labels in natural order (embedded integers compare numerically;
+    labels whose keys tie keep the order they were given in), fixed at
+    construction; every scan of the complex reads them.
+
+    Construction is deliberately permissive: malformed data, such as faces
+    that the involution does not join into one nonempty boundary, is
+    accepted and reported by :func:`validate` (on first analysis), which is
+    what the error contract requires.
     """
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
-                 "n", "edge_names", "preferred_tree", "_analysis")
+                 "n", "edge_names", "preferred_tree", "face_order",
+                 "vertex_order", "_analysis")
 
     def __init__(self, vertex_labels, faces, involution, pairings,
                  name="complex", n=None, edge_names=(), preferred_tree=()):
@@ -183,6 +185,10 @@ class PairedComplex(_Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_names", tuple(edge_names))
         object.__setattr__(self, "preferred_tree", tuple(preferred_tree))
+        object.__setattr__(self, "face_order",
+                           tuple(sorted(faces, key=natural_key)))
+        object.__setattr__(self, "vertex_order",
+                           tuple(sorted(self.vertex_labels, key=natural_key)))
         object.__setattr__(self, "_analysis", None)
 
     def __reduce__(self):
@@ -191,15 +197,28 @@ class PairedComplex(_Immutable):
                                 self.name, self.n, self.edge_names,
                                 self.preferred_tree))
 
-    def face_slots(self, label):
-        return [(label, k) for k in range(len(self.faces[label]))]
-
     def all_slots(self):
-        """Every slot of every face, in deterministic scan order."""
-        out = []
-        for label in sorted(self.faces, key=natural_key):
-            out.extend(self.face_slots(label))
-        return out
+        """Every slot of every face, in scan order: faces in natural order,
+        then slot index."""
+        return [(label, k) for label in self.face_order
+                for k in range(len(self.faces[label]))]
+
+    def edges(self):
+        """The involution as ``(slot, mate, aligned)`` triples, the form the
+        constructor takes: one per edge, its earlier slot in scan order first,
+        sorted in scan order.  Slots of faces the complex lacks (an invalid
+        complex only) sort after every other slot, by label.
+        """
+        rank = {label: i for i, label in enumerate(self.face_order)}
+
+        def key(slot):
+            return rank.get(slot[0], len(rank)), slot
+
+        edges = set()
+        for slot, (mate, aligned) in self.involution.items():
+            a, b = sorted((slot, mate), key=key)
+            edges.add((a, b, aligned))
+        return sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
 
     def slot_endpoints(self, slot):
         """The (tail, head) vertex labels of a slot's directed edge."""
@@ -332,12 +351,11 @@ def _violations(complex_):
         elif len(names) > 1:
             violations.append(f"face {label} doubly paired ({', '.join(names)})")
 
-    slots = set()
-    for label, cycle in c.faces.items():
-        if all(v in known_vertices for v in cycle):
-            slots.update((label, k) for k in range(len(cycle)))
-
-    for slot in sorted(slots, key=slot_key):
+    scan = [(label, k) for label in c.face_order
+            if all(v in known_vertices for v in c.faces[label])
+            for k in range(len(c.faces[label]))]
+    slots = set(scan)
+    for slot in scan:
         entry = complex_.involution.get(slot)
         if entry is None:
             violations.append(f"involution missing entry for {format_slot(slot)}")
@@ -371,7 +389,7 @@ def _violations(complex_):
     # reverse that orientation (the glued space is then orientable).  One walk
     # must reach every face, as the boundary is connected.
     orient = {}
-    for start in sorted(c.faces, key=natural_key):
+    for start in c.face_order:
         if start in orient:
             continue
         if orient:
@@ -382,8 +400,8 @@ def _violations(complex_):
         queue = [start]
         while queue:
             face = queue.pop()
-            for slot in c.face_slots(face):
-                mate, aligned = c.involution[slot]
+            for k in range(len(c.faces[face])):
+                mate, aligned = c.involution[(face, k)]
                 needed = -orient[face] if aligned else orient[face]
                 if mate[0] not in orient:
                     orient[mate[0]] = needed
@@ -441,10 +459,17 @@ def _traverse_edges(complex_):
         k2, sense2 = pairing.preimage_directed(k, sense, length)
         return (pairing.source, k2), sense2, (pairing.name, -1)
 
+    position = {slot: i for i, slot in enumerate(c.all_slots())}
+
+    def edge_of(slot):
+        """The slot of the edge through ``slot`` that comes first in scan order."""
+        mate = c.involution[slot][0]
+        return slot if position[slot] < position[mate] else mate
+
     orbits = []
     slot_sign = {}
     orbit_index = {}
-    for rep in c.all_slots():
+    for rep in position:
         if rep in slot_sign:
             continue
         index = len(orbits)
@@ -455,7 +480,7 @@ def _traverse_edges(complex_):
             slot_sign[mate] = sense if aligned else -sense
             orbit_index[slot] = index
             orbit_index[mate] = index
-            return min(slot, mate, key=slot_key)
+            return edge_of(slot)
 
         members = [record(rep, 1)]
         letters = []
@@ -464,16 +489,15 @@ def _traverse_edges(complex_):
             slot, sense, letter = pairing_move(slot, sense)
             letters.append(letter)
             if slot in slot_sign and orbit_index[slot] == index:
-                mate = c.involution[slot][0]
-                if min(slot, mate, key=slot_key) != members[0]:
+                if edge_of(slot) != members[0]:
                     raise StructureError([f"edge class at {format_slot(rep)} "
                                           "folds onto itself"])
                 break
             members.append(record(slot, sense))
             mate, aligned = c.involution[slot]
             slot, sense = mate, sense if aligned else -sense
-        orbits.append(EdgeOrbit(representative=rep,
-                                member_edges=tuple(sorted(members, key=slot_key)),
+        members.sort(key=position.__getitem__)
+        orbits.append(EdgeOrbit(representative=rep, member_edges=tuple(members),
                                 cycle_word=Word(letters)))
     return (tuple(orbits), MappingProxyType(slot_sign),
             MappingProxyType(orbit_index))
@@ -503,16 +527,14 @@ def _vertex_classes(complex_):
         for j, v in enumerate(source):
             _join(parent, v, target[pairing.vertex_image(j, len(source))])
 
+    # walking the vertices in natural order lists each class, and the
+    # classes, by their natural-least member
     classes = {}
-    for v in c.vertex_labels:
+    for v in c.vertex_order:
         classes.setdefault(_find(parent, v), []).append(v)
-    out = []
-    for members in classes.values():
-        members.sort(key=natural_key)
-        out.append(VertexOrbit(representative=members[0],
-                               member_vertices=tuple(members)))
-    out.sort(key=lambda orbit: natural_key(orbit.representative))
-    return tuple(out)
+    return tuple(VertexOrbit(representative=members[0],
+                             member_vertices=tuple(members))
+                 for members in classes.values())
 
 
 def cell_counts(complex_):

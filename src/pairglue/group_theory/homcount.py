@@ -174,27 +174,6 @@ def _dihedral(m):
         for (i, j) in elements)
 
 
-def _quaternion():
-    # signed quaternion units; (sign, axis) with axis in e,i,j,k
-    unit = {
-        ("e", "e"): (1, "e"), ("e", "i"): (1, "i"), ("e", "j"): (1, "j"),
-        ("e", "k"): (1, "k"), ("i", "e"): (1, "i"), ("j", "e"): (1, "j"),
-        ("k", "e"): (1, "k"), ("i", "i"): (-1, "e"), ("j", "j"): (-1, "e"),
-        ("k", "k"): (-1, "e"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-        ("i", "k"): (-1, "j"),
-    }
-    elements = tuple((s, axis) for axis in "eijk" for s in (1, -1))
-    index = {e: i for i, e in enumerate(elements)}
-
-    def multiply(a, b):
-        sign, axis = unit[(a[1], b[1])]
-        return (a[0] * b[0] * sign, axis)
-
-    return tuple(tuple(index[multiply(a, b)] for b in elements)
-                 for a in elements)
-
-
 def _alternating4():
     elements = tuple(sorted(
         p for p in permutations(range(4))
@@ -205,19 +184,20 @@ def _alternating4():
         for p in elements)
 
 
-def _dicyclic3():
-    # order 12: (i, 0)(k, l) = (i + k, l); (i, 1)(k, 0) = (i - k, 1);
-    # (i, 1)(k, 1) = (i - k + 3, 0), all mod 6
-    elements = tuple(product(range(6), range(2)))
+def _dicyclic(m):
+    # order 4m, Dic_2 = Q8: (i, j) is a^i x^j with a^(2m) = 1, x^2 = a^m and
+    # x a = a^-1 x, so (i, 0)(k, l) = (i + k, l); (i, 1)(k, 0) = (i - k, 1);
+    # (i, 1)(k, 1) = (i - k + m, 0), all mod 2m
+    elements = tuple(product(range(2 * m), range(2)))
     index = {e: i for i, e in enumerate(elements)}
 
     def multiply(a, b):
         (i, j), (k, l) = a, b
         if j == 0:
-            return ((i + k) % 6, l)
+            return ((i + k) % (2 * m), l)
         if l == 0:
-            return ((i - k) % 6, 1)
-        return ((i - k + 3) % 6, 0)
+            return ((i - k) % (2 * m), 1)
+        return ((i - k + m) % (2 * m), 0)
 
     return tuple(tuple(index[multiply(a, b)] for b in elements)
                  for a in elements)
@@ -244,7 +224,7 @@ def small_groups():
         "Z2xZ2xZ2": _direct_product(_direct_product(_cyclic(2), _cyclic(2)),
                                     _cyclic(2)),
         "D4": _dihedral(4),
-        "Q8": _quaternion(),
+        "Q8": _dicyclic(2),
         "Z9": _cyclic(9),
         "Z3xZ3": _direct_product(_cyclic(3), _cyclic(3)),
         "Z10": _cyclic(10),
@@ -254,7 +234,7 @@ def small_groups():
         "Z6xZ2": _direct_product(_cyclic(6), _cyclic(2)),
         "D6": _dihedral(6),
         "A4": _alternating4(),
-        "Dic3": _dicyclic3(),
+        "Dic3": _dicyclic(3),
     }
     for table in catalog.values():
         validate_table(table)

@@ -115,16 +115,6 @@ def cyclic_reduce(word):
     return _word(letters[start:stop])
 
 
-def _letter_order(letter):
-    name, sign = letter
-    # positive letters sort before their inverses
-    return (natural_key(name), 0 if sign == 1 else 1)
-
-
-def _word_order(letters):
-    return tuple(_letter_order(letter) for letter in letters)
-
-
 def cyclic_normal_form(word):
     """Canonical representative of a relator up to rotation and inversion.
 
@@ -147,4 +137,7 @@ def cyclic_normal_form(word):
     for base in (reduced.letters, _inverse_letters(reduced.letters)):
         for r in range(len(base)):
             candidates.append(base[r:] + base[:r])
-    return _word(min(candidates, key=_word_order))
+    key = {name: natural_key(name) for name, _ in reduced.letters}
+    # -sign puts positive letters before their inverses
+    return _word(min(candidates, key=lambda letters: [
+        (key[name], -sign) for name, sign in letters]))

@@ -23,7 +23,6 @@ from .complex_core import (
     edge_orbits,
     format_slot,
     is_manifold,
-    slot_key,
     vertex_orbits,
 )
 from .errors import DomainError, PairglueError, ParseError
@@ -51,11 +50,7 @@ def serialize_complex(complex_):
     lines.append(" ".join(["vertices", *c.vertex_labels]))
     for label, cycle in c.faces.items():
         lines.append(" ".join(["face", label, *cycle]))
-    edges = set()
-    for slot, (mate, aligned) in c.involution.items():
-        a, b = sorted((slot, mate), key=slot_key)
-        edges.add((a, b, aligned))
-    for a, b, aligned in sorted(edges, key=lambda e: (slot_key(e[0]), slot_key(e[1]))):
+    for a, b, aligned in c.edges():
         lines.append(f"edge {format_slot(a)} {format_slot(b)} "
                      f"{'same' if aligned else 'opp'}")
     for p in c.pairings:
@@ -256,8 +251,12 @@ def parse_presentation(text):
 def _cmd_gen(args):
     text = serialize_complex(build_family(args.family, args.n))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -27,7 +27,7 @@ from .complex_core import (
     validate,
 )
 from .errors import DomainError, StructureError, UnsupportedQuotientError
-from .families import _idx, build_family
+from .families import _check_n, _idx, build_family
 
 
 class ComplexAutomorphism:
@@ -124,14 +124,13 @@ def _extend_vertex_map(complex_, vertex_map):
         raise StructureError(
             ["vertex map is not a permutation of the vertex labels"])
 
-    faces_sorted = sorted(c.faces, key=natural_key)
     placements = {}
-    for g in faces_sorted:
+    for g in c.face_order:
         cycle = c.faces[g]
         for r in range(len(cycle)):
             placements.setdefault(cycle[r:] + cycle[:r], []).append((g, r))
     candidates = {}
-    for face in faces_sorted:
+    for face in c.face_order:
         options = placements.get(tuple(vertex_map[v] for v in c.faces[face]))
         if options is None:
             raise StructureError(
@@ -139,20 +138,20 @@ def _extend_vertex_map(complex_, vertex_map):
         candidates[face] = options
 
     pairing_lookup = {(p.source, p.target): p for p in c.pairings}
-    for placement in candidates[faces_sorted[0]]:
+    for placement in candidates[c.face_order[0]]:
         assignment = _forced_placements(c, candidates, pairing_lookup,
-                                        faces_sorted[0], placement)
+                                        c.face_order[0], placement)
         if assignment is not None:
             break
     else:
         raise StructureError(
             ["vertex map does not extend to an automorphism of the paired complex"])
 
-    face_map = {f: assignment[f][0] for f in faces_sorted}
-    face_rotation = {f: assignment[f][1] for f in faces_sorted}
+    face_map = {f: assignment[f][0] for f in c.face_order}
+    face_rotation = {f: assignment[f][1] for f in c.face_order}
     slot_map = {(f, k): (face_map[f],
                          (k + face_rotation[f]) % len(c.faces[f]))
-                for f in faces_sorted for k in range(len(c.faces[f]))}
+                for f in c.face_order for k in range(len(c.faces[f]))}
     pairing_map = {p.name: pairing_lookup[(face_map[p.source],
                                            face_map[p.target])].name
                    for p in c.pairings}
@@ -218,6 +217,7 @@ def rotation(family, n, step=1):
     >>> rotation("m24", 3).order
     3
     """
+    _check_n(n)
     if step not in (1, 2):
         raise DomainError(f"rotation step must be 1 or 2, got {step!r}")
     if step == 2 and n % 2:
@@ -246,7 +246,7 @@ def _face_transport(automorphism):
     rep_of = {}
     rot_of = {}
     folded = {}
-    for cycle in _cycles(auto.face_map, sorted(c.faces, key=natural_key)):
+    for cycle in _cycles(auto.face_map, c.face_order):
         rep, rot = cycle[0], 0
         for face in cycle:
             rep_of[face] = rep
@@ -287,11 +287,13 @@ def _quotient(auto):
     c = auto.domain
     rep_of, rot_of, folded, project = _face_transport(auto)
 
-    vertex_starts = sorted(c.vertex_labels, key=natural_key)
-    vrep_of = {v: cycle[0] for cycle in _cycles(auto.vertex_map, vertex_starts)
+    # each orbit is represented by its natural-least member, so the
+    # representatives taken in natural order are the quotient's labels
+    vrep_of = {v: cycle[0] for cycle in _cycles(auto.vertex_map, c.vertex_order)
                for v in cycle}
+    labels_q = [v for v, rep in vrep_of.items() if v == rep]
 
-    face_reps = [f for f in sorted(c.faces, key=natural_key) if rep_of[f] == f]
+    face_reps = [f for f in c.face_order if rep_of[f] == f]
     faces_q = {rep: tuple(vrep_of[v] for v in c.faces[rep][:folded[rep]])
                for rep in face_reps}
 
@@ -339,7 +341,6 @@ def _quotient(auto):
         pairings_q.append(Pairing(rep_name, source_rep, target_rep,
                                   offset_q, anchor.direction))
 
-    labels_q = sorted(set(vrep_of.values()), key=natural_key)
     quotient = PairedComplex(labels_q, faces_q, involution_q, pairings_q,
                              name=f"{c.name}/Z{auto.order}")
     problems = validate(quotient)

@@ -24,8 +24,14 @@ from pairglue import (
     vertex_orbits,
 )
 from pairglue import complex_core
-from pairglue.complex_core import _orbit_data, slot_key
+from pairglue.complex_core import _orbit_data, natural_key
 from pairglue.errors import StructureError
+
+
+def slot_key(slot):
+    """Scan order for slots, from the labels alone: face label (natural),
+    then index."""
+    return (natural_key(slot[0]), slot[1])
 
 
 def canonical_edge(complex_, slot):
@@ -198,6 +204,65 @@ def tetra_like():
 
 def test_validator_accepts_minimal_complex():
     assert validate(tetra_like()) == []
+
+
+def broken_tetra(vertices=None, faces=(), involution=(), pairings=None):
+    """A copy of tetra_like() with fields replaced: ``faces`` and
+    ``involution`` update its mappings (an involution entry of None removes
+    the slot's entry)."""
+    c = tetra_like()
+    faces_ = {**c.faces, **dict(faces)}
+    mates = {**c.involution, **dict(involution)}
+    return PairedComplex(
+        c.vertex_labels if vertices is None else vertices, faces_,
+        {slot: entry for slot, entry in mates.items() if entry is not None},
+        c.pairings if pairings is None else pairings)
+
+
+@pytest.mark.parametrize("broken, expected", [
+    (broken_tetra(faces={"H": ()}),
+     ["face H has no vertices", "unpaired face H"]),
+    (broken_tetra(vertices=["p", "q"]),
+     ["face F references unknown vertex r", "face G references unknown vertex r"]
+     + [f"involution references unknown slot {face}.{k}"
+        for k in range(3) for face in "FG"]),
+    (broken_tetra(pairings=[Pairing("f", "F", "G"), Pairing("f", "G", "F")]),
+     ["duplicate pairing name f", "face F doubly paired (f, f)",
+      "face G doubly paired (f, f)"]),
+    (broken_tetra(pairings=[Pairing("f", "F", "H")]),
+     ["pairing f references unknown face H", "unpaired face F",
+      "unpaired face G"]),
+    (broken_tetra(pairings=[Pairing("f", "F", "F")]),
+     ["pairing f pairs face F with itself", "face F doubly paired (f, f)",
+      "unpaired face G"]),
+    (broken_tetra(pairings=[Pairing("f", "F", "G", 3)]),
+     ["pairing f offset 3 out of range"]),
+    (broken_tetra(pairings=[Pairing("f", "F", "G", 0, 0)]),
+     ["pairing f direction must be +1 or -1"]),
+    (broken_tetra(involution={("F", 1): None}),
+     ["involution missing entry for F.1", "involution not symmetric at G.1"]),
+    (broken_tetra(involution={("F", 0): (("F", 0), True)}),
+     ["involution has a fixed point at F.0", "involution not symmetric at G.0"]),
+    (broken_tetra(involution={("F", 0): (("F", 3), True)}),
+     ["involution at F.0 references unknown slot F.3",
+      "involution not symmetric at G.0"]),
+    (broken_tetra(involution={("F", 0): (("G", 0), False)}),
+     ["involution not symmetric at F.0", "involution not symmetric at G.0"]),
+    (broken_tetra(involution={("F", 0): (("G", 1), True),
+                              ("G", 1): (("F", 0), True),
+                              ("F", 1): (("G", 0), True),
+                              ("G", 0): (("F", 1), True)}),
+     [f"involution endpoints mismatch at {slot}"
+      for slot in ("F.0", "F.1", "G.0", "G.1")]),
+    (broken_tetra(involution={("F", 3): (("G", 0), True)}),
+     ["involution references unknown slot F.3"]),
+], ids=["faceless face", "unknown vertex", "duplicate pairing name",
+        "unknown face", "self-pairing", "offset out of range", "bad direction",
+        "missing involution entry", "involution fixed point",
+        "involution mate unknown", "involution not symmetric",
+        "involution endpoints mismatch", "involution key unknown"])
+def test_validator_messages(broken, expected):
+    assert validate(broken) == expected
 
 
 def test_validator_requires_one_connected_boundary():

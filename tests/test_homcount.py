@@ -71,6 +71,32 @@ def test_small_groups_catalog():
                for i in range(6) for j in range(6))
 
 
+def test_dicyclic_groups():
+    # Dic_m = <a, x | a^(2m), x^2 = a^m, x a x^-1 = a^-1>, order 4m, with a
+    # single element of order 2; Q8 is Dic_2
+    catalog = small_groups()
+    for name, m in (("Q8", 2), ("Dic3", 3)):
+        table = catalog[name]
+        assert len(table) == 4 * m
+        involutions = [g for g in range(1, 4 * m) if table[g][g] == 0]
+        assert len(involutions) == 1
+        z = involutions[0]
+        assert all(table[g][z] == table[z][g] for g in range(4 * m))
+        assert any(table[g][h] != table[h][g]
+                   for g in range(4 * m) for h in range(4 * m))
+
+
+def test_dicyclic_counts_on_family_members():
+    catalog = small_groups()
+    expected = {("m24", 3): (1, 3), ("m24", 6): (2, 54),
+                ("m25", 5): (1, 3), ("m25", 8): (8, 72)}
+    for (family, n), counts in expected.items():
+        raw = presentation_from_pairings(
+            build_m24(n) if family == "m24" else build_m25(n))
+        assert (count_homomorphisms(raw, catalog["Q8"]),
+                count_homomorphisms(raw, catalog["Dic3"])) == counts
+
+
 # ---------------------------------------------------------- frozen counts
 
 def test_frozen_counts():

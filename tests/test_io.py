@@ -38,6 +38,19 @@ def test_serialized_line_counts():
     assert sum(1 for l in lines if l.startswith("edge ")) == 20
 
 
+def test_invalid_complex_documents_round_trip():
+    # edges on faces the complex lacks are written after all the others
+    text = ("pgv1 complex\nvertices p q\nface F p q\nface G p q\n"
+            "edge Z.0 H.1 same\nedge G.1 F.1 opp\nedge H.0 F.0 opp\n"
+            "pairing f F G + 0 1\n")
+    c = parse_complex(text)
+    document = serialize_complex(c)
+    assert [line for line in document.splitlines() if line.startswith("edge")] \
+        == ["edge F.0 H.0 opp", "edge F.1 G.1 opp", "edge H.1 Z.0 same"]
+    assert parse_complex(document).involution == c.involution
+    assert serialize_complex(parse_complex(document)) == document
+
+
 def test_parse_infers_edges_when_absent():
     original = build_m24(3)
     text = "\n".join(line for line in serialize_complex(original).splitlines()
@@ -266,6 +279,14 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "gen", "--family", "m25", "--n", "3")
     assert code == 0
     assert out == target.read_text()
+
+
+def test_cli_gen_unwritable_out_exits_one(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.pgv1", tmp_path):
+        code, out, err = run_cli(capsys, "gen", "--family", "m24", "--n", "2",
+                                 "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_cli_domain_errors_exit_one(capsys):

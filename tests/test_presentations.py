@@ -18,11 +18,13 @@ from pairglue import (
     family_elimination_order,
     free_reduce,
     h1,
+    parse_complex,
     presentation_from_cw,
     presentation_from_pairings,
     preset_presentation,
     reduced_family_presentation,
     scripted_reduction,
+    serialize_complex,
     small_groups,
     tietze_eliminate,
     vertex_orbits,
@@ -155,6 +157,40 @@ def test_cw_tree_errors():
         presentation_from_cw(build_m25(4), tree_strategy=("x1", "u"))
     with pytest.raises(DomainError):
         presentation_from_cw(build_m25(4), tree_strategy=("nope",))
+
+
+def with_metadata(c, edge_names, preferred_tree):
+    return PairedComplex(c.vertex_labels, c.faces, c.involution, c.pairings,
+                         name=c.name, n=c.n, edge_names=edge_names,
+                         preferred_tree=preferred_tree)
+
+
+def test_cw_greedy_tree_on_documents_without_metadata():
+    # a parsed document carries no edge names and no preferred tree, so the
+    # CW route names the classes e1..ek and grows the spanning tree greedily
+    for n in (4, 6):
+        c = parse_complex(serialize_complex(build_m25(n)))
+        assert (c.edge_names, c.preferred_tree) == ((), ())
+        assert len(vertex_orbits(c)) == 2
+        p = presentation_from_cw(c)
+        assert p.generators[0] == "e1"
+        assert len(p.relators) == len(c.pairings) + 1
+        assert len(p.relators[-1]) == 1
+        assert h1(p) == h1(presentation_from_pairings(c))
+
+
+def test_cw_edge_name_metadata_must_match_the_classes():
+    c = build_m24(2)
+    for edge_names in (c.edge_names[:-1], c.edge_names + c.edge_names[:1]):
+        with pytest.raises(DomainError, match="edge naming metadata does not "
+                           "match the edge classes"):
+            presentation_from_cw(with_metadata(c, edge_names, ()))
+
+
+def test_cw_preferred_tree_with_an_unknown_name():
+    c = build_m25(4)
+    with pytest.raises(DomainError, match="unknown tree generator 'w'"):
+        presentation_from_cw(with_metadata(c, c.edge_names, ("w",)))
 
 
 # ------------------------------------------------------- Tietze machinery

@@ -58,6 +58,13 @@ def test_rotation_step_errors():
         rotation("m25", 5, step=2)
 
 
+def test_rotation_checks_n_before_the_step():
+    for n in ("4", 0, 2.0, True):
+        for step in (1, 2):
+            with pytest.raises(DomainError, match="positive integer"):
+                rotation("m25", n, step)
+
+
 def test_rotation_fixes_lid_faces_setwise():
     auto = rotation("m24", 6)
     assert auto.face_map["D"] == "D"
