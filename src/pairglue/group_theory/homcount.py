@@ -9,7 +9,11 @@ tables simplifies it once.  Each relator is compiled to runs ``(generator,
 exponent)``, and the search precomputes, per run, the power of every
 candidate image.  It enumerates generator images depth first and evaluates a
 relator with one table lookup per run as soon as all its generators have
-images, rejecting the branch when the value is not the identity.
+images, rejecting the branch when the value is not the identity.  Images
+are enumerated only up to a group of automorphisms of the target read off
+the table (inner automorphisms, or power maps for an abelian table): each
+depth tries one image per orbit of the maps that fix the images already
+chosen, weighted by the orbit's size.
 """
 
 from itertools import permutations, product
@@ -24,8 +28,11 @@ def validate_table(table):
     """Check a multiplication table is a group table; raises DomainError.
 
     Verifies squareness, entry range, identity at index 0, two-sided
-    inverses, and full associativity (cubic in the order, which is fine for
-    the intended order-at-most-twelve targets).
+    inverses, and associativity by Light's test: the elements s with
+    (x s) y = x (s y) for all x, y are closed under the product, so it
+    suffices to check the s of a set whose closure is the whole table.  The
+    set is grown greedily, and for a group each new element at least doubles
+    the closure, so the test costs O(order^2 log order), not O(order^3).
     """
     order = len(table)
     if order == 0:
@@ -42,12 +49,25 @@ def validate_table(table):
     for i in range(order):
         if not any(table[i][j] == 0 and table[j][i] == 0 for j in range(order)):
             raise DomainError(f"element {i} has no two-sided inverse")
-    for i in range(order):
-        for j in range(order):
-            for k in range(order):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
+    closure = {0}
+    for s in range(order):
+        if s in closure:
+            continue
+        for x in range(order):
+            xs = table[x][s]
+            for y in range(order):
+                if table[xs][y] != table[x][table[s][y]]:
                     raise DomainError(
-                        f"associativity fails at ({i}, {j}, {k})")
+                        f"associativity fails at ({x}, {s}, {y})")
+        closure.add(s)
+        pending = [s]
+        while pending:
+            a = pending.pop()
+            for b in list(closure):
+                for c in (table[a][b], table[b][a]):
+                    if c not in closure:
+                        closure.add(c)
+                        pending.append(c)
 
 
 def _power_cycles(table):
@@ -78,12 +98,56 @@ def _runs(relator, index_of):
     return [(gen_index, exponent) for gen_index, exponent in runs if exponent]
 
 
+def _automorphisms(table, cycles):
+    """A group of automorphisms of the table group that the table gives
+    cheaply, as permutation tuples of ``range(order)``.
+
+    For an abelian table these are the power maps x -> x^k that are
+    bijections, i.e. gcd(k, exponent) = 1 (k = 1..order covers every residue
+    modulo the exponent, which divides the order); otherwise the inner
+    automorphisms x -> g x g^-1, one per coset of the centre.
+    """
+    order = len(table)
+    if all(table[x][y] == table[y][x] for x in range(order) for y in range(x)):
+        maps = {tuple(cycle[k % len(cycle)] for cycle in cycles)
+                for k in range(1, order + 1)}
+        return sorted(m for m in maps if len(set(m)) == order)
+    inverse = [cycle[-1] for cycle in cycles]
+    return sorted({tuple(table[table[g][x]][inverse[g]] for x in range(order))
+                   for g in range(order)})
+
+
+def _orbit_representatives(maps, order):
+    """``(least element, orbit size)`` for each orbit of the permutation
+    group ``maps`` on ``range(order)``."""
+    representatives = []
+    seen = set()
+    for x in range(order):
+        if x not in seen:
+            orbit = {m[x] for m in maps}
+            seen |= orbit
+            representatives.append((x, len(orbit)))
+    return representatives
+
+
 def count_homomorphisms(presentation, table):
     """Number of homomorphisms from the presented group into the table group.
 
     The count runs on ``auto_simplify(presentation)``, which the presentation
     computes on first use and keeps; if more than six generators survive, a
     CapacityError is raised rather than attempting a hopeless search.
+
+    The search chooses each generator's image only up to a group A of
+    automorphisms of the target (:func:`_automorphisms`).  This is exact:
+    post-composing with any alpha in A is a bijection of Hom(G, target),
+    and one that fixes the images already chosen maps each relator's value
+    v to alpha(v), which is the identity exactly when v is.  So the number
+    of homomorphisms extending a partial assignment, and every check along
+    the way, is the same for all images in one orbit of the stabiliser of
+    that assignment.  Each depth therefore tries one image per orbit,
+    weights its count by the orbit's size and recurses with the maps that
+    fix that image; once only the identity map is left it tries every
+    element with weight 1.
 
     >>> from .presentations import Presentation
     >>> from .words import Word
@@ -128,14 +192,16 @@ def count_homomorphisms(presentation, table):
         checks.sort(key=len)  # short relators reject a branch sooner
 
     current = [0] * len(powers)
+    plain = [(candidate, 1) for candidate in range(order)]  # identity only
 
-    def search(depth):
+    def search(depth, maps):
         if depth == len(generators):
             return 1
         slots = slots_by_depth[depth]
         checks = checks_by_depth[depth]
         total = 0
-        for candidate in range(order):
+        for candidate, weight in (plain if len(maps) == 1 else
+                                  _orbit_representatives(maps, order)):
             for slot in slots:
                 current[slot] = powers[slot][candidate]
             for relator in checks:
@@ -145,10 +211,11 @@ def count_homomorphisms(presentation, table):
                 if value:
                     break
             else:
-                total += search(depth + 1)
+                total += weight * search(depth + 1, [
+                    m for m in maps if m[candidate] == candidate])
         return total
 
-    return search(0)
+    return search(0, _automorphisms(table, cycles))
 
 
 def _cyclic(m):

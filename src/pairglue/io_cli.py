@@ -42,7 +42,11 @@ EX_SOFTWARE = 70  # sysexits.h: internal software error
 
 
 def serialize_complex(complex_):
-    """Render a complex as a pgv1 document (inverse of parse_complex)."""
+    """Render a complex as a pgv1 document (inverse of parse_complex).
+
+    Each edge line stands for both of its slots' involution entries, so a
+    complex whose involution is not symmetric raises DomainError.
+    """
     c = complex_
     lines = [COMPLEX_HEADER, f"name {c.name}"]
     if c.n is not None:
@@ -51,6 +55,11 @@ def serialize_complex(complex_):
     for label, cycle in c.faces.items():
         lines.append(" ".join(["face", label, *cycle]))
     for a, b, aligned in c.edges():
+        for slot, mate in ((a, b), (b, a)):
+            if c.involution.get(slot) != (mate, aligned):
+                raise DomainError(
+                    f"involution not symmetric at {format_slot(slot)}; "
+                    "a pgv1 document cannot express it")
         lines.append(f"edge {format_slot(a)} {format_slot(b)} "
                      f"{'same' if aligned else 'opp'}")
     for p in c.pairings:

@@ -6,6 +6,7 @@ the number of homomorphisms into A is |A|^r times the product over i of
 the number of elements a in A with d_i * a = 0.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -25,6 +26,11 @@ from pairglue import (
     validate_table,
 )
 from pairglue.errors import CapacityError, DomainError
+from pairglue.group_theory.homcount import (
+    _automorphisms,
+    _direct_product,
+    _power_cycles,
+)
 
 
 def z_table(m):
@@ -51,6 +57,81 @@ def test_validate_table_rejects_defects():
     bad = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
     with pytest.raises(DomainError):
         validate_table(tuple(tuple(row) for row in bad))
+
+
+def cubic_associative(table):
+    """Associativity over every triple: the reference for validate_table."""
+    n = len(table)
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i, j, k in product(range(n), repeat=3))
+
+
+def random_loop_table(rng, order):
+    """A random Latin square on range(order) with identity 0, filled cell by
+    cell with randomly ordered backtracking."""
+    rows = [list(range(order))] + [[i] + [None] * (order - 1)
+                                   for i in range(1, order)]
+    cells = [(i, j) for i in range(1, order) for j in range(1, order)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        choices = [v for v in range(order) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    return tuple(map(tuple, rows))
+
+
+def relabelled(table, rng):
+    """The table with its elements renamed by a random permutation fixing 0."""
+    rest = list(range(1, len(table)))
+    rng.shuffle(rest)
+    name = [0] + rest
+    new = [[None] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            new[name[i]][name[j]] = name[entry]
+    return tuple(map(tuple, new))
+
+
+def test_validate_table_agrees_with_cubic_associativity():
+    # Light's test in validate_table against the check of every triple, on
+    # random loops (orders 1..7, mostly not associative from order 5 on),
+    # their products with Z2 (where element 1 associates with everything),
+    # relabelled group tables, and group tables with one entry changed
+    rng = random.Random(0x11647)
+    tables = [random_loop_table(rng, rng.randint(1, 7)) for _ in range(300)]
+    tables += [_direct_product(random_loop_table(rng, 5), z_table(2))
+               for _ in range(20)]
+    for table in small_groups().values():
+        tables.append(relabelled(table, rng))
+        if len(table) > 2:
+            broken = [list(row) for row in table]
+            i, j = rng.randrange(1, len(table)), rng.randrange(1, len(table))
+            broken[i][j] = rng.choice(
+                [v for v in range(len(table)) if v != table[i][j]])
+            tables.append(tuple(map(tuple, broken)))
+    outcomes = {True: 0, False: 0, "associativity": 0}
+    for table in tables:
+        try:
+            validate_table(table)
+            accepted = True
+        except DomainError as exc:
+            accepted = False
+            if "associativity" in str(exc):
+                outcomes["associativity"] += 1
+        assert accepted == cubic_associative(table), table
+        outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_small_groups_catalog():
@@ -106,6 +187,34 @@ def test_frozen_counts():
     assert count_homomorphisms(triple, catalog["Z6"]) == 3
     m24_2 = reduced_family_presentation("m24", 2)
     assert count_homomorphisms(m24_2, catalog["Z3"]) == 9
+
+
+# Counts of every small group, from a search over all image tuples without
+# the automorphism reduction; the raw and the scripted presentation agree.
+GOLDEN_COUNTS = {
+    ("m24", 6): {
+        "Z1": 1, "Z2": 2, "Z3": 27, "Z4": 2, "Z2xZ2": 4, "Z5": 1, "Z6": 54,
+        "D3": 30, "Z7": 1, "Z8": 2, "Z4xZ2": 4, "Z2xZ2xZ2": 8, "D4": 6,
+        "Q8": 2, "Z9": 243, "Z3xZ3": 729, "Z10": 2, "D5": 6, "Z11": 1,
+        "Z12": 54, "Z6xZ2": 108, "D6": 60, "A4": 396, "Dic3": 54},
+    ("m25", 8): {
+        "Z1": 1, "Z2": 2, "Z3": 27, "Z4": 4, "Z2xZ2": 4, "Z5": 1, "Z6": 54,
+        "D3": 36, "Z7": 49, "Z8": 4, "Z4xZ2": 8, "Z2xZ2xZ2": 8, "D4": 8,
+        "Q8": 8, "Z9": 27, "Z3xZ3": 729, "Z10": 2, "D5": 6, "Z11": 1,
+        "Z12": 108, "Z6xZ2": 108, "D6": 72, "A4": 684, "Dic3": 72},
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(GOLDEN_COUNTS))
+def test_golden_counts_raw_and_scripted(family, n):
+    catalog = small_groups()
+    raw = presentation_from_pairings(
+        build_m24(n) if family == "m24" else build_m25(n))
+    scripted = reduced_family_presentation(family, n)
+    for presentation in (raw, scripted):
+        counts = {name: count_homomorphisms(presentation, table)
+                  for name, table in catalog.items()}
+        assert counts == GOLDEN_COUNTS[family, n]
 
 
 def test_counts_on_free_and_trivial_groups():
@@ -222,3 +331,66 @@ def test_count_matches_brute_force_on_nonabelian_targets():
             table = catalog[name]
             assert count_homomorphisms(presentation, table) == \
                 brute_force_count(presentation, table), (name, presentation)
+
+
+def random_presentation(rng):
+    """One to three generators and one to three relators, each a random word
+    of up to five letters raised to a power from 1 to 3."""
+    generators = ["a", "b", "c"][:rng.randint(1, 3)]
+    relators = []
+    for _ in range(rng.randint(1, 3)):
+        letters = [(rng.choice(generators), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 5))]
+        relators.append(Word(letters * rng.choice((1, 2, 3))))
+    return Presentation(generators, relators)
+
+
+def test_count_matches_brute_force_on_random_presentations():
+    catalog = small_groups()
+    rng = random.Random(0xB7F)
+    for _ in range(30):
+        presentation = random_presentation(rng)
+        for name, table in catalog.items():
+            assert count_homomorphisms(presentation, table) == \
+                brute_force_count(presentation, table), (name, presentation)
+
+
+# ---------------------------------------- automorphisms used by the search
+
+# |Inn(G)| = |G / Z(G)| for a nonabelian target; for an abelian one the
+# bijective power maps number phi(exponent)
+AUTOMORPHISM_COUNTS = {
+    "Z1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "Z2xZ2": 1, "Z5": 4, "Z6": 2,
+    "D3": 6, "Z7": 6, "Z8": 4, "Z4xZ2": 2, "Z2xZ2xZ2": 1, "D4": 4, "Q8": 4,
+    "Z9": 6, "Z3xZ3": 2, "Z10": 4, "D5": 10, "Z11": 10, "Z12": 4,
+    "Z6xZ2": 2, "D6": 6, "A4": 12, "Dic3": 6}
+
+
+def test_search_automorphisms_form_a_group_of_automorphisms():
+    catalog = small_groups()
+    assert sorted(catalog) == sorted(AUTOMORPHISM_COUNTS)
+    for name, table in catalog.items():
+        order = len(table)
+        maps = _automorphisms(table, _power_cycles(table))
+        assert len(maps) == len(set(maps)) == AUTOMORPHISM_COUNTS[name], name
+        assert tuple(range(order)) in maps
+        for m in maps:
+            assert sorted(m) == list(range(order)) and m[0] == 0, name
+            assert all(m[table[x][y]] == table[m[x]][m[y]]
+                       for x in range(order) for y in range(order)), name
+        closed = set(maps)
+        assert all(tuple(a[b[x]] for x in range(order)) in closed
+                   for a in maps for b in maps), name
+
+
+def test_counts_survive_relabelling_the_target():
+    catalog = small_groups()
+    rng = random.Random(0x2E1A)
+    cases = [reduced_family_presentation("m24", 4),
+             reduced_family_presentation("m25", 5)]
+    cases += [random_presentation(rng) for _ in range(4)]
+    for name, table in catalog.items():
+        twin = relabelled(table, rng)
+        for presentation in cases:
+            assert count_homomorphisms(presentation, twin) == \
+                count_homomorphisms(presentation, table), (name, presentation)

@@ -3,6 +3,8 @@
 import pytest
 
 from pairglue import (
+    PairedComplex,
+    Pairing,
     build_family,
     build_m24,
     build_m25,
@@ -14,7 +16,7 @@ from pairglue import (
     serialize_complex,
     serialize_presentation,
 )
-from pairglue.errors import ParseError
+from pairglue.errors import DomainError, ParseError
 from pairglue.io_cli import main
 
 
@@ -49,6 +51,23 @@ def test_invalid_complex_documents_round_trip():
         == ["edge F.0 H.0 opp", "edge F.1 G.1 opp", "edge H.1 Z.0 same"]
     assert parse_complex(document).involution == c.involution
     assert serialize_complex(parse_complex(document)) == document
+
+
+@pytest.mark.parametrize("changes, slot", [
+    ({("G", 0): (("F", 0), False)}, "F.0"),  # mates disagree on alignment
+    ({("G", 1): (("F", 2), True)}, "G.1"),   # F.1's mate G.1 points to F.2
+    ({("F", 2): None}, "F.2"),               # F.2 has no entry
+])
+def test_serialize_rejects_involution_it_cannot_express(changes, slot):
+    faces = {"F": ("p", "q", "r"), "G": ("p", "q", "r")}
+    involution = {(face, k): ((mate, k), True)
+                  for face, mate in ("FG", "GF") for k in range(3)}
+    involution.update(changes)
+    c = PairedComplex(["p", "q", "r"], faces,
+                      {s: e for s, e in involution.items() if e is not None},
+                      [Pairing("f", "F", "G", 0, 1)])
+    with pytest.raises(DomainError, match=f"not symmetric at {slot};"):
+        serialize_complex(c)
 
 
 def test_parse_infers_edges_when_absent():
