@@ -10,10 +10,10 @@ exponent)``, and the search precomputes, per run, the power of every
 candidate image.  It enumerates generator images depth first and evaluates a
 relator with one table lookup per run as soon as all its generators have
 images, rejecting the branch when the value is not the identity.  Images
-are enumerated only up to a group of automorphisms of the target read off
-the table (inner automorphisms, or power maps for an abelian table): each
-depth tries one image per orbit of the maps that fix the images already
-chosen, weighted by the orbit's size.
+are enumerated only up to the full automorphism group of the target,
+computed from its table by trying generator images of matching orders:
+each depth tries one image per orbit of the automorphisms that fix the
+images already chosen, weighted by the orbit's size.
 """
 
 from itertools import permutations, product
@@ -99,22 +99,54 @@ def _runs(relator, index_of):
 
 
 def _automorphisms(table, cycles):
-    """A group of automorphisms of the table group that the table gives
-    cheaply, as permutation tuples of ``range(order)``.
+    """Every automorphism of the table group, as permutation tuples of
+    ``range(order)``, computed from the table alone.
 
-    For an abelian table these are the power maps x -> x^k that are
-    bijections, i.e. gcd(k, exponent) = 1 (k = 1..order covers every residue
-    modulo the exponent, which divides the order); otherwise the inner
-    automorphisms x -> g x g^-1, one per coset of the centre.
+    A generating set is grown greedily in element order (an element joins
+    when the subgroup generated so far misses it), and every element is
+    written as ``parent * generator`` along a breadth-first tree over that
+    set.  An automorphism sends each generator to an element of the same
+    order, so every such choice of generator images is tried: it is extended
+    along the tree and kept when the extension is a bijection with
+    phi(x g) = phi(x) phi(g) for every element x and generator g, which by
+    induction along words in the generators makes it multiplicative.
     """
     order = len(table)
-    if all(table[x][y] == table[y][x] for x in range(order) for y in range(x)):
-        maps = {tuple(cycle[k % len(cycle)] for cycle in cycles)
-                for k in range(1, order + 1)}
-        return sorted(m for m in maps if len(set(m)) == order)
-    inverse = [cycle[-1] for cycle in cycles]
-    return sorted({tuple(table[table[g][x]][inverse[g]] for x in range(order))
-                   for g in range(order)})
+    generators = []
+    tree = _spanning_tree(table, generators)
+    for x in range(order):
+        if x not in tree:
+            generators.append(x)
+            tree = _spanning_tree(table, generators)
+    maps = []
+    for images in product(*([y for y in range(order)
+                             if len(cycles[y]) == len(cycles[g])]
+                            for g in generators)):
+        phi = [0] * order
+        for element, (parent, k) in tree.items():
+            if parent is not None:
+                phi[element] = table[phi[parent]][images[k]]
+        if len(set(phi)) == order and all(
+                phi[table[x][g]] == table[phi[x]][image]
+                for g, image in zip(generators, images)
+                for x in range(order)):
+            maps.append(tuple(phi))
+    return sorted(maps)
+
+
+def _spanning_tree(table, generators):
+    """``{element: (parent, generator position)}`` with element = parent *
+    generators[position], in breadth-first order from the identity (whose
+    entry is ``(None, None)``), over the subgroup the generators span."""
+    tree = {0: (None, None)}
+    frontier = [0]
+    for element in frontier:
+        for k, g in enumerate(generators):
+            child = table[element][g]
+            if child not in tree:
+                tree[child] = (element, k)
+                frontier.append(child)
+    return tree
 
 
 def _orbit_representatives(maps, order):
@@ -137,8 +169,9 @@ def count_homomorphisms(presentation, table):
     computes on first use and keeps; if more than six generators survive, a
     CapacityError is raised rather than attempting a hopeless search.
 
-    The search chooses each generator's image only up to a group A of
-    automorphisms of the target (:func:`_automorphisms`).  This is exact:
+    The search chooses each generator's image only up to the group A of
+    all automorphisms of the target (:func:`_automorphisms`).  This is
+    exact for any group of automorphisms:
     post-composing with any alpha in A is a bijection of Hom(G, target),
     and one that fixes the images already chosen maps each relator's value
     v to alpha(v), which is the identity exactly when v is.  So the number

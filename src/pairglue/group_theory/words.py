@@ -13,6 +13,7 @@ package writes an inverse letter with a ``-`` prefix:
 """
 
 from ..complex_core import _Immutable, natural_key
+from ..errors import DomainError
 
 
 class Word(_Immutable):
@@ -31,9 +32,14 @@ class Word(_Immutable):
 
     @classmethod
     def parse(cls, text):
-        """Build a word from whitespace-separated tokens (``-x`` = inverse)."""
+        """Build a word from whitespace-separated tokens (``-x`` = inverse).
+
+        A bare ``-`` names no generator and raises DomainError.
+        """
         letters = []
         for token in text.split():
+            if token == "-":
+                raise DomainError("a bare '-' is not a letter")
             if token.startswith("-"):
                 letters.append((token[1:], -1))
             else:

@@ -216,7 +216,14 @@ def serialize_presentation(presentation):
     >>> from .group_theory.words import Word
     >>> serialize_presentation(Presentation(["c"], [Word.parse("c c c")]))
     'gens: c\\nrel: c c c\\n'
+
+    A generator name that is empty, holds whitespace or starts with ``-``
+    would read back as other letters, so it raises DomainError.
     """
+    for name in presentation.generators:
+        if name.split() != [name] or name.startswith("-"):
+            raise DomainError(
+                f"generator name {name!r} cannot be written in a document")
     lines = [" ".join(["gens:", *presentation.generators]).rstrip()]
     lines.extend(f"rel: {relator}".rstrip() for relator in presentation.relators)
     return "\n".join(lines) + "\n"
@@ -238,6 +245,10 @@ def parse_presentation(text):
             generators = line[len("gens:"):].split()
             if len(set(generators)) != len(generators):
                 raise ParseError(number, "duplicate generator name")
+            for name in generators:
+                if name.startswith("-"):
+                    raise ParseError(number, f"generator name {name!r} "
+                                             "starts with '-'")
         elif line.startswith("rel:"):
             if generators is None:
                 raise ParseError(number, "relator before the generator line")

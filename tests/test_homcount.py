@@ -7,7 +7,7 @@ the number of elements a in A with d_i * a = 0.
 """
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -202,6 +202,16 @@ GOLDEN_COUNTS = {
         "D3": 36, "Z7": 49, "Z8": 4, "Z4xZ2": 8, "Z2xZ2xZ2": 8, "D4": 8,
         "Q8": 8, "Z9": 27, "Z3xZ3": 729, "Z10": 2, "D5": 6, "Z11": 1,
         "Z12": 108, "Z6xZ2": 108, "D6": 72, "A4": 684, "Dic3": 72},
+    ("m24", 8): {
+        "Z1": 1, "Z2": 2, "Z3": 9, "Z4": 4, "Z2xZ2": 4, "Z5": 1, "Z6": 18,
+        "D3": 12, "Z7": 49, "Z8": 8, "Z4xZ2": 8, "Z2xZ2xZ2": 8, "D4": 8,
+        "Q8": 8, "Z9": 9, "Z3xZ3": 81, "Z10": 2, "D5": 6, "Z11": 1,
+        "Z12": 36, "Z6xZ2": 36, "D6": 24, "A4": 156, "Dic3": 24},
+    ("m25", 10): {
+        "Z1": 1, "Z2": 1, "Z3": 3, "Z4": 1, "Z2xZ2": 1, "Z5": 125, "Z6": 3,
+        "D3": 3, "Z7": 1, "Z8": 1, "Z4xZ2": 1, "Z2xZ2xZ2": 1, "D4": 1,
+        "Q8": 1, "Z9": 3, "Z3xZ3": 9, "Z10": 125, "D5": 125, "Z11": 121,
+        "Z12": 3, "Z6xZ2": 3, "D6": 3, "A4": 9, "Dic3": 3},
 }
 
 
@@ -357,13 +367,14 @@ def test_count_matches_brute_force_on_random_presentations():
 
 # ---------------------------------------- automorphisms used by the search
 
-# |Inn(G)| = |G / Z(G)| for a nonabelian target; for an abelian one the
-# bijective power maps number phi(exponent)
+# |Aut(G)| of every catalog group: phi(m) for Z_m, |GL(2, 2)| = 6, |GL(3, 2)|
+# = 168 and |GL(2, 3)| = 48 for the elementary abelian ones, m phi(m) for
+# D_m (m >= 3), Aut(Q8) = S4, Aut(A4) = S4
 AUTOMORPHISM_COUNTS = {
-    "Z1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "Z2xZ2": 1, "Z5": 4, "Z6": 2,
-    "D3": 6, "Z7": 6, "Z8": 4, "Z4xZ2": 2, "Z2xZ2xZ2": 1, "D4": 4, "Q8": 4,
-    "Z9": 6, "Z3xZ3": 2, "Z10": 4, "D5": 10, "Z11": 10, "Z12": 4,
-    "Z6xZ2": 2, "D6": 6, "A4": 12, "Dic3": 6}
+    "Z1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "Z2xZ2": 6, "Z5": 4, "Z6": 2,
+    "D3": 6, "Z7": 6, "Z8": 4, "Z4xZ2": 8, "Z2xZ2xZ2": 168, "D4": 8,
+    "Q8": 24, "Z9": 6, "Z3xZ3": 48, "Z10": 4, "D5": 20, "Z11": 10,
+    "Z12": 4, "Z6xZ2": 12, "D6": 12, "A4": 24, "Dic3": 12}
 
 
 def test_search_automorphisms_form_a_group_of_automorphisms():
@@ -381,6 +392,33 @@ def test_search_automorphisms_form_a_group_of_automorphisms():
         closed = set(maps)
         assert all(tuple(a[b[x]] for x in range(order)) in closed
                    for a in maps for b in maps), name
+
+
+def brute_force_automorphisms(table):
+    """Every permutation fixing 0 that respects the table, sorted."""
+    order = len(table)
+    return sorted(
+        m for m in ((0,) + rest for rest in permutations(range(1, order)))
+        if all(m[table[x][y]] == table[m[x]][m[y]]
+               for x in range(1, order) for y in range(1, order)))
+
+
+def test_search_automorphisms_are_all_automorphisms():
+    # a bijection that respects the table fixes the identity, so for every
+    # table of order at most 8 the maps are exactly the brute-force ones
+    for name, table in small_groups().items():
+        if len(table) <= 8:
+            assert _automorphisms(table, _power_cycles(table)) == \
+                brute_force_automorphisms(table), name
+
+
+def test_automorphism_group_survives_relabelling():
+    rng = random.Random(0xA07)
+    for name, table in small_groups().items():
+        for _ in range(2):
+            twin = relabelled(table, rng)
+            maps = _automorphisms(twin, _power_cycles(twin))
+            assert len(maps) == AUTOMORPHISM_COUNTS[name], name
 
 
 def test_counts_survive_relabelling_the_target():

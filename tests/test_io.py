@@ -1,5 +1,7 @@
 """Document serialization, parsing, and the command line."""
 
+import re
+
 import pytest
 
 from pairglue import (
@@ -141,6 +143,16 @@ def test_presentation_roundtrip():
             serialize_presentation(presentation)) == presentation
 
 
+@pytest.mark.parametrize("name", ["-a", "", "a b", " a", "a\t"])
+def test_serialize_presentation_rejects_inexpressible_generator(name):
+    # "rel: -a" would read back as the inverse of a, a different group
+    from pairglue import Presentation, Word
+    presentation = Presentation(["a", name], [Word([(name, 1)])])
+    message = re.escape(f"generator name {name!r}")
+    with pytest.raises(DomainError, match=message):
+        serialize_presentation(presentation)
+
+
 def test_parse_presentation_tolerates_header_and_comments():
     parsed = parse_presentation(
         "pgv1 presentation\n# comment\n\ngens: a b\nrel: a b -a -b\n")
@@ -155,6 +167,7 @@ def test_parse_presentation_errors():
         ("gens: a\nrel: -\n", 2, "bad letter"),
         ("gens: a\ngens: b\n", 2, "duplicate generator line"),
         ("gens: a a\n", 1, "duplicate generator name"),
+        ("gens: a -a\nrel: -a\n", 1, "generator name '-a' starts with '-'"),
         ("gens: a\nfoo bar\n", 2, "unknown directive"),
         ("# nothing here\n", 0, "missing generator line"),
     ]

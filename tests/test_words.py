@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pairglue import Word, cyclic_normal_form, cyclic_reduce, free_reduce
+from pairglue.errors import DomainError
 
 
 def test_parse_and_str_round_trip():
@@ -26,6 +27,13 @@ def test_word_rejects_bad_signs():
         Word([("a", 2)])
     with pytest.raises(ValueError):
         Word([("a", 0)])
+
+
+def test_parse_rejects_bare_minus():
+    # a bare "-" used to become the letter ('', -1)
+    for text in ("-", "a - b", "a -"):
+        with pytest.raises(DomainError, match="bare '-'"):
+            Word.parse(text)
 
 
 def test_multiplication_concatenates():
