@@ -30,29 +30,8 @@ from .errors import (
     UnsupportedQuotientError,
 )
 from .families import M24, M25, build_family, build_m24, build_m25
-from .group_theory import (
-    AbelianGroup,
-    IntegerMatrix,
-    Presentation,
-    Word,
-    abelianization_matrix,
-    auto_simplify,
-    count_homomorphisms,
-    cyclic_normal_form,
-    cyclic_reduce,
-    family_elimination_order,
-    free_reduce,
-    h1,
-    preset_presentation,
-    presentation_from_cw,
-    presentation_from_pairings,
-    reduced_family_presentation,
-    scripted_reduction,
-    small_groups,
-    smith_normal_form,
-    tietze_eliminate,
-    validate_table,
-)
+from . import group_theory
+from .group_theory import *  # noqa: F403 -- the names in group_theory.__all__
 from .io_cli import (
     parse_complex,
     parse_presentation,
@@ -74,7 +53,6 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianGroup",
     "CapacityError",
     "CellCounts",
     "AutomorphismCheck",
@@ -82,53 +60,34 @@ __all__ = [
     "DomainError",
     "EdgeOrbit",
     "EliminationError",
-    "IntegerMatrix",
     "M24",
     "M25",
     "PairedComplex",
     "Pairing",
     "PairglueError",
     "ParseError",
-    "Presentation",
     "SingularComponent",
     "SingularityReport",
     "StructureError",
     "UnsupportedQuotientError",
     "VertexOrbit",
-    "Word",
-    "abelianization_matrix",
-    "auto_simplify",
     "build_family",
     "build_m24",
     "build_m25",
     "cell_counts",
-    "count_homomorphisms",
-    "cyclic_normal_form",
-    "cyclic_reduce",
     "edge_orbits",
-    "family_elimination_order",
-    "free_reduce",
-    "h1",
     "is_manifold",
     "parse_complex",
     "parse_presentation",
-    "preset_presentation",
-    "presentation_from_cw",
-    "presentation_from_pairings",
     "quotient_complex",
-    "reduced_family_presentation",
     "rotation",
-    "scripted_reduction",
     "serialize_complex",
     "serialize_presentation",
     "singularity_report",
-    "small_groups",
-    "smith_normal_form",
     "strongly_cyclic",
-    "tietze_eliminate",
     "validate",
-    "validate_table",
     "verify_automorphism",
     "vertex_orbits",
+    *group_theory.__all__,
     "__version__",
 ]

@@ -30,9 +30,10 @@ def validate_table(table):
     Verifies squareness, entry range, identity at index 0, two-sided
     inverses, and associativity by Light's test: the elements s with
     (x s) y = x (s y) for all x, y are closed under the product, so it
-    suffices to check the s of a set whose closure is the whole table.  The
-    set is grown greedily, and for a group each new element at least doubles
-    the closure, so the test costs O(order^2 log order), not O(order^3).
+    suffices to check the generators of :func:`_generating_tree`, whose
+    tree writes every element as a product of them.  For a group each
+    generator at least doubles the subgroup spanned so far, so the test
+    costs O(order^2 log order), not O(order^3).
     """
     order = len(table)
     if order == 0:
@@ -49,25 +50,34 @@ def validate_table(table):
     for i in range(order):
         if not any(table[i][j] == 0 and table[j][i] == 0 for j in range(order)):
             raise DomainError(f"element {i} has no two-sided inverse")
-    closure = {0}
-    for s in range(order):
-        if s in closure:
-            continue
+    for s in _generating_tree(table)[0]:
         for x in range(order):
             xs = table[x][s]
             for y in range(order):
                 if table[xs][y] != table[x][table[s][y]]:
                     raise DomainError(
                         f"associativity fails at ({x}, {s}, {y})")
-        closure.add(s)
-        pending = [s]
-        while pending:
-            a = pending.pop()
-            for b in list(closure):
-                for c in (table[a][b], table[b][a]):
-                    if c not in closure:
-                        closure.add(c)
-                        pending.append(c)
+
+
+def _generating_tree(table):
+    """``(generators, tree)``: a generating set grown greedily in element
+    order (an element joins when the elements spanned so far miss it), and
+    ``{element: (parent, generator position)}`` with element = parent *
+    generators[position], breadth first from the identity ``(None, None)``."""
+    generators = []
+    tree = {0: (None, None)}
+    for x in range(len(table)):
+        if x not in tree:
+            generators.append(x)
+            tree = {0: (None, None)}
+            frontier = [0]
+            for element in frontier:
+                for k, g in enumerate(generators):
+                    child = table[element][g]
+                    if child not in tree:
+                        tree[child] = (element, k)
+                        frontier.append(child)
+    return generators, tree
 
 
 def _power_cycles(table):
@@ -102,22 +112,16 @@ def _automorphisms(table, cycles):
     """Every automorphism of the table group, as permutation tuples of
     ``range(order)``, computed from the table alone.
 
-    A generating set is grown greedily in element order (an element joins
-    when the subgroup generated so far misses it), and every element is
-    written as ``parent * generator`` along a breadth-first tree over that
-    set.  An automorphism sends each generator to an element of the same
-    order, so every such choice of generator images is tried: it is extended
-    along the tree and kept when the extension is a bijection with
-    phi(x g) = phi(x) phi(g) for every element x and generator g, which by
-    induction along words in the generators makes it multiplicative.
+    Every element is written as ``parent * generator`` along the tree of
+    :func:`_generating_tree`.  An automorphism sends each generator to an
+    element of the same order, so every such choice of generator images is
+    tried: it is extended along the tree and kept when the extension is a
+    bijection with phi(x g) = phi(x) phi(g) for every element x and
+    generator g, which by induction along words in the generators makes it
+    multiplicative.
     """
     order = len(table)
-    generators = []
-    tree = _spanning_tree(table, generators)
-    for x in range(order):
-        if x not in tree:
-            generators.append(x)
-            tree = _spanning_tree(table, generators)
+    generators, tree = _generating_tree(table)
     maps = []
     for images in product(*([y for y in range(order)
                              if len(cycles[y]) == len(cycles[g])]
@@ -132,21 +136,6 @@ def _automorphisms(table, cycles):
                 for x in range(order)):
             maps.append(tuple(phi))
     return sorted(maps)
-
-
-def _spanning_tree(table, generators):
-    """``{element: (parent, generator position)}`` with element = parent *
-    generators[position], in breadth-first order from the identity (whose
-    entry is ``(None, None)``), over the subgroup the generators span."""
-    tree = {0: (None, None)}
-    frontier = [0]
-    for element in frontier:
-        for k, g in enumerate(generators):
-            child = table[element][g]
-            if child not in tree:
-                tree[child] = (element, k)
-                frontier.append(child)
-    return tree
 
 
 def _orbit_representatives(maps, order):

@@ -109,12 +109,12 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
     carries one, else grow a greedy tree) or an explicit iterable of generator
     names to use as the spanning tree.
 
-    Generator naming follows the complex's ``edge_names`` metadata when the
-    metadata covers every edge class exactly once (the family builders emit
-    x_i, y_i, z_i, u and, for even-parameter second-family complexes, v);
-    otherwise classes are named e1..ek in class order.  An anchor flagged as
-    reversed hands its generator the direction opposite to the anchor slot's
-    stored arrow, which fixes the sign of every appearance.
+    Generator naming follows the complex's ``edge_names`` metadata, which
+    must name every edge class exactly once or raise DomainError (the family
+    builders emit x_i, y_i, z_i, u and, for even-parameter second-family
+    complexes, v); without metadata the classes are e1..ek in class order.
+    An anchor flagged as reversed gives its generator the direction opposite
+    to the anchor slot's stored arrow, which fixes every appearance's sign.
     """
     orbits, slot_sign, orbit_index = _orbit_data(complex_)
 
@@ -122,23 +122,15 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
     anchor_sign = [1] * len(orbits)
     order = list(range(len(orbits)))
     if complex_.edge_names:
-        assigned = {}
+        order = []
         for name, face, slot_index, reversed_flag in complex_.edge_names:
             idx = orbit_index.get((face, slot_index))
-            if idx is None or idx in assigned:
-                assigned = None
-                break
-            assigned[idx] = (name, (face, slot_index), reversed_flag)
-        if assigned is not None and len(assigned) == len(orbits):
-            names = [None] * len(orbits)
-            order = []
-            for name, face, slot_index, reversed_flag in complex_.edge_names:
-                idx = orbit_index[(face, slot_index)]
+            if idx is not None:
                 names[idx] = name
-                sign = slot_sign[(face, slot_index)] * (-1 if reversed_flag else 1)
-                anchor_sign[idx] = sign
-                order.append(idx)
-        else:
+                anchor_sign[idx] = (slot_sign[(face, slot_index)]
+                                    * (-1 if reversed_flag else 1))
+            order.append(idx)
+        if len(order) != len(orbits) or set(order) != set(range(len(orbits))):
             raise DomainError("edge naming metadata does not match the edge classes")
 
     generators = [names[idx] for idx in order]
@@ -189,22 +181,25 @@ def _defining_candidates(presentation, generator):
     out = []
     for index, relator in enumerate(presentation.relators):
         letters = cyclic_reduce(relator).letters
-        names = [name for name, _ in letters]
-        if names.count(generator) != 1:
+        if [name for name, _ in letters].count(generator) != 1:
             continue
-        position = names.index(generator)
-        # the letters after g, read cyclically: the relator is g^+-1 * rest
-        rest = letters[position + 1:] + letters[:position]
-        length = len(letters)
-        if letters[position][1] == 1:
-            key = (length, index, position, 0)
-            replacement = _word(_inverse_letters(rest))
-        else:
-            key = (length, index, length - 1 - position, 1)
-            replacement = _word(rest)
-        out.append((key, index, replacement))
+        rotation, inverted, replacement = _defining_word(letters, generator)
+        out.append(((len(letters), index, rotation, inverted), index,
+                    replacement))
     out.sort(key=lambda item: item[0])
     return out
+
+
+def _defining_word(letters, generator):
+    """``(rotation, inverted, w)`` for cyclically reduced ``letters`` that
+    hold ``generator`` (g) once: inverted first when the letter is ``g^-1``,
+    then rotated left by ``rotation``, the relator reads ``g * w^-1``."""
+    position = [name for name, _ in letters].index(generator)
+    # the letters after g, read cyclically: the relator is g^+-1 * rest
+    rest = letters[position + 1:] + letters[:position]
+    if letters[position][1] == 1:
+        return position, 0, _word(_inverse_letters(rest))
+    return len(letters) - 1 - position, 1, _word(rest)
 
 
 def _apply_elimination(presentation, generator, relator_index, replacement):
@@ -265,22 +260,24 @@ def _simplify(presentation):
     current = presentation
     while True:
         # One scan ranks every generator: a relator whose cyclic reduction
-        # holds g once defines g, at the length of that reduction.
-        shortest = {}
-        for relator in current.relators:
+        # holds g once defines g, at the length of that reduction.  The first
+        # shortest such relator is kept; it is the one tietze_eliminate uses.
+        best = {}
+        for index, relator in enumerate(current.relators):
             letters = cyclic_reduce(relator).letters
-            length = len(letters)
             counts = Counter(name for name, _ in letters)
             for name, count in counts.items():
-                if count == 1 and length < shortest.get(name, length + 1):
-                    shortest[name] = length
-        if not shortest:
+                if count == 1 and (name not in best
+                                   or len(letters) < best[name][0]):
+                    best[name] = (len(letters), index, letters)
+        if not best:
             # nothing is left to eliminate: the result simplifies to itself
             object.__setattr__(current, "_simplified", current)
             return current
         position = {g: i for i, g in enumerate(current.generators)}
-        generator = min(shortest, key=lambda g: (shortest[g], position[g]))
-        _, index, replacement = _defining_candidates(current, generator)[0]
+        generator = min(best, key=lambda g: (best[g][0], position[g]))
+        _, index, letters = best[generator]
+        replacement = _defining_word(letters, generator)[2]
         current = _apply_elimination(current, generator, index, replacement)
 
 

@@ -45,9 +45,19 @@ def serialize_complex(complex_):
     """Render a complex as a pgv1 document (inverse of parse_complex).
 
     Each edge line stands for both of its slots' involution entries, so a
-    complex whose involution is not symmetric raises DomainError.
+    complex whose involution is not symmetric raises DomainError.  So does
+    a complex name, vertex label, face label or pairing name that is empty
+    or holds whitespace, since it would read back as other fields.
     """
     c = complex_
+    named = [("complex name", [c.name]), ("vertex label", c.vertex_labels),
+             ("face label", c.faces),
+             ("pairing name", [p.name for p in c.pairings])]
+    for kind, names in named:
+        for name in names:
+            if name.split() != [name]:
+                raise DomainError(
+                    f"{kind} {name!r} cannot be written in a document")
     lines = [COMPLEX_HEADER, f"name {c.name}"]
     if c.n is not None:
         lines.append(f"n {c.n}")

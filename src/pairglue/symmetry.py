@@ -20,6 +20,7 @@ from math import gcd, lcm
 from .complex_core import (
     PairedComplex,
     Pairing,
+    _Immutable,
     _orbit_data,
     _require_valid,
     format_slot,
@@ -30,13 +31,16 @@ from .errors import DomainError, StructureError, UnsupportedQuotientError
 from .families import _check_n, _idx, build_family
 
 
-class ComplexAutomorphism:
-    """A verified structure-preserving symmetry of a paired complex.
+class ComplexAutomorphism(_Immutable):
+    """A structure-preserving symmetry of a paired complex.
 
-    Instances come from :func:`verify_automorphism` or :func:`rotation` and
-    carry the full derived data: the face map with its per-face rotation
-    offsets, the induced slot map, the induced permutation of pairing names,
-    and the element's order.
+    Instances come from :func:`rotation` and carry the full derived data:
+    the face map with its per-face rotation offsets, the induced slot map,
+    the induced permutation of pairing names, and the element's order.  They
+    are immutable: assigning to an attribute raises AttributeError.
+    :func:`verify_automorphism` checks a claimed symmetry and returns an
+    :class:`AutomorphismCheck`; :func:`quotient_complex` trusts an instance
+    whose ``domain`` is the very complex it is given, a hand-built one too.
     """
 
     __slots__ = ("domain", "vertex_map", "face_map", "face_rotation",
@@ -44,13 +48,17 @@ class ComplexAutomorphism:
 
     def __init__(self, domain, vertex_map, face_map, face_rotation,
                  slot_map, pairing_map, order):
-        self.domain = domain
-        self.vertex_map = vertex_map
-        self.face_map = face_map
-        self.face_rotation = face_rotation
-        self.slot_map = slot_map
-        self.pairing_map = pairing_map
-        self.order = order
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "face_map", face_map)
+        object.__setattr__(self, "face_rotation", face_rotation)
+        object.__setattr__(self, "slot_map", slot_map)
+        object.__setattr__(self, "pairing_map", pairing_map)
+        object.__setattr__(self, "order", order)
+
+    def __reduce__(self):
+        return (ComplexAutomorphism,
+                tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self):
         return (f"<ComplexAutomorphism of {self.domain.name!r} "

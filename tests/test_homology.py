@@ -75,6 +75,20 @@ def test_matrix_determinant_against_cofactor_oracle():
         assert IntegerMatrix(rows).determinant() == cofactor_det(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [0, 2]],                    # zero first column
+    [[1, 2, 3], [2, 4, 5], [3, 6, 7]],   # column 1 vanishes after a step
+])
+def test_matrix_determinant_with_a_zero_pivot_column(rows):
+    assert cofactor_det(rows) == 0
+    assert IntegerMatrix(rows).determinant() == 0
+
+
+def test_matrix_determinant_of_a_non_square_matrix():
+    with pytest.raises(DomainError, match="non-square"):
+        IntegerMatrix([[1, 2, 3], [4, 5, 6]]).determinant()
+
+
 # ---------------------------------------------------------- AbelianGroup
 
 def test_abelian_group_validation():

@@ -110,6 +110,12 @@ def test_parse_complex_errors_carry_line_numbers():
         ("pgv1 complex\nedge F.\u00b2 G.0 same\n", 2, "bad slot"),
         ("pgv1 complex\npairing f F G + 0 \u00b2\n", 2,
          "image list must be integers"),
+        ("pgv1 complex\nname two words\n", 2, "name takes exactly one value"),
+        ("pgv1 complex\nname\n", 2, "name takes exactly one value"),
+        ("pgv1 complex\nn 1 2\n", 2, "n takes one integer"),
+        ("pgv1 complex\nface\n", 2, "face line needs a label"),
+        ("pgv1 complex\nedge F.0 G.0\n", 2, "edge line needs two slots"),
+        ("pgv1 complex\npairing f F G\n", 2, "pairing line needs name"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(ParseError) as exc:
@@ -118,6 +124,25 @@ def test_parse_complex_errors_carry_line_numbers():
         assert fragment in str(exc.value), text
     # control: the serialized document itself parses
     assert parse_complex(good).same_structure(build_m24(1))
+
+
+@pytest.mark.parametrize("kind, name, change", [
+    ("complex name", "two words", {"name": "two words"}),
+    ("complex name", "", {"name": ""}),
+    ("vertex label", "P 1", {"vertex_labels": ["P 1", "Q1", "R1", "S1"]}),
+    ("face label", "F 1", {"faces": {"F 1": ("P1", "Q1")}}),
+    ("pairing name", "a\tb", {"pairings": [Pairing("a\tb", "A1", "Ab1")]}),
+    ("pairing name", "", {"pairings": [Pairing("", "A1", "Ab1")]}),
+])
+def test_serialize_complex_rejects_inexpressible_names(kind, name, change):
+    # "name two words" would read back as a name line with two values
+    c = build_m24(1)
+    fields = {"vertex_labels": c.vertex_labels, "faces": c.faces,
+              "involution": c.involution, "pairings": c.pairings,
+              "name": c.name, "n": c.n, **change}
+    message = re.escape(f"{kind} {name!r} cannot be written in a document")
+    with pytest.raises(DomainError, match=message):
+        serialize_complex(PairedComplex(**fields))
 
 
 def test_parse_complex_skips_blank_and_comment_lines():

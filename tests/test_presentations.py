@@ -7,6 +7,7 @@ import pytest
 
 from pairglue import (
     PairedComplex,
+    Pairing,
     Presentation,
     Word,
     auto_simplify,
@@ -181,10 +182,25 @@ def test_cw_greedy_tree_on_documents_without_metadata():
 
 def test_cw_edge_name_metadata_must_match_the_classes():
     c = build_m24(2)
-    for edge_names in (c.edge_names[:-1], c.edge_names + c.edge_names[:1]):
+    for edge_names in (c.edge_names[:-1], c.edge_names + c.edge_names[:1],
+                       c.edge_names[:-1] + c.edge_names[:1]):
         with pytest.raises(DomainError, match="edge naming metadata does not "
                            "match the edge classes"):
             presentation_from_cw(with_metadata(c, edge_names, ()))
+
+
+def test_cw_preferred_tree_too_small_to_span():
+    # two triangles glued vertex to vertex keep p, q and r apart, so the
+    # glued 1-skeleton is a triangle and a tree needs two of its edges
+    faces = {"F": ("p", "q", "r"), "G": ("p", "q", "r")}
+    involution = [(("F", k), ("G", k), True) for k in range(3)]
+    c = PairedComplex(["p", "q", "r"], faces, involution,
+                      [Pairing("f", "F", "G", 0, 1)])
+    assert len(vertex_orbits(c)) == 3
+    spanned = presentation_from_cw(c, tree_strategy=("e1", "e2"))
+    assert len(spanned.relators) == 3
+    with pytest.raises(DomainError, match="do not span"):
+        presentation_from_cw(c, tree_strategy=("e1",))
 
 
 def test_cw_preferred_tree_with_an_unknown_name():
@@ -337,6 +353,12 @@ def test_preset_h25_even_relators():
         preset_presentation("H25", 3)
     with pytest.raises(DomainError):
         preset_presentation("NOPE", 2)
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"])
+def test_preset_rejects_a_bad_parameter(n):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        preset_presentation("G25", n)
 
 
 def test_dual24_matches_cw_route():

@@ -1,5 +1,7 @@
 """Rotational symmetries, quotient complexes, branching reports."""
 
+import copy
+import pickle
 import random
 from math import gcd, lcm
 
@@ -126,6 +128,26 @@ def test_verify_declared_order_mismatch():
     assert not check
     assert check.order == 6
     assert "declared order 3" in check.reason
+
+
+def test_automorphisms_are_immutable():
+    # a changed order would otherwise reach quotient_complex unchecked
+    auto = rotation("m24", 4)
+    for field in ComplexAutomorphism.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(auto, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(auto, field)
+    assert quotient_complex(auto.domain, auto).name == "m24/Z4"
+    # copies are rebuilt through the constructor
+    for twin in (copy.copy(auto), copy.deepcopy(auto),
+                 pickle.loads(pickle.dumps(auto))):
+        assert type(twin) is ComplexAutomorphism
+        for field in ComplexAutomorphism.__slots__[1:]:
+            assert getattr(twin, field) == getattr(auto, field), field
+        assert twin.domain.same_structure(auto.domain)
+        assert quotient_complex(twin.domain, twin).same_structure(
+            quotient_complex(auto.domain, auto))
 
 
 def test_identity_rotation_has_order_one():
