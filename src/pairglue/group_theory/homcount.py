@@ -2,20 +2,29 @@
 
 A finite group is passed around as a plain multiplication table: a square
 tuple of tuples of element indices with the identity at index 0, so
-``table[i][j]`` is the product of elements ``i`` and ``j``.  The counter
-works on the presentation's :func:`auto_simplify` result, which the
-presentation computes once and keeps, so counting one presentation into many
-tables simplifies it once.  Each relator is compiled to runs ``(generator,
-exponent)``, and the search precomputes, per run, the power of every
-candidate image.  It enumerates generator images depth first and evaluates a
-relator with one table lookup per run as soon as all its generators have
-images, rejecting the branch when the value is not the identity.  Images
-are enumerated only up to the full automorphism group of the target,
-computed from its table by trying generator images of matching orders:
-each depth tries one image per orbit of the automorphisms that fix the
-images already chosen, weighted by the orbit's size.
+``table[i][j]`` is the product of elements ``i`` and ``j``.  A count has
+three parts, each prepared as rarely as it can be:
+
+* per target, once per process: the table is validated, and its power
+  cycles, its full automorphism group (computed from the table by trying
+  generator images of matching orders) and a stabiliser chain, filled on
+  demand, are kept for the 64 most recently used distinct tables;
+* per presentation, once: the counter works on the presentation's
+  :func:`auto_simplify` result, which the presentation computes once and
+  keeps, and that result keeps its relators compiled to runs ``(generator,
+  exponent)``, each relator checked at the depth of its last generator;
+* per count: the power of every candidate image for every run, and the
+  search.
+
+The search enumerates generator images depth first and evaluates a relator
+with one table lookup per run as soon as all its generators have images,
+rejecting the branch when the value is not the identity.  Images are
+enumerated only up to the automorphism group of the target: each depth
+tries one image per orbit of the automorphisms that fix the images already
+chosen, weighted by the orbit's size.
 """
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from ..errors import CapacityError, DomainError
@@ -138,25 +147,103 @@ def _automorphisms(table, cycles):
     return sorted(maps)
 
 
-def _orbit_representatives(maps, order):
-    """``(least element, orbit size)`` for each orbit of the permutation
-    group ``maps`` on ``range(order)``."""
-    representatives = []
-    seen = set()
-    for x in range(order):
-        if x not in seen:
-            orbit = {m[x] for m in maps}
-            seen |= orbit
-            representatives.append((x, len(orbit)))
-    return representatives
+class _Target:
+    """A validated target group with the data every count into it reads.
+
+    Built once per distinct table by :func:`_target`: the table (a tuple of
+    tuples) and its order, :func:`_power_cycles`, Aut(T) from
+    :func:`_automorphisms`, and a stabiliser chain filled on demand.  The
+    chain maps a set of fixed images to ``[(orbit representative, orbit
+    size, next key)]``, one entry per orbit of the automorphisms fixing the
+    set pointwise.  A key is always closed, the set of every element that
+    its stabiliser fixes, so equal stabilisers share one entry; the next key
+    of an entry belongs to the stabiliser of the set and the representative.
+    """
+
+    __slots__ = ("table", "order", "cycles", "automorphisms", "root", "chain")
+
+    def __init__(self, table):
+        validate_table(table)
+        self.table = table
+        self.order = len(table)
+        self.cycles = _power_cycles(table)
+        self.automorphisms = _automorphisms(table, self.cycles)
+        self.root = self._fixed(self.automorphisms)
+        self.chain = {}
+
+    def _fixed(self, maps):
+        return frozenset(x for x in range(self.order)
+                         if all(m[x] == x for m in maps))
+
+    def orbits(self, fixed):
+        """The chain entry of the closed set ``fixed``, computed on first use."""
+        entries = self.chain.get(fixed)
+        if entries is None:
+            maps = [m for m in self.automorphisms
+                    if all(m[x] == x for x in fixed)]
+            entries = []
+            seen = set()
+            for x in range(self.order):
+                if x not in seen:
+                    orbit = {m[x] for m in maps}
+                    seen |= orbit
+                    entries.append((x, len(orbit), self._fixed(
+                        [m for m in maps if m[x] == x])))
+            self.chain[fixed] = entries
+        return entries
+
+
+@lru_cache(maxsize=64)
+def _target(table):
+    """The :class:`_Target` of a tuple-of-tuples table, kept per process.
+
+    At most 64 tables are kept, least recently used first out; a table
+    that fails validation raises and is never kept.
+    """
+    return _Target(table)
+
+
+def _compile(presentation):
+    """The relators of a presentation, compiled for the search.
+
+    Returns ``(runs, slots_by_depth, checks_by_depth)``.  Every distinct
+    run ``(generator index, exponent)`` gets an integer slot, its position
+    in ``runs``, which holds the image's power under the current
+    assignment.  ``slots_by_depth[d]`` lists the slots of generator d, and
+    ``checks_by_depth[d]`` the relators, as tuples of slots, whose last
+    generator is d, shortest first, since a short relator rejects a branch
+    sooner.  Relators that cancel hold vacuously and are dropped.
+    """
+    index_of = {g: i for i, g in enumerate(presentation.generators)}
+    slot_of = {}
+    slots_by_depth = [[] for _ in presentation.generators]
+    checks_by_depth = [[] for _ in presentation.generators]
+    for relator in presentation.relators:
+        runs = _runs(relator, index_of)
+        if not runs:
+            continue
+        for run in runs:
+            if run not in slot_of:
+                slots_by_depth[run[0]].append(len(slot_of))
+                slot_of[run] = len(slot_of)
+        depth = max(gen_index for gen_index, _ in runs)
+        checks_by_depth[depth].append(tuple(slot_of[run] for run in runs))
+    for checks in checks_by_depth:
+        checks.sort(key=len)
+    return (tuple(slot_of), tuple(map(tuple, slots_by_depth)),
+            tuple(map(tuple, checks_by_depth)))
 
 
 def count_homomorphisms(presentation, table):
     """Number of homomorphisms from the presented group into the table group.
 
     The count runs on ``auto_simplify(presentation)``, which the presentation
-    computes on first use and keeps; if more than six generators survive, a
-    CapacityError is raised rather than attempting a hopeless search.
+    computes on first use and keeps, as it keeps the compiled relators of
+    :func:`_compile`; if more than six generators survive, a CapacityError
+    is raised rather than attempting a hopeless search.  The table, any
+    square array of element indices, is validated and prepared once per
+    distinct value (:func:`_target`), so a table changed between calls is
+    validated again.
 
     The search chooses each generator's image only up to the group A of
     all automorphisms of the target (:func:`_automorphisms`).  This is
@@ -167,9 +254,9 @@ def count_homomorphisms(presentation, table):
     of homomorphisms extending a partial assignment, and every check along
     the way, is the same for all images in one orbit of the stabiliser of
     that assignment.  Each depth therefore tries one image per orbit,
-    weights its count by the orbit's size and recurses with the maps that
-    fix that image; once only the identity map is left it tries every
-    element with weight 1.
+    weights its count by the orbit's size and recurses with the stabiliser
+    of that image too, read from the target's stabiliser chain; once only
+    the identity map is left every element is its own orbit, of weight 1.
 
     >>> from .presentations import Presentation
     >>> from .words import Word
@@ -177,53 +264,37 @@ def count_homomorphisms(presentation, table):
     >>> count_homomorphisms(Presentation(["a"], [Word.parse("a a a")]), z3)
     3
     """
-    validate_table(table)
+    rows = tuple(map(tuple, table))
+    if not all({int}.issuperset(map(type, row)) for row in rows):
+        # a float or string equal to an index must not match a kept table
+        validate_table(rows)
+    target = _target(rows)
     reduced = auto_simplify(presentation)
     generators = reduced.generators
     if len(generators) > MAX_SEARCH_GENERATORS:
         raise CapacityError(
             f"{len(generators)} generators remain after reduction; "
             f"the search handles at most {MAX_SEARCH_GENERATORS}")
+    compiled = reduced._compiled
+    if compiled is None:
+        compiled = _compile(reduced)
+        object.__setattr__(reduced, "_compiled", compiled)
+    runs, slots_by_depth, checks_by_depth = compiled
 
-    order = len(table)
-    cycles = _power_cycles(table)
-    index_of = {g: i for i, g in enumerate(generators)}
+    # ``powers[slot][x]`` is the power of image x that the slot's run takes
+    table = target.table
+    powers = [tuple(cycle[exponent % len(cycle)] for cycle in target.cycles)
+              for _, exponent in runs]
+    current = [0] * len(runs)
+    orbits = target.orbits
 
-    # Every distinct (generator, exponent) run gets an integer slot holding
-    # the image's power under the current assignment; ``powers[slot][x]`` is
-    # that power for image x.  A relator, as a tuple of slots, is checked at
-    # the depth of its last generator.  Relators that cancel hold vacuously.
-    slot_of = {}
-    powers = []
-    slots_by_depth = [[] for _ in generators]
-    checks_by_depth = [[] for _ in generators]
-    for relator in reduced.relators:
-        runs = _runs(relator, index_of)
-        if not runs:
-            continue
-        for run in runs:
-            if run not in slot_of:
-                gen_index, exponent = run
-                slot_of[run] = len(powers)
-                slots_by_depth[gen_index].append(len(powers))
-                powers.append(tuple(cycle[exponent % len(cycle)]
-                                    for cycle in cycles))
-        depth = max(gen_index for gen_index, _ in runs)
-        checks_by_depth[depth].append(tuple(slot_of[run] for run in runs))
-    for checks in checks_by_depth:
-        checks.sort(key=len)  # short relators reject a branch sooner
-
-    current = [0] * len(powers)
-    plain = [(candidate, 1) for candidate in range(order)]  # identity only
-
-    def search(depth, maps):
+    def search(depth, fixed):
         if depth == len(generators):
             return 1
         slots = slots_by_depth[depth]
         checks = checks_by_depth[depth]
         total = 0
-        for candidate, weight in (plain if len(maps) == 1 else
-                                  _orbit_representatives(maps, order)):
+        for candidate, weight, stabilised in orbits(fixed):
             for slot in slots:
                 current[slot] = powers[slot][candidate]
             for relator in checks:
@@ -233,11 +304,10 @@ def count_homomorphisms(presentation, table):
                 if value:
                     break
             else:
-                total += weight * search(depth + 1, [
-                    m for m in maps if m[candidate] == candidate])
+                total += weight * search(depth + 1, stabilised)
         return total
 
-    return search(0, _automorphisms(table, cycles))
+    return search(0, target.root)
 
 
 def _cyclic(m):

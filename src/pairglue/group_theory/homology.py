@@ -8,13 +8,28 @@ from ..errors import DomainError
 from .words import Word  # noqa: F401  (re-exported for convenience in doctests)
 
 
+def _integers(values, what):
+    """``values`` as a tuple of ints; DomainError for any value that is not
+    an int (a float, string or Fraction is refused, never truncated)."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            if not isinstance(x, int):
+                raise DomainError(f"{what} {x!r} is not an integer")
+        values = tuple(map(int, values))
+    return values
+
+
 class IntegerMatrix:
-    """An immutable rows-of-tuples integer matrix."""
+    """An immutable rows-of-tuples integer matrix.
+
+    Every entry must be an int; anything else raises DomainError.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        normalized = tuple(tuple(int(x) for x in row) for row in rows)
+        normalized = tuple(_integers(row, "matrix entry") for row in rows)
         widths = {len(row) for row in normalized}
         if len(widths) > 1:
             raise DomainError("ragged matrix rows")
@@ -87,7 +102,8 @@ class AbelianGroup:
     ``invariant_factors`` is the ascending divisibility chain (each factor at
     least 2, each dividing the next); ``rank`` the free rank.  The string form
     is the one used by the command line: factors joined by `` + `` and a
-    trailing ``Z^rank`` when the free part is nonzero.
+    trailing ``Z^rank`` when the free part is nonzero.  The rank and the
+    factors must be ints; anything else raises DomainError.
 
     >>> str(AbelianGroup(0, (3, 9, 18)))
     'Z3 + Z9 + Z18'
@@ -98,7 +114,8 @@ class AbelianGroup:
     __slots__ = ("rank", "invariant_factors")
 
     def __init__(self, rank, invariant_factors=()):
-        factors = tuple(int(d) for d in invariant_factors)
+        (rank,) = _integers((rank,), "free rank")
+        factors = _integers(invariant_factors, "invariant factor")
         if rank < 0:
             raise DomainError("negative free rank")
         for d in factors:
@@ -107,7 +124,7 @@ class AbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise DomainError(f"invariant factors {a}, {b} break divisibility")
-        self.rank = int(rank)
+        self.rank = rank
         self.invariant_factors = factors
 
     def order(self):

@@ -27,10 +27,11 @@ class Presentation(_Immutable):
     Presentations are immutable: assigning to an attribute raises
     AttributeError.  The result of :func:`auto_simplify` is computed on first
     use and kept on the instance, so a presentation is simplified once however
-    many times it is counted or reduced.
+    many times it is counted or reduced; the simplified presentation keeps its
+    relators as compiled by the homomorphism counter the same way.
     """
 
-    __slots__ = ("generators", "relators", "_simplified")
+    __slots__ = ("generators", "relators", "_simplified", "_compiled")
 
     def __init__(self, generators, relators):
         generators = tuple(str(g) for g in generators)
@@ -49,6 +50,7 @@ class Presentation(_Immutable):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "_simplified", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __reduce__(self):
         return (Presentation, (self.generators, self.relators))

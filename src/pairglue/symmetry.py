@@ -16,6 +16,7 @@ automorphism never produces one, but the quotient refuses to guess.
 
 from collections import namedtuple
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .complex_core import (
     PairedComplex,
@@ -37,7 +38,8 @@ class ComplexAutomorphism(_Immutable):
     Instances come from :func:`rotation` and carry the full derived data:
     the face map with its per-face rotation offsets, the induced slot map,
     the induced permutation of pairing names, and the element's order.  They
-    are immutable: assigning to an attribute raises AttributeError.
+    are immutable: assigning to an attribute raises AttributeError, and the
+    five maps are read-only copies of the ones given (``MappingProxyType``).
     :func:`verify_automorphism` checks a claimed symmetry and returns an
     :class:`AutomorphismCheck`; :func:`quotient_complex` trusts an instance
     whose ``domain`` is the very complex it is given, a hand-built one too.
@@ -49,16 +51,20 @@ class ComplexAutomorphism(_Immutable):
     def __init__(self, domain, vertex_map, face_map, face_rotation,
                  slot_map, pairing_map, order):
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "face_map", face_map)
-        object.__setattr__(self, "face_rotation", face_rotation)
-        object.__setattr__(self, "slot_map", slot_map)
-        object.__setattr__(self, "pairing_map", pairing_map)
+        object.__setattr__(self, "vertex_map", MappingProxyType(dict(vertex_map)))
+        object.__setattr__(self, "face_map", MappingProxyType(dict(face_map)))
+        object.__setattr__(self, "face_rotation",
+                           MappingProxyType(dict(face_rotation)))
+        object.__setattr__(self, "slot_map", MappingProxyType(dict(slot_map)))
+        object.__setattr__(self, "pairing_map",
+                           MappingProxyType(dict(pairing_map)))
         object.__setattr__(self, "order", order)
 
     def __reduce__(self):
         return (ComplexAutomorphism,
-                tuple(getattr(self, name) for name in self.__slots__))
+                (self.domain, dict(self.vertex_map), dict(self.face_map),
+                 dict(self.face_rotation), dict(self.slot_map),
+                 dict(self.pairing_map), self.order))
 
     def __repr__(self):
         return (f"<ComplexAutomorphism of {self.domain.name!r} "
@@ -166,7 +172,7 @@ def _extend_vertex_map(complex_, vertex_map):
 
     order = lcm(*(len(cycle) for mapping in (vertex_map, slot_map)
                   for cycle in _cycles(mapping, mapping)))
-    return ComplexAutomorphism(c, dict(vertex_map), face_map, face_rotation,
+    return ComplexAutomorphism(c, vertex_map, face_map, face_rotation,
                                slot_map, pairing_map, order)
 
 

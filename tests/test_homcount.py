@@ -242,6 +242,92 @@ def test_capacity_error_on_wide_free_group():
         count_homomorphisms(wide, z_table(2))
 
 
+# ------------------------------------------- targets and presentations kept
+
+def test_list_of_lists_tables_are_counted():
+    triple = Presentation(["c"], [Word.parse("c c c")])
+    for name, table in small_groups().items():
+        rows = [list(row) for row in table]
+        assert count_homomorphisms(triple, rows) == \
+            count_homomorphisms(triple, table), name
+
+
+def test_mutated_table_is_validated_again():
+    triple = Presentation(["c"], [Word.parse("c c c")])
+    rows = [list(row) for row in z_table(3)]
+    assert count_homomorphisms(triple, rows) == 3
+    rows[0][1] = 2  # element 0 is no longer an identity
+    with pytest.raises(DomainError, match="identity"):
+        count_homomorphisms(triple, rows)
+    rows[0][1] = 1
+    assert count_homomorphisms(triple, rows) == 3
+
+
+def test_malformed_table_raises_on_every_call():
+    triple = Presentation(["c"], [Word.parse("c c c")])
+    broken = ((0, 1, 2), (1, 2, 0), (2, 0, 3))  # 3 is no element
+    for _ in range(3):
+        with pytest.raises(DomainError, match="element index"):
+            count_homomorphisms(triple, broken)
+
+
+def test_table_of_floats_is_refused_after_its_int_twin():
+    # 1.0 == 1 and hash(1.0) == hash(1): an equal table of floats must
+    # not be answered from the int table's prepared target
+    triple = Presentation(["c"], [Word.parse("c c c")])
+    assert count_homomorphisms(triple, z_table(3)) == 3
+    for entry in (float, str):
+        twin = tuple(tuple(entry(x) for x in row) for row in z_table(3))
+        with pytest.raises(DomainError):
+            count_homomorphisms(triple, twin)
+
+
+def test_targets_and_presentations_are_prepared_once(monkeypatch):
+    from pairglue.group_theory import homcount
+
+    calls = {"validate_table": [], "_automorphisms": [], "_compile": [],
+             "_runs": 0}
+
+    def counted(name):
+        original = getattr(homcount, name)
+
+        def wrapper(first, *rest):
+            calls[name].append(first)
+            return original(first, *rest)
+
+        monkeypatch.setattr(homcount, name, wrapper)
+
+    runs = homcount._runs
+
+    def counted_runs(relator, index_of):
+        calls["_runs"] += 1
+        return runs(relator, index_of)
+
+    catalog = small_groups()
+    for name in ("validate_table", "_automorphisms", "_compile"):
+        counted(name)
+    monkeypatch.setattr(homcount, "_runs", counted_runs)
+    homcount._target.cache_clear()
+    # fresh presentations, so no simplification or compilation is kept yet
+    presentations = [
+        Presentation(p.generators, p.relators) for p in (
+            presentation_from_pairings(build_m24(6)),
+            reduced_family_presentation("m24", 6),
+            presentation_from_pairings(build_m25(8)),
+            reduced_family_presentation("m25", 8))]
+    for presentation in presentations:
+        counts = {name: count_homomorphisms(presentation, table)
+                  for name, table in catalog.items()}
+        assert counts == GOLDEN_COUNTS[
+            ("m24", 6) if presentation in presentations[:2] else ("m25", 8)]
+    tables = list(catalog.values())
+    assert calls["validate_table"] == tables
+    assert calls["_automorphisms"] == tables
+    assert calls["_compile"] == [auto_simplify(p) for p in presentations]
+    assert calls["_runs"] == sum(len(auto_simplify(p).relators)
+                                 for p in presentations)
+
+
 # -------------------------------------------------- abelian target oracle
 
 ABELIAN_TARGETS = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7",

@@ -59,6 +59,22 @@ def test_matrix_construction_and_accessors():
         IntegerMatrix([[1, 2], [3]])
 
 
+def test_non_integer_entries_are_refused_not_truncated():
+    from fractions import Fraction
+
+    for bad in (2.7, 3.0, "3", Fraction(3), Fraction(7, 2)):
+        with pytest.raises(DomainError, match="not an integer"):
+            IntegerMatrix([[bad, 0], [0, 3]])
+        with pytest.raises(DomainError, match="not an integer"):
+            AbelianGroup(0, (3, bad))
+        with pytest.raises(DomainError, match="not an integer"):
+            AbelianGroup(bad, ())
+    # bools are ints; they are stored as plain ints
+    assert IntegerMatrix([[True, 0], [0, 3]]).rows == ((1, 0), (0, 3))
+    assert type(IntegerMatrix([[True]]).rows[0][0]) is int
+    assert AbelianGroup(True, (3,)) == AbelianGroup(1, (3,))
+
+
 def test_matrix_multiplication_and_identity():
     m = IntegerMatrix([[1, 2], [3, 4]])
     assert m * IntegerMatrix.identity(2) == m

@@ -150,6 +150,30 @@ def test_automorphisms_are_immutable():
             quotient_complex(auto.domain, auto))
 
 
+def test_automorphism_maps_are_read_only():
+    auto = rotation("m24", 4)
+    for field in ("vertex_map", "face_map", "face_rotation", "slot_map",
+                  "pairing_map"):
+        mapping = getattr(auto, field)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    # the maps are copies: changing the dicts given does not reach them
+    given = dict(auto.vertex_map)
+    twin = ComplexAutomorphism(auto.domain, given, auto.face_map,
+                               auto.face_rotation, auto.slot_map,
+                               auto.pairing_map, auto.order)
+    given["P1"], given["P2"] = given["P2"], given["P1"]
+    assert twin.vertex_map == auto.vertex_map
+    assert quotient_complex(twin.domain, twin).name == "m24/Z4"
+    copied = pickle.loads(pickle.dumps(auto))
+    for field in ComplexAutomorphism.__slots__[1:]:
+        assert getattr(copied, field) == getattr(auto, field), field
+    assert pickle.loads(pickle.dumps(copied)).vertex_map == auto.vertex_map
+
+
 def test_identity_rotation_has_order_one():
     assert rotation("m24", 1).order == 1
     assert rotation("m25", 1).order == 1
