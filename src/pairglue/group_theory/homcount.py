@@ -150,10 +150,11 @@ def _automorphisms(table, cycles):
 class _Target:
     """A validated target group with the data every count into it reads.
 
-    Built once per distinct table by :func:`_target`: the table (a tuple of
-    tuples) and its order, :func:`_power_cycles`, Aut(T) from
-    :func:`_automorphisms`, and a stabiliser chain filled on demand.  The
-    chain maps a set of fixed images to ``[(orbit representative, orbit
+    Built once per distinct table by ``_target``, which keeps the 64 most
+    recently used; a table that fails validation raises and is never kept.
+    It holds the table (a tuple of tuples) and its order,
+    :func:`_power_cycles`, Aut(T) from :func:`_automorphisms`, and a
+    stabiliser chain filled on demand.  The chain maps a set of fixed images to ``[(orbit representative, orbit
     size, next key)]``, one entry per orbit of the automorphisms fixing the
     set pointwise.  A key is always closed, the set of every element that
     its stabiliser fixes, so equal stabilisers share one entry; the next key
@@ -193,14 +194,7 @@ class _Target:
         return entries
 
 
-@lru_cache(maxsize=64)
-def _target(table):
-    """The :class:`_Target` of a tuple-of-tuples table, kept per process.
-
-    At most 64 tables are kept, least recently used first out; a table
-    that fails validation raises and is never kept.
-    """
-    return _Target(table)
+_target = lru_cache(maxsize=64)(_Target)
 
 
 def _compile(presentation):
@@ -242,7 +236,7 @@ def count_homomorphisms(presentation, table):
     :func:`_compile`; if more than six generators survive, a CapacityError
     is raised rather than attempting a hopeless search.  The table, any
     square array of element indices, is validated and prepared once per
-    distinct value (:func:`_target`), so a table changed between calls is
+    distinct value (``_target``), so a table changed between calls is
     validated again.
 
     The search chooses each generator's image only up to the group A of
