@@ -359,9 +359,15 @@ def _dicyclic(m):
 def small_groups():
     """All groups of order at most twelve, keyed by conventional name.
 
-    Every table is validated before being returned, so a typo in a
-    construction fails loudly here rather than corrupting a count.
+    The tables are built and validated once per process, on the first call,
+    so a typo in a construction fails loudly here rather than corrupting a
+    count.  Each call returns a new dict of the same immutable tables.
     """
+    return dict(_small_group_tables())
+
+
+@lru_cache(maxsize=None)
+def _small_group_tables():
     catalog = {
         "Z1": _cyclic(1),
         "Z2": _cyclic(2),

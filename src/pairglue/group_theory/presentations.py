@@ -109,7 +109,7 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
 
     ``tree_strategy`` is ``"auto"`` (use the complex's preferred tree when it
     carries one, else grow a greedy tree) or an explicit iterable of generator
-    names to use as the spanning tree.
+    names to use as the spanning tree; any other string raises DomainError.
 
     Generator naming follows the complex's ``edge_names`` metadata, which
     must name every edge class exactly once or raise DomainError (the family
@@ -157,6 +157,10 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
 
     if tree_strategy == "auto":
         preferred = complex_.preferred_tree
+    elif isinstance(tree_strategy, str):
+        raise DomainError(
+            "tree_strategy must be 'auto' or an iterable of generator names, "
+            f"got {tree_strategy!r}")
     else:
         preferred = tuple(tree_strategy)
         missing = [g for g in preferred if g not in generators]

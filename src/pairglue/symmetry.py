@@ -15,6 +15,7 @@ automorphism never produces one, but the quotient refuses to guess.
 """
 
 from collections import namedtuple
+from itertools import accumulate
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -30,45 +31,6 @@ from .complex_core import (
 )
 from .errors import DomainError, StructureError, UnsupportedQuotientError
 from .families import _check_n, _idx, build_family
-
-
-class ComplexAutomorphism(_Immutable):
-    """A structure-preserving symmetry of a paired complex.
-
-    Instances come from :func:`rotation` and carry the full derived data:
-    the face map with its per-face rotation offsets, the induced slot map,
-    the induced permutation of pairing names, and the element's order.  They
-    are immutable: assigning to an attribute raises AttributeError, and the
-    five maps are read-only copies of the ones given (``MappingProxyType``).
-    :func:`verify_automorphism` checks a claimed symmetry and returns an
-    :class:`AutomorphismCheck`; :func:`quotient_complex` trusts an instance
-    whose ``domain`` is the very complex it is given, a hand-built one too.
-    """
-
-    __slots__ = ("domain", "vertex_map", "face_map", "face_rotation",
-                 "slot_map", "pairing_map", "order")
-
-    def __init__(self, domain, vertex_map, face_map, face_rotation,
-                 slot_map, pairing_map, order):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "vertex_map", MappingProxyType(dict(vertex_map)))
-        object.__setattr__(self, "face_map", MappingProxyType(dict(face_map)))
-        object.__setattr__(self, "face_rotation",
-                           MappingProxyType(dict(face_rotation)))
-        object.__setattr__(self, "slot_map", MappingProxyType(dict(slot_map)))
-        object.__setattr__(self, "pairing_map",
-                           MappingProxyType(dict(pairing_map)))
-        object.__setattr__(self, "order", order)
-
-    def __reduce__(self):
-        return (ComplexAutomorphism,
-                (self.domain, dict(self.vertex_map), dict(self.face_map),
-                 dict(self.face_rotation), dict(self.slot_map),
-                 dict(self.pairing_map), self.order))
-
-    def __repr__(self):
-        return (f"<ComplexAutomorphism of {self.domain.name!r} "
-                f"order {self.order}>")
 
 
 def _cycles(mapping, starts):
@@ -121,59 +83,106 @@ def _forced_placements(c, candidates, pairing_lookup, face, placement):
     return assignment
 
 
-def _extend_vertex_map(complex_, vertex_map):
-    """Extend a vertex permutation to a full automorphism, or fail loudly.
+class ComplexAutomorphism(_Immutable):
+    """A verified symmetry of a paired complex, made from its vertex map.
 
-    The vertex map must be a bijection on the vertex labels.  A face's
-    candidate placements ``(g, r)``, from an index of every rotation of every
-    face cycle, are the faces ``g`` whose cycle read from slot ``r`` is the
-    image of its own.  The first candidate of the natural-least face whose
-    forced placements (see :func:`_forced_placements`) survive gives the
-    automorphism; raises StructureError if none does.
+    ``ComplexAutomorphism(domain, vertex_map)`` extends a permutation of the
+    vertex labels of a valid complex to the whole structure, or raises
+    StructureError, so an instance is an automorphism by construction.  A
+    face's candidate placements ``(g, r)``, from an index of every rotation
+    of every face cycle, are the faces ``g`` whose cycle read from slot ``r``
+    is the image of its own; the first candidate of the natural-least face
+    whose forced placements (see :func:`_forced_placements`) survive gives
+    the automorphism.
+
+    Everything else is derived from the vertex map: the face map with its
+    per-face rotation offsets, the induced slot map, the induced permutation
+    of pairing names, the element's order, and the face transport of the
+    cyclic group it spans (each face's orbit representative, the natural-
+    least member; the slot rotation carrying the representative onto the
+    face; and the representative's folded length), which :meth:`project`
+    reads.  Instances are immutable, their maps are read-only
+    (``MappingProxyType``), and copies and pickles are rebuilt, and so
+    checked again, from ``(domain, vertex_map)``.
     """
-    c = complex_
-    _require_valid(c)
-    labels = set(c.vertex_labels)
-    if set(vertex_map) != labels or set(vertex_map.values()) != labels:
-        raise StructureError(
-            ["vertex map is not a permutation of the vertex labels"])
 
-    placements = {}
-    for g in c.face_order:
-        cycle = c.faces[g]
-        for r in range(len(cycle)):
-            placements.setdefault(cycle[r:] + cycle[:r], []).append((g, r))
-    candidates = {}
-    for face in c.face_order:
-        options = placements.get(tuple(vertex_map[v] for v in c.faces[face]))
-        if options is None:
+    __slots__ = ("domain", "vertex_map", "face_map", "face_rotation",
+                 "slot_map", "pairing_map", "order", "face_transport")
+
+    def __init__(self, domain, vertex_map):
+        c = domain
+        _require_valid(c)
+        vertex_map = dict(vertex_map)
+        labels = set(c.vertex_labels)
+        if set(vertex_map) != labels or set(vertex_map.values()) != labels:
             raise StructureError(
-                [f"no face matches the image of face {face} under the vertex map"])
-        candidates[face] = options
+                ["vertex map is not a permutation of the vertex labels"])
 
-    pairing_lookup = {(p.source, p.target): p for p in c.pairings}
-    for placement in candidates[c.face_order[0]]:
-        assignment = _forced_placements(c, candidates, pairing_lookup,
-                                        c.face_order[0], placement)
-        if assignment is not None:
-            break
-    else:
-        raise StructureError(
-            ["vertex map does not extend to an automorphism of the paired complex"])
+        placements = {}
+        for g in c.face_order:
+            cycle = c.faces[g]
+            for r in range(len(cycle)):
+                placements.setdefault(cycle[r:] + cycle[:r], []).append((g, r))
+        candidates = {}
+        for face in c.face_order:
+            options = placements.get(tuple(vertex_map[v] for v in c.faces[face]))
+            if options is None:
+                raise StructureError(
+                    [f"no face matches the image of face {face} under the vertex map"])
+            candidates[face] = options
 
-    face_map = {f: assignment[f][0] for f in c.face_order}
-    face_rotation = {f: assignment[f][1] for f in c.face_order}
-    slot_map = {(f, k): (face_map[f],
-                         (k + face_rotation[f]) % len(c.faces[f]))
-                for f in c.face_order for k in range(len(c.faces[f]))}
-    pairing_map = {p.name: pairing_lookup[(face_map[p.source],
-                                           face_map[p.target])].name
-                   for p in c.pairings}
+        pairing_lookup = {(p.source, p.target): p for p in c.pairings}
+        for placement in candidates[c.face_order[0]]:
+            assignment = _forced_placements(c, candidates, pairing_lookup,
+                                            c.face_order[0], placement)
+            if assignment is not None:
+                break
+        else:
+            raise StructureError(
+                ["vertex map does not extend to an automorphism of the paired complex"])
 
-    order = lcm(*(len(cycle) for mapping in (vertex_map, slot_map)
-                  for cycle in _cycles(mapping, mapping)))
-    return ComplexAutomorphism(c, vertex_map, face_map, face_rotation,
-                               slot_map, pairing_map, order)
+        face_map = {f: assignment[f][0] for f in c.face_order}
+        face_rotation = {f: assignment[f][1] for f in c.face_order}
+        slot_map = {(f, k): (face_map[f],
+                             (k + face_rotation[f]) % len(c.faces[f]))
+                    for f in c.face_order for k in range(len(c.faces[f]))}
+        pairing_map = {p.name: pairing_lookup[(face_map[p.source],
+                                               face_map[p.target])].name
+                       for p in c.pairings}
+        face_transport = {}
+        for cycle in _cycles(face_map, c.face_order):
+            rots = list(accumulate((face_rotation[f] for f in cycle), initial=0))
+            length = len(c.faces[cycle[0]])
+            # the last sum is the rotation the orbit-stabilizing power
+            # induces on the representative
+            folded = gcd(length, rots.pop() % length)
+            face_transport.update((face, (cycle[0], rot, folded))
+                                  for face, rot in zip(cycle, rots))
+
+        object.__setattr__(self, "domain", c)
+        object.__setattr__(self, "vertex_map", MappingProxyType(vertex_map))
+        object.__setattr__(self, "face_map", MappingProxyType(face_map))
+        object.__setattr__(self, "face_rotation", MappingProxyType(face_rotation))
+        object.__setattr__(self, "slot_map", MappingProxyType(slot_map))
+        object.__setattr__(self, "pairing_map", MappingProxyType(pairing_map))
+        object.__setattr__(self, "order", lcm(
+            *(len(cycle) for mapping in (vertex_map, slot_map)
+              for cycle in _cycles(mapping, mapping))))
+        object.__setattr__(self, "face_transport",
+                           MappingProxyType(face_transport))
+
+    def __reduce__(self):
+        return (ComplexAutomorphism, (self.domain, dict(self.vertex_map)))
+
+    def __repr__(self):
+        return (f"<ComplexAutomorphism of {self.domain.name!r} "
+                f"order {self.order}>")
+
+    def project(self, slot):
+        """The slot of the quotient that ``slot`` of the domain descends to."""
+        face, k = slot
+        rep, rot, folded = self.face_transport[face]
+        return (rep, (k - rot) % folded)
 
 
 class AutomorphismCheck(namedtuple("AutomorphismCheck",
@@ -191,35 +200,27 @@ def verify_automorphism(complex_, automorphism):
 
     ``automorphism`` is a ComplexAutomorphism or a bare mapping of vertex
     labels.  Vertex labels outside the complex raise DomainError.  The check
-    fails (valid=False, with a reason) when the map is not a permutation,
-    does not extend to face, involution and pairing structure, or declares
-    an order different from the true one; otherwise valid is True and
-    ``order`` is the element's exact order.
+    fails (valid=False, with a reason) when the map is not a permutation or
+    does not extend to face, involution and pairing structure; otherwise
+    valid is True and ``order`` is the element's exact order.
 
     >>> from .families import build_m24
     >>> verify_automorphism(build_m24(5), rotation("m24", 5))
     AutomorphismCheck(valid=True, order=5, reason='')
     """
-    declared = None
-    if isinstance(automorphism, ComplexAutomorphism):
-        vertex_map = automorphism.vertex_map
-        declared = automorphism.order
-    else:
-        vertex_map = dict(automorphism)
+    vertex_map = (automorphism.vertex_map
+                  if isinstance(automorphism, ComplexAutomorphism)
+                  else dict(automorphism))
     unknown = sorted((set(vertex_map) | set(vertex_map.values()))
                      - set(complex_.vertex_labels), key=natural_key)
     if unknown:
         raise DomainError(
             "vertex map uses labels not in the complex: " + " ".join(unknown))
     try:
-        extended = _extend_vertex_map(complex_, vertex_map)
+        order = ComplexAutomorphism(complex_, vertex_map).order
     except StructureError as exc:
         return AutomorphismCheck(False, None, str(exc))
-    if declared is not None and extended.order != declared:
-        return AutomorphismCheck(
-            False, extended.order,
-            f"declared order {declared} but the true order is {extended.order}")
-    return AutomorphismCheck(True, extended.order, "")
+    return AutomorphismCheck(True, order, "")
 
 
 def rotation(family, n, step=1):
@@ -239,7 +240,7 @@ def rotation(family, n, step=1):
     complex_ = build_family(family, n)
     vertex_map = {f"{letter}{i}": f"{letter}{_idx(i + step, n)}"
                   for letter in "PQRS" for i in range(1, n + 1)}
-    auto = _extend_vertex_map(complex_, vertex_map)
+    auto = ComplexAutomorphism(complex_, vertex_map)
     expected = n // gcd(n, step)
     if auto.order != expected:
         raise StructureError(
@@ -247,59 +248,24 @@ def rotation(family, n, step=1):
     return auto
 
 
-def _face_transport(automorphism):
-    """Per-face transport data for the cyclic group the automorphism generates.
-
-    Returns ``(rep_of, rot_of, folded, project)``: each face's orbit
-    representative (the natural-least member), the slot rotation carrying the
-    representative onto the face, the folded length of each representative,
-    and the slot projection onto the quotient.
-    """
-    auto = automorphism
-    c = auto.domain
-    rep_of = {}
-    rot_of = {}
-    folded = {}
-    for cycle in _cycles(auto.face_map, c.face_order):
-        rep, rot = cycle[0], 0
-        for face in cycle:
-            rep_of[face] = rep
-            rot_of[face] = rot
-            rot += auto.face_rotation[face]
-        length = len(c.faces[rep])
-        # rot is now the rotation the orbit-stabilizing power induces on rep
-        folded[rep] = gcd(length, rot % length)
-
-    def project(slot):
-        face, k = slot
-        rep = rep_of[face]
-        return (rep, (k - rot_of[face]) % folded[rep])
-
-    return rep_of, rot_of, folded, project
-
-
 def quotient_complex(complex_, automorphism):
     """The quotient of a complex by the cyclic group an automorphism spans.
 
-    ``automorphism`` is a ComplexAutomorphism or a bare vertex mapping; it is
-    re-verified against ``complex_`` unless it was derived from that very
-    object.  Cell orbits become single cells, setwise-fixed faces fold to
-    shorter polygons, and pairings descend through the orbit member whose
-    source is the representative face.  Every descent step is checked; a
-    violation raises UnsupportedQuotientError.
+    ``automorphism`` is a ComplexAutomorphism or a bare vertex mapping; an
+    instance built on ``complex_`` itself is used as it is, anything else is
+    verified as ``ComplexAutomorphism(complex_, vertex_map)``.  Cell orbits
+    become single cells, setwise-fixed faces fold to shorter polygons, and
+    pairings descend through the orbit member whose source is the
+    representative face.  Every descent step is checked; a violation raises
+    UnsupportedQuotientError.
     """
     auto = automorphism
     if not (isinstance(auto, ComplexAutomorphism) and auto.domain is complex_):
-        auto = _extend_vertex_map(complex_, dict(
+        auto = ComplexAutomorphism(complex_, (
             auto.vertex_map if isinstance(auto, ComplexAutomorphism) else auto))
-    return _quotient(auto)[0]
-
-
-def _quotient(auto):
-    """``(quotient, project)``: the body of :func:`quotient_complex`, with
-    the slot projection from :func:`_face_transport` for reuse."""
-    c = auto.domain
-    rep_of, rot_of, folded, project = _face_transport(auto)
+    c = complex_
+    transport = auto.face_transport
+    project = auto.project
 
     # each orbit is represented by its natural-least member, so the
     # representatives taken in natural order are the quotient's labels
@@ -307,9 +273,8 @@ def _quotient(auto):
                for v in cycle}
     labels_q = [v for v, rep in vrep_of.items() if v == rep]
 
-    face_reps = [f for f in c.face_order if rep_of[f] == f]
-    faces_q = {rep: tuple(vrep_of[v] for v in c.faces[rep][:folded[rep]])
-               for rep in face_reps}
+    faces_q = {f: tuple(vrep_of[v] for v in c.faces[f][:transport[f][2]])
+               for f in c.face_order if transport[f][0] == f}
 
     involution_q = {}
     for slot in c.all_slots():
@@ -329,25 +294,26 @@ def _quotient(auto):
         orbit = [by_name[name] for name in names]
         p = orbit[0]
         rep_name = min((member.name for member in orbit), key=natural_key)
-        source_rep = rep_of[p.source]
-        target_rep = rep_of[p.target]
+        source_rep, _, length_q = transport[p.source]
+        target_rep, _, target_length = transport[p.target]
         if source_rep == target_rep:
             raise UnsupportedQuotientError(
                 f"pairing {rep_name} would pair face {source_rep} "
                 "with itself in the quotient")
-        length_q = folded[source_rep]
-        if folded[target_rep] != length_q:
+        if target_length != length_q:
             raise UnsupportedQuotientError(
                 f"pairing {rep_name} joins faces that fold to different lengths")
         anchor = next(member for member in orbit if member.source == source_rep)
-        offset_q = ((anchor.offset - rot_of[anchor.target])
+        offset_q = ((anchor.offset - transport[anchor.target][1])
                     % len(c.faces[anchor.target])) % length_q
         for member in orbit:
             length = len(c.faces[member.source])
-            descended = ((member.offset + member.direction * rot_of[member.source]
-                          - rot_of[member.target]) % length) % length_q
-            if (rep_of[member.source] != source_rep
-                    or rep_of[member.target] != target_rep
+            member_source, source_rot, _ = transport[member.source]
+            member_target, target_rot, _ = transport[member.target]
+            descended = ((member.offset + member.direction * source_rot
+                          - target_rot) % length) % length_q
+            if (member_source != source_rep
+                    or member_target != target_rep
                     or member.direction != anchor.direction
                     or descended != offset_q):
                 raise UnsupportedQuotientError(
@@ -361,7 +327,7 @@ def _quotient(auto):
     if problems:
         raise UnsupportedQuotientError(
             "quotient is not a valid paired complex: " + "; ".join(problems))
-    return quotient, project
+    return quotient
 
 
 SingularComponent = namedtuple(
@@ -406,7 +372,7 @@ def singularity_report(family, n, step=1):
     """
     auto = rotation(family, n, step)
     upstairs = auto.domain
-    quotient, project = _quotient(auto)
+    quotient = quotient_complex(upstairs, auto)
     if not quotient.same_structure(build_family(family, step)):
         raise UnsupportedQuotientError(
             f"quotient of {family}({n}) by the step {step} rotation is not "
@@ -416,7 +382,8 @@ def singularity_report(family, n, step=1):
 
     over = {}
     for orbit in up_orbits:
-        over.setdefault(down_index[project(orbit.representative)], []).append(orbit)
+        over.setdefault(down_index[auto.project(orbit.representative)],
+                        []).append(orbit)
 
     components = []
     for i, down_orbit in enumerate(down_orbits):

@@ -152,6 +152,24 @@ def test_small_groups_catalog():
                for i in range(6) for j in range(6))
 
 
+def test_small_groups_are_validated_once(monkeypatch):
+    from pairglue.group_theory import homcount
+    validated = []
+
+    def counted(table):
+        validated.append(table)
+        return validate_table(table)
+
+    monkeypatch.setattr(homcount, "validate_table", counted)
+    homcount._small_group_tables.cache_clear()
+    first, second = small_groups(), small_groups()
+    assert len(validated) == 24
+    assert first == second and first is not second
+    # a caller that mutates its dict does not change later results
+    first["Z1"] = first.pop("Z2")
+    assert small_groups() == second
+
+
 def test_dicyclic_groups():
     # Dic_m = <a, x | a^(2m), x^2 = a^m, x a x^-1 = a^-1>, order 4m, with a
     # single element of order 2; Q8 is Dic_2

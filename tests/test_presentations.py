@@ -160,6 +160,16 @@ def test_cw_tree_errors():
         presentation_from_cw(build_m25(4), tree_strategy=("nope",))
 
 
+def test_cw_tree_strategy_string_is_not_split_into_letters():
+    # "u" would name a generator of m25(4) letter by letter, "x1" would not
+    for strategy in ("x1", "u", "", "Auto"):
+        with pytest.raises(DomainError, match="'auto' or an iterable of "
+                           "generator names"):
+            presentation_from_cw(build_m25(4), tree_strategy=strategy)
+    assert presentation_from_cw(build_m25(4), tree_strategy=["u"]) == \
+        presentation_from_cw(build_m25(4), tree_strategy=("u",))
+
+
 def with_metadata(c, edge_names, preferred_tree):
     return PairedComplex(c.vertex_labels, c.faces, c.involution, c.pairings,
                          name=c.name, n=c.n, edge_names=edge_names,

@@ -118,16 +118,32 @@ def test_verify_unknown_labels_raise():
         verify_automorphism(complex_, {"P1": "P9", "P9": "P1"})
 
 
-def test_verify_declared_order_mismatch():
-    from pairglue import ComplexAutomorphism
+class Payload:
+    """Pickles as the constructor call its ``__reduce__`` names."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return (ComplexAutomorphism, self.args)
+
+
+def test_automorphism_is_verified_when_made():
     auto = rotation("m24", 6)
-    imposter = ComplexAutomorphism(
-        auto.domain, auto.vertex_map, auto.face_map, auto.face_rotation,
-        auto.slot_map, auto.pairing_map, 3)
-    check = verify_automorphism(auto.domain, imposter)
-    assert not check
-    assert check.order == 6
-    assert "declared order 3" in check.reason
+    # the derived fields, the order among them, cannot be supplied
+    with pytest.raises(TypeError):
+        ComplexAutomorphism(
+            auto.domain, auto.vertex_map, auto.face_map, auto.face_rotation,
+            auto.slot_map, auto.pairing_map, 3)
+    assert quotient_complex(auto.domain, auto).name == "m24/Z6"
+    # an unpickled payload is checked like any other construction
+    assert auto.__reduce__() == (ComplexAutomorphism,
+                                 (auto.domain, dict(auto.vertex_map)))
+    bad = dict(auto.vertex_map)
+    bad["P1"], bad["S1"] = bad["S1"], bad["P1"]
+    for vertex_map in (bad, {**bad, "P1": "P2"}):
+        with pytest.raises(StructureError):
+            pickle.loads(pickle.dumps(Payload(auto.domain, vertex_map)))
 
 
 def test_automorphisms_are_immutable():
@@ -160,11 +176,9 @@ def test_automorphism_maps_are_read_only():
             mapping[key] = mapping[key]
         with pytest.raises(TypeError):
             del mapping[key]
-    # the maps are copies: changing the dicts given does not reach them
+    # the vertex map is a copy: changing the dict given does not reach it
     given = dict(auto.vertex_map)
-    twin = ComplexAutomorphism(auto.domain, given, auto.face_map,
-                               auto.face_rotation, auto.slot_map,
-                               auto.pairing_map, auto.order)
+    twin = ComplexAutomorphism(auto.domain, given)
     given["P1"], given["P2"] = given["P2"], given["P1"]
     assert twin.vertex_map == auto.vertex_map
     assert quotient_complex(twin.domain, twin).name == "m24/Z4"
@@ -289,18 +303,34 @@ def test_report_notes_axis_provenance():
 
 
 def test_report_projects_through_one_face_transport(monkeypatch):
-    calls = []
-    body = symmetry._face_transport
+    # the report quotients by the rotation it analyses, through the public
+    # quotient_complex, and projects with that automorphism's own transport
+    made, rotations, quotients = [], [], []
+    init, rotate, quotient = (ComplexAutomorphism.__init__, symmetry.rotation,
+                              symmetry.quotient_complex)
 
-    def counted(auto):
-        calls.append(auto)
-        return body(auto)
+    def counted_init(self, domain, vertex_map):
+        made.append(domain)
+        init(self, domain, vertex_map)
 
-    monkeypatch.setattr(symmetry, "_face_transport", counted)
+    def counted_rotation(*args):
+        rotations.append(rotate(*args))
+        return rotations[-1]
+
+    def counted_quotient(complex_, automorphism):
+        quotients.append((complex_, automorphism))
+        return quotient(complex_, automorphism)
+
+    monkeypatch.setattr(ComplexAutomorphism, "__init__", counted_init)
+    monkeypatch.setattr(symmetry, "rotation", counted_rotation)
+    monkeypatch.setattr(symmetry, "quotient_complex", counted_quotient)
     for family, n, step in (("m24", 5, 1), ("m25", 6, 2), ("m24", 1, 1)):
-        calls.clear()
+        del made[:], rotations[:], quotients[:]
         singularity_report(family, n, step)
-        assert len(calls) == 1
+        [auto] = rotations
+        assert len(quotients) == 1
+        assert quotients[0][0] is auto.domain and quotients[0][1] is auto
+        assert made == [auto.domain]
 
 
 # ------------------------------------- forced propagation vs the old search
@@ -403,24 +433,27 @@ def reference_extend_vertex_map(complex_, vertex_map):
 
     order = lcm(*(len(cycle) for mapping in (vertex_map, slot_map)
                   for cycle in symmetry._cycles(mapping, mapping)))
-    return ComplexAutomorphism(c, dict(vertex_map), face_map, face_rotation,
-                               slot_map, pairing_map, order)
+    return (dict(vertex_map), face_map, face_rotation, slot_map, pairing_map,
+            order)
 
 
 def extension_outcome(extend, complex_, vertex_map):
-    """Every field of the extension, or the text of its StructureError."""
+    """The fields the extension derives, or the text of its StructureError."""
     try:
-        auto = extend(complex_, vertex_map)
+        return extend(complex_, vertex_map)
     except StructureError as exc:
         return str(exc)
+
+
+def automorphism_fields(complex_, vertex_map):
+    auto = ComplexAutomorphism(complex_, vertex_map)
     assert auto.domain is complex_
     return (auto.vertex_map, auto.face_map, auto.face_rotation,
             auto.slot_map, auto.pairing_map, auto.order)
 
 
 def assert_matches_reference(complex_, vertex_map):
-    outcome = extension_outcome(symmetry._extend_vertex_map, complex_,
-                                vertex_map)
+    outcome = extension_outcome(automorphism_fields, complex_, vertex_map)
     assert outcome == extension_outcome(reference_extend_vertex_map,
                                         complex_, vertex_map)
     return outcome
