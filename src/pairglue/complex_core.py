@@ -163,7 +163,7 @@ class PairedComplex(_Immutable):
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
                  "n", "edge_names", "preferred_tree", "face_order",
-                 "vertex_order", "_analysis")
+                 "vertex_order", "_analysis", "__weakref__")
 
     def __init__(self, vertex_labels, faces, involution, pairings,
                  name="complex", n=None, edge_names=(), preferred_tree=()):

@@ -11,6 +11,8 @@ bottom n-gon ``Db`` whose boundary list is the S-cycle shifted by two
 (``S_3 S_4 ... S_1 S_2``), uniformly in n.
 """
 
+import weakref
+
 from .complex_core import PairedComplex, Pairing
 from .errors import DomainError
 
@@ -151,11 +153,29 @@ def build_m25(n):
                          preferred_tree=preferred_tree)
 
 
+# The live member of each (tag, n): an entry lasts as long as some caller
+# holds the complex, so the map keeps nothing alive by itself.
+_LIVE = weakref.WeakValueDictionary()
+
+
 def build_family(family, n):
-    """Dispatch on a family tag ("m24" or "m25")."""
+    """Dispatch on a family tag ("m24" or "m25"), sharing live members.
+
+    While anyone holds the member of a (family, n), every later call returns
+    that same object (complexes are immutable, and its analysis is computed
+    once, on first use); once nothing holds it, the next call builds afresh.
+    :func:`build_m24` and :func:`build_m25` always build a new complex.
+
+    >>> build_family("m24", 3) is build_family("M24", 3)
+    True
+    """
     tag = str(family).lower()
-    if tag == M24:
-        return build_m24(n)
-    if tag == M25:
-        return build_m25(n)
-    raise DomainError(f"unknown family {family!r} (expected m24 or m25)")
+    builder = {M24: build_m24, M25: build_m25}.get(tag)
+    if builder is None:
+        raise DomainError(f"unknown family {family!r} (expected m24 or m25)")
+    # checked before the lookup: True == 1 would find the member of n = 1
+    _check_n(n)
+    member = _LIVE.get((tag, n))
+    if member is None:
+        member = _LIVE[(tag, n)] = builder(n)
+    return member

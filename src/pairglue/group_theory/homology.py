@@ -182,7 +182,22 @@ def smith_normal_form(matrix):
 
     U and V are unimodular, and the diagonal of D is nonnegative with each
     entry dividing the next.  Pivots are chosen as the smallest nonzero
-    absolute value of the remaining submatrix, row-major on ties.
+    absolute value of the remaining submatrix, row-major on ties.  The steps
+    are those of :func:`_diagonalize`, which :func:`h1` runs without the
+    transforms.
+    """
+    a = [list(row) for row in matrix.rows]
+    u, vt = _diagonalize(a, matrix.num_cols, transforms=True)
+    return (IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(zip(*vt)))
+
+
+def _diagonalize(a, num_cols, transforms):
+    """Reduce the rows ``a`` (lists, changed in place) to Smith normal form.
+
+    Returns (U, V transposed) as lists of rows when ``transforms`` is set.
+    Without it both get rows of width zero, so every step applied to them
+    is a no-op and the same steps reduce ``a`` alone: ``a`` ends up exactly
+    as with the transforms, while no entry of U or V is ever computed.
 
     V is built transposed, so its column operations are row operations.  The
     column operations on the working matrix all add multiples of the pivot
@@ -190,11 +205,10 @@ def smith_normal_form(matrix):
     entry in that column.  Rows and columns before the pivot are already
     diagonal, so the working matrix is only updated from the pivot on.
     """
-    num_rows = matrix.num_rows
-    num_cols = matrix.num_cols
-    a = [list(row) for row in matrix.rows]
-    u = [[1 if i == j else 0 for j in range(num_rows)] for i in range(num_rows)]
-    vt = [[1 if i == j else 0 for j in range(num_cols)] for i in range(num_cols)]
+    num_rows = len(a)
+    u_width, v_width = (num_rows, num_cols) if transforms else (0, 0)
+    u = [[1 if i == j else 0 for j in range(u_width)] for i in range(num_rows)]
+    vt = [[1 if i == j else 0 for j in range(v_width)] for i in range(num_cols)]
 
     def add_row(i, j, q, t):
         # row i += q * row j; both rows are zero before column t
@@ -265,7 +279,7 @@ def smith_normal_form(matrix):
             pivot = find_pivot(t)
         t += 1
 
-    return (IntegerMatrix(a), IntegerMatrix(u), IntegerMatrix(zip(*vt)))
+    return u, vt
 
 
 def _eliminate_unit_pivots(rows, num_cols):
@@ -340,9 +354,11 @@ def h1(presentation):
     its transpose have the same Smith normal form diagonal, so A is reduced
     as it stands.  Its rows are built sparse, and ±1 entries are eliminated
     first in a sparsity-preserving order, each one an invariant factor 1.
-    Only the small core that remains goes through :func:`smith_normal_form`.
-    Factors equal to 1 are dropped; the free rank is the generator count
-    minus the rank of A (unit pivots plus nonzero core diagonal entries).
+    Only the small core that remains is diagonalized, by the steps of
+    :func:`smith_normal_form` but without its U and V, which nothing here
+    reads and whose entries grow far larger than the core's.  Factors equal
+    to 1 are dropped; the free rank is the generator count minus the rank of
+    A (unit pivots plus nonzero core diagonal entries).
 
     >>> from .presentations import Presentation
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
@@ -350,8 +366,9 @@ def h1(presentation):
     """
     num_gens = len(presentation.generators)
     pivots, core = _eliminate_unit_pivots(_exponent_rows(presentation), num_gens)
-    d, _, _ = smith_normal_form(IntegerMatrix(core))
-    nonzero = [d.rows[i][i] for i in range(min(d.num_rows, d.num_cols))
-               if d.rows[i][i]]
+    num_cols = len(core[0]) if core else 0
+    _diagonalize(core, num_cols, transforms=False)
+    nonzero = [core[i][i] for i in range(min(len(core), num_cols))
+               if core[i][i]]
     factors = tuple(x for x in nonzero if x >= 2)
     return AbelianGroup(num_gens - pivots - len(nonzero), factors)

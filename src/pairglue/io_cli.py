@@ -367,7 +367,9 @@ def _cmd_table(args):
         raise DomainError("table range needs 1 <= from <= to")
     rows = []
     for n in range(args.from_n, args.to_n + 1):
-        homology = str(h1(presentation_from_pairings(build_family(args.family, n))))
+        # held for the row, so the report's rotation reuses the analysed member
+        member = build_family(args.family, n)
+        homology = str(h1(presentation_from_pairings(member)))
         report = singularity_report(args.family, n, _default_step(args.family, n))
         if report.components:
             indices = sorted({c.branching_index for c in report.components})

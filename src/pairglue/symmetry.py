@@ -226,14 +226,15 @@ def verify_automorphism(complex_, automorphism):
 def rotation(family, n, step=1):
     """The index-shift symmetry of a family member: every X_i goes to X_{i+step}.
 
-    ``step`` is 1 or 2, and 2 only for even n (so that the index classes mod
-    step close up).  The returned automorphism has order n / gcd(n, step).
+    ``step`` is the int 1 or 2, and 2 only for even n (so that the index
+    classes mod step close up); any other step raises DomainError.  The
+    returned automorphism has order n / gcd(n, step).
 
     >>> rotation("m24", 3).order
     3
     """
     _check_n(n)
-    if step not in (1, 2):
+    if type(step) is not int or step not in (1, 2):
         raise DomainError(f"rotation step must be 1 or 2, got {step!r}")
     if step == 2 and n % 2:
         raise DomainError("rotation step 2 requires even n")

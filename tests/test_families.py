@@ -1,5 +1,9 @@
 """The two builder families: labels, faces, pairings, census formulas."""
 
+import gc
+import pickle
+import weakref
+
 import pytest
 
 from pairglue import (
@@ -11,9 +15,13 @@ from pairglue import (
     cyclic_normal_form,
     edge_orbits,
     is_manifold,
+    reduced_family_presentation,
+    rotation,
+    singularity_report,
     validate,
     vertex_orbits,
 )
+from pairglue import families
 from pairglue.errors import DomainError
 
 
@@ -33,6 +41,68 @@ def test_build_family_dispatch():
             build_m25(bad)
     with pytest.raises(DomainError):
         build_m24("3")
+
+
+# ------------------------------------------------ live members are shared
+
+def test_build_family_shares_a_held_member():
+    first = build_family("m24", 7)
+    assert build_family("m24", 7) is first
+    assert build_family("M24", 7) is first
+    assert build_family("m25", 7) is not first
+    assert build_family("m24", 6) is not first
+
+
+def test_a_released_member_leaves_the_registry():
+    member = build_family("m25", 9)
+    ref = weakref.ref(member)
+    del member
+    gc.collect()
+    assert ref() is None
+    assert dict(families._LIVE) == {}
+
+
+def test_build_family_checks_n_before_the_lookup():
+    # True == 1 and hash(True) == hash(1), so a lookup made first would
+    # return m24(1)
+    one = build_family("m24", 1)
+    for bad in (True, 1.0):
+        with pytest.raises(DomainError, match="positive integer"):
+            build_family("m24", bad)
+    assert build_family("m24", 1) is one
+
+
+def test_builders_always_build_afresh():
+    held = build_family("m24", 7)
+    for build in (build_m24, build_m25):
+        first, second = build(7), build(7)
+        assert first is not second and first.same_structure(second)
+    assert build_m24(7) is not held and build_m24(7).same_structure(held)
+
+
+def test_a_shared_member_survives_a_pickle_round_trip():
+    member = build_family("m25", 6)
+    validate(member)
+    twin = pickle.loads(pickle.dumps(member))
+    assert twin is not member and twin.same_structure(member)
+    assert edge_orbits(twin) == edge_orbits(member)
+    assert build_family("m25", 6) is member
+
+
+def test_library_calls_reuse_a_held_member(monkeypatch):
+    member, base = build_family("m24", 6), build_family("m24", 1)
+    built = []
+
+    def counted(n, _build=families.build_m24):
+        built.append(n)
+        return _build(n)
+
+    monkeypatch.setattr(families, "build_m24", counted)
+    assert rotation("m24", 6).domain is member
+    assert singularity_report("m24", 6).base_n == 1
+    reduced_family_presentation("m24", 6)
+    assert built == []
+    assert build_family("m24", 6) is member and base is build_family("m24", 1)
 
 
 def test_counts_of_raw_cells():

@@ -3,8 +3,9 @@
 The Smith normal form fuzz suite checks the full reconstruction law
 U*m*V = D with unimodular transforms, using a test-local cofactor
 determinant as the independent oracle.  ``h1`` is checked against the dense
-path it replaced (``reference_h1``) and, for square matrices, against the
-determinant; ``smith_normal_form`` against its previous implementation
+path it replaced (``reference_h1``), for square matrices against the
+determinant, and for both families against the closed form of its order
+(``closed_form_order``, up to n = 1000); ``smith_normal_form`` against its previous implementation
 (``reference_smith_normal_form``), transforms included.
 """
 
@@ -359,6 +360,39 @@ def test_h1_routes_agree_at_n_100():
     for family in ("m24", "m25"):
         c = build_family(family, 100)
         assert h1(presentation_from_pairings(c)) == h1(presentation_from_cw(c))
+
+
+def closed_form_order(family, n):
+    """|H1| of a family member in closed form, by O(n) big-integer additions.
+
+    The abelianized relators of the scripted presentation form a circulant
+    with symbol f(t) = 2 + t + 2t^2 (m24) or t^2 + 3t + 1 (m25), plus the
+    lid rows; the product of f over the n-th roots of unity gives
+    |H1(m24(n))| = 3n (2^(n+1) - L_n) / 5, with L_0 = 2, L_1 = -1 and
+    L_n = -L_(n-1) - 4 L_(n-2), and |H1(m25(n))| = 3n F_n^2, halved for
+    even n (F_n the Fibonacci numbers).
+    """
+    if family == "m24":
+        previous, lucas = 2, -1
+        for _ in range(n - 1):
+            previous, lucas = lucas, -lucas - 4 * previous
+        order, rest = divmod(3 * n * (2 ** (n + 1) - lucas), 5)
+    else:
+        fib, following = 0, 1
+        for _ in range(n):
+            fib, following = following, fib + following
+        order, rest = divmod(3 * n * fib * fib, 2 - n % 2)
+    assert rest == 0, (family, n)
+    return order
+
+
+def test_h1_order_matches_closed_form():
+    members = [(family, n) for family in ("m24", "m25") for n in range(1, 41)]
+    members += [("m24", 300), ("m25", 1000)]
+    for family, n in members:
+        group = h1(presentation_from_pairings(build_family(family, n)))
+        assert group.rank == 0
+        assert group.order() == closed_form_order(family, n), (family, n)
 
 
 # ------------------------------- smith_normal_form vs its previous version

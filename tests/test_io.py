@@ -18,6 +18,7 @@ from pairglue import (
     serialize_complex,
     serialize_presentation,
 )
+from pairglue import families
 from pairglue.errors import DomainError, ParseError
 from pairglue.io_cli import main
 
@@ -312,6 +313,21 @@ def test_cli_table(capsys):
     assert rows[4][2] == "2 components, index 5"
     assert lines[7] == ("volume: not computed here; requires external "
                         "hyperbolic-geometry software")
+
+
+def test_cli_table_builds_each_member_once(capsys, monkeypatch):
+    built = []
+
+    def counted(n, _build=families.build_m25):
+        built.append(n)
+        return _build(n)
+
+    monkeypatch.setattr(families, "build_m25", counted)
+    code, _, _ = run_cli(capsys, "table", "--family", "m25",
+                         "--from", "3", "--to", "6")
+    assert code == 0
+    # the report shares the row's member; only the bases are built again
+    assert [n for n in built if n > 2] == [3, 4, 5, 6]
 
 
 def test_cli_table_m25_uses_even_step(capsys):

@@ -54,8 +54,11 @@ def test_rotation_orders_step_two():
 
 
 def test_rotation_step_errors():
-    with pytest.raises(DomainError, match="rotation step must be 1 or 2"):
-        rotation("m24", 4, step=3)
+    # only the int 1 or 2: True is not step 1, and 2.0 is not step 2
+    for step in (3, 0, True, False, 2.0, 1.0, "1"):
+        for analysis in (rotation, singularity_report):
+            with pytest.raises(DomainError, match="rotation step must be 1 or 2"):
+                analysis("m24", 4, step)
     with pytest.raises(DomainError, match="even"):
         rotation("m25", 5, step=2)
 
