@@ -8,86 +8,17 @@ homomorphisms into small finite groups, and analyses rotation symmetries
 together with the singular sets of their quotients.
 """
 
-from .complex_core import (
-    CellCounts,
-    EdgeOrbit,
-    PairedComplex,
-    Pairing,
-    VertexOrbit,
-    cell_counts,
-    edge_orbits,
-    is_manifold,
-    validate,
-    vertex_orbits,
-)
-from .errors import (
-    CapacityError,
-    DomainError,
-    EliminationError,
-    PairglueError,
-    ParseError,
-    StructureError,
-    UnsupportedQuotientError,
-)
-from .families import M24, M25, build_family, build_m24, build_m25
-from . import group_theory
-from .group_theory import *  # noqa: F403 -- the names in group_theory.__all__
-from .io_cli import (
-    parse_complex,
-    parse_presentation,
-    serialize_complex,
-    serialize_presentation,
-)
-from .symmetry import (
-    AutomorphismCheck,
-    ComplexAutomorphism,
-    SingularComponent,
-    SingularityReport,
-    quotient_complex,
-    rotation,
-    singularity_report,
-    strongly_cyclic,
-    verify_automorphism,
-)
+# each module lists its public names once, in its own __all__
+from . import complex_core, errors, families, group_theory, io_cli, symmetry
+from .complex_core import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .families import *  # noqa: F403
+from .group_theory import *  # noqa: F403
+from .io_cli import *  # noqa: F403
+from .symmetry import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "CellCounts",
-    "AutomorphismCheck",
-    "ComplexAutomorphism",
-    "DomainError",
-    "EdgeOrbit",
-    "EliminationError",
-    "M24",
-    "M25",
-    "PairedComplex",
-    "Pairing",
-    "PairglueError",
-    "ParseError",
-    "SingularComponent",
-    "SingularityReport",
-    "StructureError",
-    "UnsupportedQuotientError",
-    "VertexOrbit",
-    "build_family",
-    "build_m24",
-    "build_m25",
-    "cell_counts",
-    "edge_orbits",
-    "is_manifold",
-    "parse_complex",
-    "parse_presentation",
-    "quotient_complex",
-    "rotation",
-    "serialize_complex",
-    "serialize_presentation",
-    "singularity_report",
-    "strongly_cyclic",
-    "validate",
-    "verify_automorphism",
-    "vertex_orbits",
-    *group_theory.__all__,
-    "__version__",
-]
+__all__ = [*complex_core.__all__, *errors.__all__, *families.__all__,
+           *group_theory.__all__, *io_cli.__all__, *symmetry.__all__,
+           "__version__"]

@@ -25,6 +25,10 @@ from types import MappingProxyType
 
 from .errors import StructureError
 
+__all__ = ["CellCounts", "EdgeOrbit", "PairedComplex", "Pairing",
+           "VertexOrbit", "cell_counts", "edge_orbits", "is_manifold",
+           "validate", "vertex_orbits"]
+
 _DIGIT_RUN = re.compile(r"(\d+)")
 
 
@@ -305,6 +309,11 @@ def validate(complex_):
     return list(_analyse(complex_).violations)
 
 
+def _is_int(value):
+    """An int that is not a bool, as a pairing's offset and direction are."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order."""
     violations = [] if complex_.faces else ["boundary has no faces"]
@@ -336,10 +345,13 @@ def _violations(complex_):
         if ls != lt:
             violations.append(f"pairing {pairing.name} joins faces of different "
                               f"lengths ({ls} vs {lt})")
-        if not 0 <= pairing.offset < lt:
+        if not _is_int(pairing.offset):
+            violations.append(f"pairing {pairing.name} offset "
+                              f"{pairing.offset!r} is not an int")
+        elif not 0 <= pairing.offset < lt:
             violations.append(f"pairing {pairing.name} offset {pairing.offset} "
                               f"out of range")
-        if pairing.direction not in (1, -1):
+        if not _is_int(pairing.direction) or pairing.direction not in (1, -1):
             violations.append(f"pairing {pairing.name} direction must be +1 or -1")
         for f in (pairing.source, pairing.target):
             usage.setdefault(f, []).append(pairing.name)

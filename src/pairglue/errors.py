@@ -4,6 +4,9 @@ Everything raised deliberately by this package derives from PairglueError,
 so callers (and the command line driver) can catch one base class.
 """
 
+__all__ = ["CapacityError", "DomainError", "EliminationError", "PairglueError",
+           "ParseError", "StructureError", "UnsupportedQuotientError"]
+
 
 class PairglueError(Exception):
     """Base class for all errors raised by this package."""

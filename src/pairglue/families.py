@@ -13,15 +13,17 @@ bottom n-gon ``Db`` whose boundary list is the S-cycle shifted by two
 
 import weakref
 
-from .complex_core import PairedComplex, Pairing
+from .complex_core import PairedComplex, Pairing, _is_int
 from .errors import DomainError
+
+__all__ = ["M24", "M25", "build_family", "build_m24", "build_m25"]
 
 M24 = "m24"
 M25 = "m25"
 
 
 def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError(f"family parameter n must be a positive integer, got {n!r}")
 
 

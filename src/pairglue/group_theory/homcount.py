@@ -304,46 +304,44 @@ def count_homomorphisms(presentation, table):
     return search(0, target.root)
 
 
+def _table(elements, multiply):
+    """The multiplication table of ``elements``, identity first, under
+    ``multiply``, with each product given as its index in ``elements``."""
+    elements = tuple(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(tuple(index[multiply(a, b)] for b in elements)
+                 for a in elements)
+
+
 def _cyclic(m):
-    return tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
+    return _table(range(m), lambda i, j: (i + j) % m)
 
 
 def _direct_product(left, right):
-    elements = tuple(product(range(len(left)), range(len(right))))
-    index = {e: i for i, e in enumerate(elements)}
-    return tuple(
-        tuple(index[(left[a][c], right[b][d])] for (c, d) in elements)
-        for (a, b) in elements)
+    return _table(product(range(len(left)), range(len(right))),
+                  lambda a, b: (left[a[0]][b[0]], right[a[1]][b[1]]))
 
 
 def _dihedral(m):
     # (i, j) is rotation i followed by j reflections:
     # (i, j) * (k, l) = (i + (-1)^j k, j + l)
-    elements = tuple(product(range(m), range(2)))
-    index = {e: i for i, e in enumerate(elements)}
-    return tuple(
-        tuple(index[((i + (k if j == 0 else -k)) % m, (j + l) % 2)]
-              for (k, l) in elements)
-        for (i, j) in elements)
+    return _table(product(range(m), range(2)),
+                  lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % m,
+                                (a[1] + b[1]) % 2))
 
 
 def _alternating4():
-    elements = tuple(sorted(
-        p for p in permutations(range(4))
-        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0))
-    index = {e: i for i, e in enumerate(elements)}
-    return tuple(
-        tuple(index[tuple(p[q[x]] for x in range(4))] for q in elements)
-        for p in elements)
+    return _table(
+        sorted(p for p in permutations(range(4))
+               if sum(p[i] > p[j] for i in range(4)
+                      for j in range(i + 1, 4)) % 2 == 0),
+        lambda p, q: tuple(p[x] for x in q))
 
 
 def _dicyclic(m):
     # order 4m, Dic_2 = Q8: (i, j) is a^i x^j with a^(2m) = 1, x^2 = a^m and
     # x a = a^-1 x, so (i, 0)(k, l) = (i + k, l); (i, 1)(k, 0) = (i - k, 1);
     # (i, 1)(k, 1) = (i - k + m, 0), all mod 2m
-    elements = tuple(product(range(2 * m), range(2)))
-    index = {e: i for i, e in enumerate(elements)}
-
     def multiply(a, b):
         (i, j), (k, l) = a, b
         if j == 0:
@@ -352,8 +350,7 @@ def _dicyclic(m):
             return ((i - k) % (2 * m), 1)
         return ((i - k + m) % (2 * m), 0)
 
-    return tuple(tuple(index[multiply(a, b)] for b in elements)
-                 for a in elements)
+    return _table(product(range(2 * m), range(2)), multiply)
 
 
 def small_groups():

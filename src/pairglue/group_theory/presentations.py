@@ -17,7 +17,7 @@ from collections import Counter
 
 from ..complex_core import _Immutable, _join, _orbit_data, vertex_orbits
 from ..errors import DomainError, EliminationError
-from ..families import _labellers, build_family
+from ..families import _check_n, _labellers, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
 
 
@@ -172,40 +172,36 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
     return Presentation(generators, relators)
 
 
-def _defining_candidates(presentation, generator):
-    """All relators of the form ``g * w^-1`` (up to rotation/inversion).
+def _definitions(presentation):
+    """Every defining relator of every generator, from one pass.
 
-    Returns a list of tuples ``(sort_key, relator_index, replacement)`` where
-    the replacement word ``w`` is free of ``generator``.  A relator defines
-    ``g`` exactly when its cyclic reduction contains ``g`` once: rotated to
-    start at that letter (and inverted first when the letter is ``g^-1``) it
-    reads ``g * w^-1``.  So there is at most one candidate per relator, found
-    in one pass over its letters.  The list is sorted by the deterministic
-    rank (cyclically reduced length, relator index, rotation, inversion
-    flag).
+    A relator defines g exactly when its cyclic reduction holds g once:
+    rotated to start at that letter (and inverted first when the letter is
+    ``g^-1``) it reads ``g * w^-1`` with ``w`` free of g, so a relator defines
+    g at most once.  Returns ``{g: [(length, relator index, letters), ...]}``
+    in relator order, where ``letters`` is the cyclic reduction and
+    ``length`` its length; :func:`_defining_word` gives ``w``.
     """
-    out = []
+    definitions = {}
     for index, relator in enumerate(presentation.relators):
         letters = cyclic_reduce(relator).letters
-        if [name for name, _ in letters].count(generator) != 1:
-            continue
-        rotation, inverted, replacement = _defining_word(letters, generator)
-        out.append(((len(letters), index, rotation, inverted), index,
-                    replacement))
-    out.sort(key=lambda item: item[0])
-    return out
+        for name, count in Counter(name for name, _ in letters).items():
+            if count == 1:
+                definitions.setdefault(name, []).append(
+                    (len(letters), index, letters))
+    return definitions
 
 
 def _defining_word(letters, generator):
-    """``(rotation, inverted, w)`` for cyclically reduced ``letters`` that
-    hold ``generator`` (g) once: inverted first when the letter is ``g^-1``,
-    then rotated left by ``rotation``, the relator reads ``g * w^-1``."""
+    """The word ``w`` such that cyclically reduced ``letters``, which hold
+    ``generator`` (g) once, read ``g * w^-1`` up to rotation and
+    inversion."""
     position = [name for name, _ in letters].index(generator)
     # the letters after g, read cyclically: the relator is g^+-1 * rest
     rest = letters[position + 1:] + letters[:position]
     if letters[position][1] == 1:
-        return position, 0, _word(_inverse_letters(rest))
-    return len(letters) - 1 - position, 1, _word(rest)
+        return _word(_inverse_letters(rest))
+    return _word(rest)
 
 
 def _apply_elimination(presentation, generator, relator_index, replacement):
@@ -240,11 +236,12 @@ def tietze_eliminate(presentation, generator):
     """
     if generator not in presentation.generators:
         raise DomainError(f"unknown generator {generator!r}")
-    candidates = _defining_candidates(presentation, generator)
-    if not candidates:
+    definitions = _definitions(presentation).get(generator)
+    if not definitions:
         raise EliminationError(f"no defining relator for {generator!r}")
-    _, index, replacement = candidates[0]
-    return _apply_elimination(presentation, generator, index, replacement)
+    _, index, letters = min(definitions)
+    return _apply_elimination(presentation, generator, index,
+                              _defining_word(letters, generator))
 
 
 def auto_simplify(presentation):
@@ -265,26 +262,20 @@ def auto_simplify(presentation):
 def _simplify(presentation):
     current = presentation
     while True:
-        # One scan ranks every generator: a relator whose cyclic reduction
-        # holds g once defines g, at the length of that reduction.  The first
-        # shortest such relator is kept; it is the one tietze_eliminate uses.
-        best = {}
-        for index, relator in enumerate(current.relators):
-            letters = cyclic_reduce(relator).letters
-            counts = Counter(name for name, _ in letters)
-            for name, count in counts.items():
-                if count == 1 and (name not in best
-                                   or len(letters) < best[name][0]):
-                    best[name] = (len(letters), index, letters)
-        if not best:
+        # each generator's first shortest defining relator is the one
+        # tietze_eliminate uses; the shortest of those wins, earliest
+        # generator on ties
+        definitions = _definitions(current)
+        if not definitions:
             # nothing is left to eliminate: the result simplifies to itself
             object.__setattr__(current, "_simplified", current)
             return current
         position = {g: i for i, g in enumerate(current.generators)}
+        best = {g: min(options) for g, options in definitions.items()}
         generator = min(best, key=lambda g: (best[g][0], position[g]))
         _, index, letters = best[generator]
-        replacement = _defining_word(letters, generator)[2]
-        current = _apply_elimination(current, generator, index, replacement)
+        current = _apply_elimination(current, generator, index,
+                                     _defining_word(letters, generator))
 
 
 def family_elimination_order(n):
@@ -313,22 +304,17 @@ def scripted_reduction(family, n):
     yield current
     surviving = {f"c{i}" for i in range(1, n + 1)}
     for generator in family_elimination_order(n):
-        chosen = None
-        best_rank = None
-        for key, index, replacement in _defining_candidates(current, generator):
-            if not replacement.letters:
-                continue
-            if not replacement.generators() <= surviving:
-                continue
-            positive = all(sign == 1 for _, sign in replacement.letters)
-            rank = (key[0], 0 if positive else 1, key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                chosen = (index, replacement)
-        if chosen is None:
+        options = []
+        for length, index, letters in _definitions(current).get(generator, ()):
+            replacement = _defining_word(letters, generator)
+            if replacement.letters and replacement.generators() <= surviving:
+                positive = all(sign == 1 for _, sign in replacement.letters)
+                options.append((length, not positive, index, replacement))
+        if not options:
             raise RuntimeError(
                 f"scripted elimination of {generator!r} failed at n={n}")
-        current = _apply_elimination(current, generator, *chosen)
+        _, _, index, replacement = min(options)
+        current = _apply_elimination(current, generator, index, replacement)
         yield current
 
 
@@ -371,9 +357,7 @@ def preset_presentation(preset, n=1):
                 Word.parse("z z z -h")]
         return Presentation(gens, rels)
 
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"preset parameter n must be a positive integer, got {n!r}")
-
+    _check_n(n)
     x, y, z = _labellers("xyz", n)
     gens = ([x(i) for i in range(1, n + 1)]
             + [y(i) for i in range(1, n + 1)]

@@ -5,8 +5,8 @@ Blank lines and ``#`` comments are ignored.  The format spells out every
 polyhedron edge explicitly (``edge A1.0 D.0 same``) so that repeated vertex
 labels never make identifications ambiguous; a document without edge lines
 is still accepted when the labels determine the edges uniquely.  Pairing
-lines carry an explicit direction sign plus the full vertex image list, and
-the sign is authoritative.
+lines carry an explicit direction sign plus the full vertex image list, one
+image per vertex of the source face, and the sign is authoritative.
 
 Presentation documents are a bare generator line followed by one relator
 per line (``gens: c`` / ``rel: c c c``); inverse letters carry a ``-``
@@ -35,6 +35,9 @@ from .group_theory.presentations import (
     presentation_from_pairings,
 )
 from .symmetry import singularity_report, strongly_cyclic
+
+__all__ = ["parse_complex", "parse_presentation", "serialize_complex",
+           "serialize_presentation"]
 
 COMPLEX_HEADER = "pgv1 complex"
 PRESENTATION_HEADER = "pgv1 presentation"
@@ -104,7 +107,8 @@ def parse_complex(text):
     Parsing is structural only: a document that parses may still fail
     :func:`pairglue.complex_core.validate`.  Errors that make the text
     itself unusable (bad directives, conflicting lines, a face in two
-    pairings) raise ParseError with the offending line number.
+    pairings, an image list whose length is not that of the pairing's
+    declared source face) raise ParseError with the offending line number.
     """
     name = "complex"
     n = None
@@ -113,6 +117,7 @@ def parse_complex(text):
     edge_triples = []
     edge_slots = set()
     pairings = []
+    image_counts = []
     paired_faces = set()
     header_seen = False
 
@@ -182,11 +187,19 @@ def parse_complex(text):
                     raise ParseError(number, f"face {face} doubly paired")
                 paired_faces.add(face)
             pairings.append(Pairing(pname, source, target, offset, direction))
+            image_counts.append((number, pname, source, length))
         else:
             raise ParseError(number, f"unknown directive {keyword!r}")
 
     if not header_seen:
         raise ParseError(1, f"expected header {COMPLEX_HEADER!r}")
+    # the sign check above reads the list modulo its own length, which is
+    # the face's only when the list has one image per source vertex
+    for number, pname, source, count in image_counts:
+        if source in faces and len(faces[source]) != count:
+            raise ParseError(number, f"pairing {pname} lists {count} images "
+                             f"for the {len(faces[source])} vertices of "
+                             f"face {source}")
     if edge_triples:
         involution = edge_triples
     else:
@@ -365,9 +378,13 @@ def _cmd_symmetry(args):
 def _cmd_table(args):
     if args.from_n < 1 or args.to_n < args.from_n:
         raise DomainError("table range needs 1 <= from <= to")
+    span = range(args.from_n, args.to_n + 1)
+    # the bases are held for the whole table and each member for its row, so
+    # every report reuses them and each is built once
+    bases = [build_family(args.family, step)
+             for step in sorted({_default_step(args.family, n) for n in span})]
     rows = []
-    for n in range(args.from_n, args.to_n + 1):
-        # held for the row, so the report's rotation reuses the analysed member
+    for n in span:
         member = build_family(args.family, n)
         homology = str(h1(presentation_from_pairings(member)))
         report = singularity_report(args.family, n, _default_step(args.family, n))

@@ -32,6 +32,10 @@ from .complex_core import (
 from .errors import DomainError, StructureError, UnsupportedQuotientError
 from .families import _check_n, _idx, build_family
 
+__all__ = ["AutomorphismCheck", "ComplexAutomorphism", "SingularComponent",
+           "SingularityReport", "quotient_complex", "rotation",
+           "singularity_report", "strongly_cyclic", "verify_automorphism"]
+
 
 def _cycles(mapping, starts):
     """The cycles of a permutation, each from its first member in ``starts``."""
@@ -256,8 +260,8 @@ def quotient_complex(complex_, automorphism):
     instance built on ``complex_`` itself is used as it is, anything else is
     verified as ``ComplexAutomorphism(complex_, vertex_map)``.  Cell orbits
     become single cells, setwise-fixed faces fold to shorter polygons, and
-    pairings descend through the orbit member whose source is the
-    representative face.  Every descent step is checked; a violation raises
+    a pairing orbit descends to one pairing when every member gives the same
+    one.  Every descent step is checked; a violation raises
     UnsupportedQuotientError.
     """
     auto = automorphism
@@ -289,38 +293,33 @@ def quotient_complex(complex_, automorphism):
             raise UnsupportedQuotientError(
                 f"edge identifications do not descend at {format_slot(slot)}")
 
+    def descend(p):
+        """``(source rep, target rep, offset, direction)`` of the quotient
+        pairing that ``p`` descends to; the offset is taken mod the folded
+        length, which divides the face length."""
+        source_rep, source_rot, length_q = transport[p.source]
+        target_rep, target_rot, _ = transport[p.target]
+        return (source_rep, target_rep,
+                (p.offset + p.direction * source_rot - target_rot) % length_q,
+                p.direction)
+
     by_name = {p.name: p for p in c.pairings}
     pairings_q = []
     for names in _cycles(auto.pairing_map, by_name):
-        orbit = [by_name[name] for name in names]
-        p = orbit[0]
-        rep_name = min((member.name for member in orbit), key=natural_key)
-        source_rep, _, length_q = transport[p.source]
-        target_rep, _, target_length = transport[p.target]
+        rep_name = min(names, key=natural_key)
+        descended = descend(by_name[names[0]])
+        source_rep, target_rep = descended[:2]
         if source_rep == target_rep:
             raise UnsupportedQuotientError(
                 f"pairing {rep_name} would pair face {source_rep} "
                 "with itself in the quotient")
-        if target_length != length_q:
+        if transport[source_rep][2] != transport[target_rep][2]:
             raise UnsupportedQuotientError(
                 f"pairing {rep_name} joins faces that fold to different lengths")
-        anchor = next(member for member in orbit if member.source == source_rep)
-        offset_q = ((anchor.offset - transport[anchor.target][1])
-                    % len(c.faces[anchor.target])) % length_q
-        for member in orbit:
-            length = len(c.faces[member.source])
-            member_source, source_rot, _ = transport[member.source]
-            member_target, target_rot, _ = transport[member.target]
-            descended = ((member.offset + member.direction * source_rot
-                          - target_rot) % length) % length_q
-            if (member_source != source_rep
-                    or member_target != target_rep
-                    or member.direction != anchor.direction
-                    or descended != offset_q):
-                raise UnsupportedQuotientError(
-                    f"pairing orbit of {rep_name} does not descend")
-        pairings_q.append(Pairing(rep_name, source_rep, target_rep,
-                                  offset_q, anchor.direction))
+        if any(descend(by_name[name]) != descended for name in names):
+            raise UnsupportedQuotientError(
+                f"pairing orbit of {rep_name} does not descend")
+        pairings_q.append(Pairing(rep_name, *descended))
 
     quotient = PairedComplex(labels_q, faces_q, involution_q, pairings_q,
                              name=f"{c.name}/Z{auto.order}")

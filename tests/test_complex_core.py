@@ -265,6 +265,23 @@ def test_validator_messages(broken, expected):
     assert validate(broken) == expected
 
 
+@pytest.mark.parametrize("offset, direction, expected", [
+    (1.0, 1, "pairing f offset 1.0 is not an int"),
+    ("1", 1, "pairing f offset '1' is not an int"),
+    (True, 1, "pairing f offset True is not an int"),
+    (0, 1.0, "pairing f direction must be +1 or -1"),
+    (0, "1", "pairing f direction must be +1 or -1"),
+    (0, True, "pairing f direction must be +1 or -1"),
+])
+def test_validator_reports_non_int_offset_and_direction(offset, direction,
+                                                        expected):
+    broken = broken_tetra(pairings=[Pairing("f", "F", "G", offset, direction)])
+    assert validate(broken) == [expected]
+    with pytest.raises(StructureError) as exc:
+        vertex_orbits(broken)
+    assert exc.value.violations == [expected]
+
+
 def test_validator_requires_one_connected_boundary():
     c = tetra_like()
     faces = dict(c.faces)

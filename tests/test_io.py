@@ -1,6 +1,10 @@
 """Document serialization, parsing, and the command line."""
 
 import re
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,35 @@ def test_parse_complex_errors_carry_line_numbers():
         assert fragment in str(exc.value), text
     # control: the serialized document itself parses
     assert parse_complex(good).same_structure(build_m24(1))
+
+
+SQUARES = ("pgv1 complex\nvertices a b c d\n"
+           "face F a b c d\nface G a b c d\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    (SQUARES + "pairing f F G + 1 0\n", 5),
+    ("pgv1 complex\npairing f F G + 1 0\nvertices a b c d\n"
+     "face F a b c d\nface G a b c d\n", 2),
+    (SQUARES + "pairing f F G - 0\n", 5),
+], ids=["faces first", "pairing first", "one image"])
+def test_parse_complex_rejects_image_list_shorter_than_its_face(text, line):
+    # read modulo its own length, "+ 1 0" would pass as offset 1 and map
+    # vertex 1 of F to vertex 2 of G, not to the 0 the document lists
+    with pytest.raises(ParseError) as exc:
+        parse_complex(text)
+    assert exc.value.line == line
+    assert "pairing f lists" in str(exc.value)
+    assert "4 vertices of face F" in str(exc.value)
+
+
+def test_parse_complex_reads_a_full_image_list_on_either_side_of_its_faces():
+    pairing = "pairing f F G + 1 2 3 0\n"
+    for text in (SQUARES + pairing,
+                 "pgv1 complex\n" + pairing + SQUARES.split("\n", 1)[1]):
+        c = parse_complex(text)
+        assert c.pairings == (Pairing("f", "F", "G", 1, 1),)
+        assert c.pairings[0].vertex_image(1, 4) == 2
 
 
 @pytest.mark.parametrize("kind, name, change", [
@@ -330,6 +363,36 @@ def test_cli_table_builds_each_member_once(capsys, monkeypatch):
     assert [n for n in built if n > 2] == [3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("first, last, builds", [
+    (3, 6, [1, 2, 3, 4, 5, 6]),
+    (1, 12, list(range(1, 13))),
+])
+def test_cli_table_holds_each_base_for_the_whole_table(
+        capsys, monkeypatch, first, last, builds):
+    built = []
+
+    def counted(n, _build=families.build_m25):
+        built.append(n)
+        return _build(n)
+
+    # a fresh live-member map, so no member held elsewhere is reused
+    monkeypatch.setattr(families, "_LIVE", weakref.WeakValueDictionary())
+    monkeypatch.setattr(families, "build_m25", counted)
+    code, out, _ = run_cli(capsys, "table", "--family", "m25",
+                           "--from", str(first), "--to", str(last))
+    assert code == 0
+    assert sorted(built) == builds
+    if first == 3:
+        assert out == (
+            "n | H1            | singular components   | volume\n"
+            "3 | Z2 + Z18      | 2 components, index 3 | external\n"
+            "4 | Z3 + Z3 + Z6  | 3 components, index 2 | external\n"
+            "5 | Z5 + Z5 + Z15 | 2 components, index 5 | external\n"
+            "6 | Z8 + Z72      | 3 components, index 3 | external\n"
+            "volume: not computed here; requires external "
+            "hyperbolic-geometry software\n")
+
+
 def test_cli_table_m25_uses_even_step(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "m25",
                            "--from", "1", "--to", "6")
@@ -341,6 +404,23 @@ def test_cli_table_m25_uses_even_step(capsys):
     assert [row[2] for row in rows] == [
         "none", "none", "2 components, index 3", "3 components, index 2",
         "2 components, index 5", "3 components, index 3"]
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["h1", "--family", "m24", "--n", "6"], 0, "Z3 + Z9 + Z18\n"),
+    (["h1", "--family", "m24", "--n", "0"], 1, ""),
+    (["h1", "--family", "m24"], 2, ""),
+])
+def test_python_m_pairglue_exit_codes(argv, code, out):
+    done = subprocess.run([sys.executable, "-m", "pairglue", *argv],
+                          capture_output=True, text=True, cwd=SRC,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
+    if code:
+        assert done.stderr
 
 
 def test_cli_gen_roundtrip(tmp_path, capsys):

@@ -31,7 +31,7 @@ from pairglue import (
     vertex_orbits,
 )
 from pairglue.errors import DomainError, EliminationError, StructureError
-from pairglue.group_theory.presentations import _defining_candidates
+from pairglue.group_theory.presentations import _defining_word, _definitions
 
 
 def idx(i, n):
@@ -461,12 +461,25 @@ def family_presentations(n):
         yield from scripted_reduction(family, n)
 
 
+def definitions_and_rotation_search(presentation, generator):
+    """``(length, index, replacement)`` of each defining relator of the
+    generator, from the one-pass scan and from the rotation search."""
+    scanned = [(length, index, _defining_word(letters, generator))
+               for length, index, letters
+               in _definitions(presentation).get(generator, [])]
+    searched = [(key[0], index, replacement)
+                for key, index, replacement
+                in rotation_candidates(presentation, generator)]
+    return sorted(scanned, key=lambda item: item[:2]), searched
+
+
 def test_defining_candidates_match_rotation_search_on_families():
     for n in range(1, 7):
         for presentation in family_presentations(n):
             for generator in presentation.generators:
-                assert _defining_candidates(presentation, generator) == \
-                    rotation_candidates(presentation, generator), (n, generator)
+                scanned, searched = definitions_and_rotation_search(
+                    presentation, generator)
+                assert scanned == searched, (n, generator)
 
 
 @pytest.mark.parametrize("text", [
@@ -487,8 +500,9 @@ def test_defining_candidates_match_rotation_search_by_hand(text):
     relators = [Word.parse(text), Word.parse("c -g a"), Word.parse(text)]
     presentation = Presentation(["a", "b", "c", "g"], relators)
     for generator in presentation.generators:
-        assert _defining_candidates(presentation, generator) == \
-            rotation_candidates(presentation, generator), generator
+        scanned, searched = definitions_and_rotation_search(
+            presentation, generator)
+        assert scanned == searched, generator
 
 
 def test_auto_simplify_follows_the_reference_schedule():
