@@ -5,29 +5,41 @@ tuple of tuples of element indices with the identity at index 0, so
 ``table[i][j]`` is the product of elements ``i`` and ``j``.  A count has
 three parts, each prepared as rarely as it can be:
 
-* per target, once per process: the table is validated, and its power
-  cycles, its full automorphism group (computed from the table by trying
-  generator images of matching orders) and a stabiliser chain, filled on
-  demand, are kept for the 64 most recently used distinct tables;
-* per presentation, once: the counter works on the presentation's
-  :func:`auto_simplify` result, which the presentation computes once and
-  keeps, and that result keeps its relators compiled to runs ``(generator,
+* per target, once per process: the table is validated, its power cycles
+  are read off and it is checked for commutativity; for a nonabelian table
+  the search also needs its full automorphism group (computed from the
+  table by trying generator images of matching orders, on first use) and a
+  stabiliser chain, filled on demand.  The 64 most recently used distinct
+  tables are kept;
+* per presentation, once: the presentation keeps its first homology for
+  abelian targets, and its :func:`auto_simplify` result for nonabelian
+  ones; that result keeps its relators compiled to runs ``(generator,
   exponent)``, each relator checked at the depth of its last generator;
-* per count: the power of every candidate image for every run, and the
+* per count: the closed form below for an abelian target, and for a
+  nonabelian one the power of every candidate image for every run, and the
   search.
 
-The search enumerates generator images depth first and evaluates a relator
-with one table lookup per run as soon as all its generators have images,
-rejecting the branch when the value is not the identity.  Images are
-enumerated only up to the automorphism group of the target: each depth
-tries one image per orbit of the automorphisms that fix the images already
-chosen, weighted by the orbit's size.
+A homomorphism into an abelian group A factors through the abelianization,
+so with H1 = Z^r + Z_{d_1} + ... + Z_{d_k} of the given presentation the
+count is |A|^r times the product over i of the number of elements whose
+order divides d_i.  This needs no simplification and no search, and holds
+at any size.
+
+Only nonabelian targets are searched.  The search enumerates generator
+images depth first and evaluates a relator with one table lookup per run as
+soon as all its generators have images, rejecting the branch when the value
+is not the identity.  Images are enumerated only up to the automorphism
+group of the target: each depth tries one image per orbit of the
+automorphisms that fix the images already chosen, weighted by the orbit's
+size.  It raises CapacityError when more than six generators survive
+simplification.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
 from ..errors import CapacityError, DomainError
+from .homology import h1
 from .presentations import auto_simplify
 
 MAX_SEARCH_GENERATORS = 6
@@ -36,13 +48,14 @@ MAX_SEARCH_GENERATORS = 6
 def validate_table(table):
     """Check a multiplication table is a group table; raises DomainError.
 
-    Verifies squareness, entry range, identity at index 0, two-sided
-    inverses, and associativity by Light's test: the elements s with
-    (x s) y = x (s y) for all x, y are closed under the product, so it
-    suffices to check the generators of :func:`_generating_tree`, whose
-    tree writes every element as a product of them.  For a group each
-    generator at least doubles the subgroup spanned so far, so the test
-    costs O(order^2 log order), not O(order^3).
+    Verifies squareness, that every entry is an int in range (a bool is
+    refused), identity at index 0, two-sided inverses, and associativity
+    by Light's test: the elements s with (x s) y = x (s y) for all x, y are
+    closed under the product, so it suffices to check the generators of
+    :func:`_generating_tree`, whose tree writes every element as a product
+    of them.  For a group each generator at least doubles the subgroup
+    spanned so far, so the test costs O(order^2 log order), not
+    O(order^3).
     """
     order = len(table)
     if order == 0:
@@ -51,7 +64,7 @@ def validate_table(table):
         if len(row) != order:
             raise DomainError(f"row {i} has length {len(row)}, expected {order}")
         for j, entry in enumerate(row):
-            if not isinstance(entry, int) or not 0 <= entry < order:
+            if type(entry) is not int or not 0 <= entry < order:
                 raise DomainError(f"entry at ({i}, {j}) is not an element index")
     for i in range(order):
         if table[0][i] != i or table[i][0] != i:
@@ -153,28 +166,38 @@ class _Target:
     Built once per distinct table by ``_target``, which keeps the 64 most
     recently used; a table that fails validation raises and is never kept.
     It holds the table (a tuple of tuples) and its order,
-    :func:`_power_cycles`, Aut(T) from :func:`_automorphisms`, and a
-    stabiliser chain filled on demand.  The chain maps a set of fixed images to ``[(orbit representative, orbit
-    size, next key)]``, one entry per orbit of the automorphisms fixing the
-    set pointwise.  A key is always closed, the set of every element that
-    its stabiliser fixes, so equal stabilisers share one entry; the next key
-    of an entry belongs to the stabiliser of the set and the representative.
+    :func:`_power_cycles`, and whether the table is commutative.  Only the
+    search reads the rest, so it is computed on the search's first call:
+    Aut(T) from :func:`_automorphisms`, the set ``root`` of elements every
+    automorphism fixes, and a stabiliser chain filled on demand.  The chain
+    maps a set of fixed images to ``[(orbit representative, orbit size,
+    next key)]``, one entry per orbit of the automorphisms fixing the set
+    pointwise.  A key is always closed, the set of every element that its
+    stabiliser fixes, so equal stabilisers share one entry; the next key of
+    an entry belongs to the stabiliser of the set and the representative.
     """
 
-    __slots__ = ("table", "order", "cycles", "automorphisms", "root", "chain")
+    __slots__ = ("table", "order", "cycles", "abelian", "automorphisms",
+                 "root", "chain")
 
     def __init__(self, table):
         validate_table(table)
         self.table = table
         self.order = len(table)
         self.cycles = _power_cycles(table)
-        self.automorphisms = _automorphisms(table, self.cycles)
-        self.root = self._fixed(self.automorphisms)
-        self.chain = {}
+        self.abelian = table == tuple(zip(*table))
+        self.automorphisms = None
 
     def _fixed(self, maps):
         return frozenset(x for x in range(self.order)
                          if all(m[x] == x for m in maps))
+
+    def prepare_search(self):
+        """Compute Aut(T), ``root`` and an empty chain, once."""
+        if self.automorphisms is None:
+            self.automorphisms = _automorphisms(self.table, self.cycles)
+            self.root = self._fixed(self.automorphisms)
+            self.chain = {}
 
     def orbits(self, fixed):
         """The chain entry of the closed set ``fixed``, computed on first use."""
@@ -231,17 +254,66 @@ def _compile(presentation):
 def count_homomorphisms(presentation, table):
     """Number of homomorphisms from the presented group into the table group.
 
-    The count runs on ``auto_simplify(presentation)``, which the presentation
-    computes on first use and keeps, as it keeps the compiled relators of
-    :func:`_compile`; if more than six generators survive, a CapacityError
-    is raised rather than attempting a hopeless search.  The table, any
-    square array of element indices, is validated and prepared once per
-    distinct value (``_target``), so a table changed between calls is
-    validated again.
+    The table, any square array of element indices, is validated and
+    prepared once per distinct value (``_target``), so a table changed
+    between calls is validated again.  How the count is made depends on
+    whether the table is commutative:
 
-    The search chooses each generator's image only up to the group A of
-    all automorphisms of the target (:func:`_automorphisms`).  This is
-    exact for any group of automorphisms:
+    * An abelian target is counted through H1 of the given presentation,
+      which the presentation computes on first use and keeps
+      (:func:`_abelian_count`).  There is no simplification, no search and
+      no cap on the number of generators, so this works at any n.
+    * A nonabelian target is counted by the search of :func:`_search` on
+      ``auto_simplify(presentation)``; if more than six generators survive
+      it, a CapacityError is raised rather than attempting a hopeless
+      search.
+
+    >>> from .presentations import Presentation, presentation_from_pairings
+    >>> from .words import Word
+    >>> from ..families import build_m24
+    >>> z3 = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
+    >>> count_homomorphisms(Presentation(["a"], [Word.parse("a a a")]), z3)
+    3
+    >>> z12 = small_groups()["Z12"]
+    >>> count_homomorphisms(presentation_from_pairings(build_m24(11)), z12)
+    3
+    """
+    rows = tuple(map(tuple, table))
+    if not all({int}.issuperset(map(type, row)) for row in rows):
+        # a float, bool or string equal to an index must not match a kept
+        # table
+        validate_table(rows)
+    target = _target(rows)
+    if target.abelian:
+        return _abelian_count(presentation, target)
+    return _search(presentation, target)
+
+
+def _abelian_count(presentation, target):
+    """The count into an abelian target, from H1 of the presentation.
+
+    Every homomorphism into an abelian group A factors through the
+    abelianization, so with H1 = Z^r + Z_{d_1} + ... + Z_{d_k} the count is
+    |A|^r times, for each d_i, the number of elements of A whose order
+    (the length of its power cycle) divides d_i.
+    """
+    group = presentation._h1
+    if group is None:
+        group = h1(presentation)
+        object.__setattr__(presentation, "_h1", group)
+    count = target.order ** group.rank
+    for d in group.invariant_factors:
+        count *= sum(1 for cycle in target.cycles if d % len(cycle) == 0)
+    return count
+
+
+def _search(presentation, target):
+    """The count by depth-first search on ``auto_simplify(presentation)``.
+
+    Any target can be searched, but :func:`count_homomorphisms` searches
+    only nonabelian ones.  The search chooses each generator's image only
+    up to the group A of all automorphisms of the target
+    (:func:`_automorphisms`).  This is exact for any group of automorphisms:
     post-composing with any alpha in A is a bijection of Hom(G, target),
     and one that fixes the images already chosen maps each relator's value
     v to alpha(v), which is the identity exactly when v is.  So the number
@@ -251,18 +323,7 @@ def count_homomorphisms(presentation, table):
     weights its count by the orbit's size and recurses with the stabiliser
     of that image too, read from the target's stabiliser chain; once only
     the identity map is left every element is its own orbit, of weight 1.
-
-    >>> from .presentations import Presentation
-    >>> from .words import Word
-    >>> z3 = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
-    >>> count_homomorphisms(Presentation(["a"], [Word.parse("a a a")]), z3)
-    3
     """
-    rows = tuple(map(tuple, table))
-    if not all({int}.issuperset(map(type, row)) for row in rows):
-        # a float or string equal to an index must not match a kept table
-        validate_table(rows)
-    target = _target(rows)
     reduced = auto_simplify(presentation)
     generators = reduced.generators
     if len(generators) > MAX_SEARCH_GENERATORS:
@@ -274,6 +335,7 @@ def count_homomorphisms(presentation, table):
         compiled = _compile(reduced)
         object.__setattr__(reduced, "_compiled", compiled)
     runs, slots_by_depth, checks_by_depth = compiled
+    target.prepare_search()
 
     # ``powers[slot][x]`` is the power of image x that the slot's run takes
     table = target.table

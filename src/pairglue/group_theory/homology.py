@@ -4,17 +4,19 @@ All arithmetic is on Python integers, so entries may grow without bound
 during elimination; nothing here ever rounds.
 """
 
+from ..complex_core import _is_int
 from ..errors import DomainError
 from .words import Word  # noqa: F401  (re-exported for convenience in doctests)
 
 
 def _integers(values, what):
     """``values`` as a tuple of ints; DomainError for any value that is not
-    an int (a float, string or Fraction is refused, never truncated)."""
+    an int (a bool, float, string or Fraction is refused, never truncated);
+    an int subclass other than bool is converted to int."""
     values = tuple(values)
     if not {int}.issuperset(map(type, values)):
         for x in values:
-            if not isinstance(x, int):
+            if not _is_int(x):
                 raise DomainError(f"{what} {x!r} is not an integer")
         values = tuple(map(int, values))
     return values

@@ -28,10 +28,11 @@ class Presentation(_Immutable):
     AttributeError.  The result of :func:`auto_simplify` is computed on first
     use and kept on the instance, so a presentation is simplified once however
     many times it is counted or reduced; the simplified presentation keeps its
-    relators as compiled by the homomorphism counter the same way.
+    relators as compiled by the homomorphism counter the same way, and the
+    counter keeps the first homology it reads for abelian targets.
     """
 
-    __slots__ = ("generators", "relators", "_simplified", "_compiled")
+    __slots__ = ("generators", "relators", "_simplified", "_compiled", "_h1")
 
     def __init__(self, generators, relators):
         generators = tuple(str(g) for g in generators)
@@ -51,6 +52,7 @@ class Presentation(_Immutable):
         object.__setattr__(self, "relators", tuple(rels))
         object.__setattr__(self, "_simplified", None)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_h1", None)
 
     def __reduce__(self):
         return (Presentation, (self.generators, self.relators))

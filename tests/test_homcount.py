@@ -1,9 +1,9 @@
 """Homomorphism counting into small finite groups.
 
-For abelian targets the count factors through the abelianization, giving
-an independent closed-form oracle: with H1 = Z^r + Z_{d_1} + ... + Z_{d_k}
-the number of homomorphisms into A is |A|^r times the product over i of
-the number of elements a in A with d_i * a = 0.
+The library counts into an abelian target through H1 and into a nonabelian
+one by a search up to automorphisms.  Both routes are held against a
+search over every tuple of images (``brute_force_count``), and against each
+other by running the search on abelian targets too.
 """
 
 import random
@@ -18,7 +18,6 @@ from pairglue import (
     build_m24,
     build_m25,
     count_homomorphisms,
-    h1,
     presentation_from_pairings,
     reduced_family_presentation,
     scripted_reduction,
@@ -30,6 +29,8 @@ from pairglue.group_theory.homcount import (
     _automorphisms,
     _direct_product,
     _power_cycles,
+    _search,
+    _target,
 )
 
 
@@ -255,9 +256,29 @@ def test_counts_on_free_and_trivial_groups():
 
 
 def test_capacity_error_on_wide_free_group():
+    # only a nonabelian target is searched, so only it has a cap
     wide = Presentation([f"g{i}" for i in range(7)], [])
     with pytest.raises(CapacityError):
-        count_homomorphisms(wide, z_table(2))
+        count_homomorphisms(wide, small_groups()["D3"])
+    with pytest.raises(CapacityError):
+        count_homomorphisms(presentation_from_pairings(build_m24(11)),
+                            small_groups()["D3"])
+
+
+def test_abelian_targets_have_no_generator_cap():
+    wide = Presentation([f"g{i}" for i in range(7)], [])
+    assert count_homomorphisms(wide, z_table(2)) == 128
+    catalog = small_groups()
+    members = [("m24", n) for n in range(11, 21)]
+    members += [("m25", 30), ("m24", 100), ("m25", 100)]
+    for family, n in members:
+        raw = presentation_from_pairings(
+            build_m24(n) if family == "m24" else build_m25(n))
+        scripted = reduced_family_presentation(family, n)
+        for name in ABELIAN_TARGETS:
+            table = catalog[name]
+            assert count_homomorphisms(raw, table) == \
+                count_homomorphisms(scripted, table), (family, n, name)
 
 
 # ------------------------------------------- targets and presentations kept
@@ -289,6 +310,18 @@ def test_malformed_table_raises_on_every_call():
             count_homomorphisms(triple, broken)
 
 
+def test_table_of_bools_is_refused_after_its_int_twin():
+    # False == 0 and True == 1 with equal hashes: a table of bools is no
+    # table of element indices, and must not be counted as Z2
+    with pytest.raises(DomainError, match="element index"):
+        validate_table(((False, True), (True, False)))
+    square = Presentation(["a"], [Word.parse("a a")])
+    assert count_homomorphisms(square, z_table(2)) == 2
+    for twin in (((False, True), (True, False)), ((0, True), (1, 0))):
+        with pytest.raises(DomainError, match="element index"):
+            count_homomorphisms(square, twin)
+
+
 def test_table_of_floats_is_refused_after_its_int_twin():
     # 1.0 == 1 and hash(1.0) == hash(1): an equal table of floats must
     # not be answered from the int table's prepared target
@@ -304,7 +337,7 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
     from pairglue.group_theory import homcount
 
     calls = {"validate_table": [], "_automorphisms": [], "_compile": [],
-             "_runs": 0}
+             "h1": [], "_runs": 0}
 
     def counted(name):
         original = getattr(homcount, name)
@@ -322,7 +355,7 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
         return runs(relator, index_of)
 
     catalog = small_groups()
-    for name in ("validate_table", "_automorphisms", "_compile"):
+    for name in ("validate_table", "_automorphisms", "_compile", "h1"):
         counted(name)
     monkeypatch.setattr(homcount, "_runs", counted_runs)
     homcount._target.cache_clear()
@@ -340,40 +373,30 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
             ("m24", 6) if presentation in presentations[:2] else ("m25", 8)]
     tables = list(catalog.values())
     assert calls["validate_table"] == tables
-    assert calls["_automorphisms"] == tables
+    # only the search reads Aut(T), and only nonabelian targets are searched
+    assert calls["_automorphisms"] == [catalog[name]
+                                       for name in NONABELIAN_TARGETS]
+    assert calls["h1"] == presentations
     assert calls["_compile"] == [auto_simplify(p) for p in presentations]
     assert calls["_runs"] == sum(len(auto_simplify(p).relators)
                                  for p in presentations)
 
 
-# -------------------------------------------------- abelian target oracle
+# ----------------------------------------------------------- abelian targets
 
 ABELIAN_TARGETS = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7",
                    "Z8", "Z4xZ2", "Z2xZ2xZ2", "Z9", "Z3xZ3", "Z10",
                    "Z11", "Z12", "Z6xZ2")
 
 
-def torsion_kernel_size(table, d):
-    """Number of elements a with a^d = identity, by table exponentiation."""
-    count = 0
-    for a in range(len(table)):
-        value = 0
-        for _ in range(d):
-            value = table[value][a]
-        if value == 0:
-            count += 1
-    return count
+def test_catalog_splits_into_abelian_and_nonabelian_targets():
+    catalog = small_groups()
+    assert sorted(ABELIAN_TARGETS + NONABELIAN_TARGETS) == sorted(catalog)
+    for name, table in catalog.items():
+        assert _target(table).abelian == (name in ABELIAN_TARGETS), name
 
 
-def abelian_hom_count(presentation, table):
-    group = h1(presentation)
-    total = len(table) ** group.rank
-    for d in group.invariant_factors:
-        total *= torsion_kernel_size(table, d)
-    return total
-
-
-def test_count_matches_abelianization_oracle_on_abelian_targets():
+def test_count_matches_brute_force_on_abelian_targets():
     catalog = small_groups()
     cases = [reduced_family_presentation(fam, n)
              for fam in ("m24", "m25") for n in (1, 2, 3)]
@@ -382,7 +405,21 @@ def test_count_matches_abelianization_oracle_on_abelian_targets():
         for name in ABELIAN_TARGETS:
             table = catalog[name]
             assert count_homomorphisms(presentation, table) == \
-                abelian_hom_count(presentation, table), (name, presentation)
+                brute_force_count(presentation, table), (name, presentation)
+
+
+@pytest.mark.parametrize("family, top", [("m24", 8), ("m25", 10)])
+def test_search_agrees_with_h1_route_on_abelian_targets(family, top):
+    # the search is exact on any target; run it where the library does not
+    catalog = small_groups()
+    build = build_m24 if family == "m24" else build_m25
+    for n in range(1, top + 1):
+        for presentation in (presentation_from_pairings(build(n)),
+                             reduced_family_presentation(family, n)):
+            for name in ABELIAN_TARGETS:
+                table = catalog[name]
+                assert _search(presentation, _target(table)) == \
+                    count_homomorphisms(presentation, table), (family, n, name)
 
 
 # ------------------------------------- invariance along scripted reduction

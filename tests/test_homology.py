@@ -70,10 +70,24 @@ def test_non_integer_entries_are_refused_not_truncated():
             AbelianGroup(0, (3, bad))
         with pytest.raises(DomainError, match="not an integer"):
             AbelianGroup(bad, ())
-    # bools are ints; they are stored as plain ints
-    assert IntegerMatrix([[True, 0], [0, 3]]).rows == ((1, 0), (0, 3))
-    assert type(IntegerMatrix([[True]]).rows[0][0]) is int
-    assert AbelianGroup(True, (3,)) == AbelianGroup(1, (3,))
+    # an int subclass is stored as a plain int
+    class Count(int):
+        pass
+
+    assert IntegerMatrix([[Count(1), 0], [0, 3]]).rows == ((1, 0), (0, 3))
+    assert type(IntegerMatrix([[Count(1)]]).rows[0][0]) is int
+    assert AbelianGroup(Count(1), (3,)) == AbelianGroup(1, (3,))
+
+
+def test_bools_are_refused_as_integers():
+    # True == 1, but a bool is a flag, not a rank or a matrix entry
+    with pytest.raises(DomainError, match="free rank True is not an integer"):
+        AbelianGroup(True, ())
+    with pytest.raises(DomainError,
+                       match="invariant factor True is not an integer"):
+        AbelianGroup(0, (True, 2))
+    with pytest.raises(DomainError, match="matrix entry True is not an integer"):
+        IntegerMatrix([[True, 2]])
 
 
 def test_matrix_multiplication_and_identity():
