@@ -1,46 +1,11 @@
 """Group-theoretic layer: words, presentations, homology, homomorphism counts."""
 
-from .homcount import count_homomorphisms, small_groups, validate_table
-from .homology import (
-    AbelianGroup,
-    IntegerMatrix,
-    abelianization_matrix,
-    h1,
-    smith_normal_form,
-)
-from .presentations import (
-    Presentation,
-    auto_simplify,
-    family_elimination_order,
-    preset_presentation,
-    presentation_from_cw,
-    presentation_from_pairings,
-    reduced_family_presentation,
-    scripted_reduction,
-    tietze_eliminate,
-)
-from .words import Word, cyclic_normal_form, cyclic_reduce, free_reduce
+# each module lists its public names once, in its own __all__
+from . import homcount, homology, presentations, words
+from .homcount import *  # noqa: F403
+from .homology import *  # noqa: F403
+from .presentations import *  # noqa: F403
+from .words import *  # noqa: F403
 
-__all__ = [
-    "AbelianGroup",
-    "IntegerMatrix",
-    "Presentation",
-    "Word",
-    "abelianization_matrix",
-    "auto_simplify",
-    "count_homomorphisms",
-    "cyclic_normal_form",
-    "cyclic_reduce",
-    "family_elimination_order",
-    "free_reduce",
-    "h1",
-    "preset_presentation",
-    "presentation_from_cw",
-    "presentation_from_pairings",
-    "reduced_family_presentation",
-    "scripted_reduction",
-    "small_groups",
-    "smith_normal_form",
-    "tietze_eliminate",
-    "validate_table",
-]
+__all__ = [*words.__all__, *presentations.__all__, *homology.__all__,
+           *homcount.__all__]

@@ -32,7 +32,7 @@ is not the identity.  Images are enumerated only up to the automorphism
 group of the target: each depth tries one image per orbit of the
 automorphisms that fix the images already chosen, weighted by the orbit's
 size.  It raises CapacityError when more than six generators survive
-simplification.
+simplification, or when simplification outgrows its bound.
 """
 
 from functools import lru_cache
@@ -41,6 +41,8 @@ from itertools import permutations, product
 from ..errors import CapacityError, DomainError
 from .homology import h1
 from .presentations import auto_simplify
+
+__all__ = ["count_homomorphisms", "small_groups", "validate_table"]
 
 MAX_SEARCH_GENERATORS = 6
 
@@ -168,17 +170,15 @@ class _Target:
     It holds the table (a tuple of tuples) and its order,
     :func:`_power_cycles`, and whether the table is commutative.  Only the
     search reads the rest, so it is computed on the search's first call:
-    Aut(T) from :func:`_automorphisms`, the set ``root`` of elements every
-    automorphism fixes, and a stabiliser chain filled on demand.  The chain
-    maps a set of fixed images to ``[(orbit representative, orbit size,
-    next key)]``, one entry per orbit of the automorphisms fixing the set
-    pointwise.  A key is always closed, the set of every element that its
-    stabiliser fixes, so equal stabilisers share one entry; the next key of
-    an entry belongs to the stabiliser of the set and the representative.
+    Aut(T) from :func:`_automorphisms` and a stabiliser chain filled on
+    demand.  A stabiliser is keyed by itself, as the ascending tuple of its
+    maps' positions in Aut(T); the search starts from all of them.  The
+    chain maps a stabiliser to ``[(orbit representative, orbit size, key of
+    the representative's stabiliser within it)]``, one entry per orbit.
     """
 
     __slots__ = ("table", "order", "cycles", "abelian", "automorphisms",
-                 "root", "chain")
+                 "chain")
 
     def __init__(self, table):
         validate_table(table)
@@ -188,32 +188,26 @@ class _Target:
         self.abelian = table == tuple(zip(*table))
         self.automorphisms = None
 
-    def _fixed(self, maps):
-        return frozenset(x for x in range(self.order)
-                         if all(m[x] == x for m in maps))
-
     def prepare_search(self):
-        """Compute Aut(T), ``root`` and an empty chain, once."""
+        """Compute Aut(T) and an empty chain, once."""
         if self.automorphisms is None:
             self.automorphisms = _automorphisms(self.table, self.cycles)
-            self.root = self._fixed(self.automorphisms)
             self.chain = {}
 
-    def orbits(self, fixed):
-        """The chain entry of the closed set ``fixed``, computed on first use."""
-        entries = self.chain.get(fixed)
+    def orbits(self, stabiliser):
+        """The chain entry of ``stabiliser``, computed on first use."""
+        entries = self.chain.get(stabiliser)
         if entries is None:
-            maps = [m for m in self.automorphisms
-                    if all(m[x] == x for x in fixed)]
+            maps = self.automorphisms
             entries = []
             seen = set()
             for x in range(self.order):
                 if x not in seen:
-                    orbit = {m[x] for m in maps}
+                    orbit = {maps[i][x] for i in stabiliser}
                     seen |= orbit
-                    entries.append((x, len(orbit), self._fixed(
-                        [m for m in maps if m[x] == x])))
-            self.chain[fixed] = entries
+                    entries.append((x, len(orbit), tuple(
+                        i for i in stabiliser if maps[i][x] == x)))
+            self.chain[stabiliser] = entries
         return entries
 
 
@@ -264,13 +258,11 @@ def count_homomorphisms(presentation, table):
       (:func:`_abelian_count`).  There is no simplification, no search and
       no cap on the number of generators, so this works at any n.
     * A nonabelian target is counted by the search of :func:`_search` on
-      ``auto_simplify(presentation)``; if more than six generators survive
-      it, a CapacityError is raised rather than attempting a hopeless
-      search.
+      ``auto_simplify(presentation)``, which raises CapacityError past its
+      bound on relator letters (raw m25 from n = 15 on); so does the search
+      when more than six generators survive.
 
-    >>> from .presentations import Presentation, presentation_from_pairings
-    >>> from .words import Word
-    >>> from ..families import build_m24
+    >>> from .. import Presentation, Word, build_m24, presentation_from_pairings
     >>> z3 = tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3))
     >>> count_homomorphisms(Presentation(["a"], [Word.parse("a a a")]), z3)
     3
@@ -344,13 +336,13 @@ def _search(presentation, target):
     current = [0] * len(runs)
     orbits = target.orbits
 
-    def search(depth, fixed):
+    def search(depth, stabiliser):
         if depth == len(generators):
             return 1
         slots = slots_by_depth[depth]
         checks = checks_by_depth[depth]
         total = 0
-        for candidate, weight, stabilised in orbits(fixed):
+        for candidate, weight, stabilised in orbits(stabiliser):
             for slot in slots:
                 current[slot] = powers[slot][candidate]
             for relator in checks:
@@ -363,7 +355,7 @@ def _search(presentation, target):
                 total += weight * search(depth + 1, stabilised)
         return total
 
-    return search(0, target.root)
+    return search(0, tuple(range(len(target.automorphisms))))
 
 
 def _table(elements, multiply):

@@ -6,7 +6,9 @@ during elimination; nothing here ever rounds.
 
 from ..complex_core import _is_int
 from ..errors import DomainError
-from .words import Word  # noqa: F401  (re-exported for convenience in doctests)
+
+__all__ = ["AbelianGroup", "IntegerMatrix", "abelianization_matrix", "h1",
+           "smith_normal_form"]
 
 
 def _integers(values, what):
@@ -362,7 +364,7 @@ def h1(presentation):
     to 1 are dropped; the free rank is the generator count minus the rank of
     A (unit pivots plus nonzero core diagonal entries).
 
-    >>> from .presentations import Presentation
+    >>> from . import Presentation, Word
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
     'Z3'
     """

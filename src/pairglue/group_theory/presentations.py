@@ -16,9 +16,18 @@ computed downstream, and the tests hold them against each other.
 from collections import Counter
 
 from ..complex_core import _Immutable, _join, _orbit_data, vertex_orbits
-from ..errors import DomainError, EliminationError
+from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labellers, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
+
+__all__ = ["Presentation", "auto_simplify", "family_elimination_order",
+           "preset_presentation", "presentation_from_cw",
+           "presentation_from_pairings", "reduced_family_presentation",
+           "scripted_reduction", "tietze_eliminate"]
+
+# auto_simplify gives up past this many relator letters in all: raw m25(14)
+# peaks at 432,082, and from m25(15) on the growth passes the bound
+MAX_SIMPLIFY_LETTERS = 2 ** 20
 
 
 class Presentation(_Immutable):
@@ -106,12 +115,11 @@ def _spanning_tree(orbit_edges, vertex_class, generators, preferred):
     return tree
 
 
-def presentation_from_cw(complex_, tree_strategy="auto"):
+def presentation_from_cw(complex_):
     """Edge-class generators, face-pair boundary relators, tree relators.
 
-    ``tree_strategy`` is ``"auto"`` (use the complex's preferred tree when it
-    carries one, else grow a greedy tree) or an explicit iterable of generator
-    names to use as the spanning tree; any other string raises DomainError.
+    The spanning tree is the complex's ``preferred_tree`` when it has one
+    (which must span on its own), else one grown greedily in generator order.
 
     Generator naming follows the complex's ``edge_names`` metadata, which
     must name every edge class exactly once or raise DomainError (the family
@@ -157,18 +165,8 @@ def presentation_from_cw(complex_, tree_strategy="auto"):
         tail, head = complex_.slot_endpoints(orbit.representative)
         orbit_edges[names[idx]] = (vclass[tail], vclass[head])
 
-    if tree_strategy == "auto":
-        preferred = complex_.preferred_tree
-    elif isinstance(tree_strategy, str):
-        raise DomainError(
-            "tree_strategy must be 'auto' or an iterable of generator names, "
-            f"got {tree_strategy!r}")
-    else:
-        preferred = tuple(tree_strategy)
-        missing = [g for g in preferred if g not in generators]
-        if missing:
-            raise DomainError(f"unknown tree generator {missing[0]!r}")
-    for name in _spanning_tree(orbit_edges, vclass, generators, preferred):
+    for name in _spanning_tree(orbit_edges, vclass, generators,
+                               complex_.preferred_tree):
         relators.append(Word([(name, 1)]))
 
     return Presentation(generators, relators)
@@ -251,8 +249,10 @@ def auto_simplify(presentation):
 
     At each step every generator owning a defining relator competes; the one
     whose best defining relator is globally shortest wins, earliest generator
-    on ties.  Stops when no generator can be eliminated.  The result is kept
-    on the presentation, so later calls return it without recomputing.
+    on ties.  Stops when no generator can be eliminated, and raises
+    CapacityError once an elimination leaves more than MAX_SIMPLIFY_LETTERS
+    letters in all relators.  The result is kept on the presentation, so
+    later calls return it without recomputing.
     """
     simplified = presentation._simplified
     if simplified is None:
@@ -278,6 +278,10 @@ def _simplify(presentation):
         _, index, letters = best[generator]
         current = _apply_elimination(current, generator, index,
                                      _defining_word(letters, generator))
+        size = sum(map(len, current.relators))
+        if size > MAX_SIMPLIFY_LETTERS:
+            raise CapacityError(f"simplification grew the relators to {size} "
+                                f"letters, past {MAX_SIMPLIFY_LETTERS}")
 
 
 def family_elimination_order(n):

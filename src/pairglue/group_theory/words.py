@@ -15,6 +15,8 @@ package writes an inverse letter with a ``-`` prefix:
 from ..complex_core import _Immutable, natural_key
 from ..errors import DomainError
 
+__all__ = ["Word", "cyclic_normal_form", "cyclic_reduce", "free_reduce"]
+
 
 class Word(_Immutable):
     __slots__ = ("letters",)

@@ -261,8 +261,8 @@ def quotient_complex(complex_, automorphism):
     verified as ``ComplexAutomorphism(complex_, vertex_map)``.  Cell orbits
     become single cells, setwise-fixed faces fold to shorter polygons, and
     a pairing orbit descends to one pairing when every member gives the same
-    one.  Every descent step is checked; a violation raises
-    UnsupportedQuotientError.
+    one.  Identifications that do not descend, and a quotient that
+    ``validate`` rejects, raise UnsupportedQuotientError.
     """
     auto = automorphism
     if not (isinstance(auto, ComplexAutomorphism) and auto.domain is complex_):
@@ -284,12 +284,8 @@ def quotient_complex(complex_, automorphism):
     involution_q = {}
     for slot in c.all_slots():
         mate, aligned = c.involution[slot]
-        down, down_mate = project(slot), project(mate)
-        if down == down_mate:
-            raise UnsupportedQuotientError(
-                f"edge at {format_slot(slot)} collapses onto itself in the quotient")
-        entry = (down_mate, aligned)
-        if involution_q.setdefault(down, entry) != entry:
+        entry = (project(mate), aligned)
+        if involution_q.setdefault(project(slot), entry) != entry:
             raise UnsupportedQuotientError(
                 f"edge identifications do not descend at {format_slot(slot)}")
 
@@ -308,14 +304,6 @@ def quotient_complex(complex_, automorphism):
     for names in _cycles(auto.pairing_map, by_name):
         rep_name = min(names, key=natural_key)
         descended = descend(by_name[names[0]])
-        source_rep, target_rep = descended[:2]
-        if source_rep == target_rep:
-            raise UnsupportedQuotientError(
-                f"pairing {rep_name} would pair face {source_rep} "
-                "with itself in the quotient")
-        if transport[source_rep][2] != transport[target_rep][2]:
-            raise UnsupportedQuotientError(
-                f"pairing {rep_name} joins faces that fold to different lengths")
         if any(descend(by_name[name]) != descended for name in names):
             raise UnsupportedQuotientError(
                 f"pairing orbit of {rep_name} does not descend")

@@ -263,6 +263,11 @@ def test_capacity_error_on_wide_free_group():
     with pytest.raises(CapacityError):
         count_homomorphisms(presentation_from_pairings(build_m24(11)),
                             small_groups()["D3"])
+    # raw m25 relators grow about 2.6-fold per n under auto_simplify; the
+    # size bound stops the growth instead of letting it run for minutes
+    with pytest.raises(CapacityError, match="letters"):
+        count_homomorphisms(presentation_from_pairings(build_m25(100)),
+                            small_groups()["D3"])
 
 
 def test_abelian_targets_have_no_generator_cap():

@@ -451,6 +451,10 @@ def test_cli_domain_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "table", "--family", "m24",
                            "--from", "3", "--to", "2")
     assert code == 1 and "1 <= from <= to" in err
+    code, out, err = run_cli(capsys, "pi1", "--simplify", "--family", "m25",
+                             "--n", "100")
+    assert code == 1 and out == ""
+    assert err.startswith("error: simplification grew the relators")
 
 
 def test_cli_usage_errors_exit_two(capsys):

@@ -4,8 +4,10 @@ import sys
 
 import pairglue
 from pairglue import complex_core, errors, families, group_theory, io_cli, symmetry
+from pairglue.group_theory import homcount, homology, presentations, words
 
 MODULES = (complex_core, errors, families, group_theory, io_cli, symmetry)
+GROUP_THEORY_MODULES = (homcount, homology, presentations, words)
 
 
 def test_public_names_are_pinned():
@@ -40,3 +42,11 @@ def test_each_public_name_is_its_defining_modules_object():
             home = getattr(value, "__module__", None)
             if home is not None and home.startswith("pairglue."):
                 assert getattr(sys.modules[home], name) is value, name
+
+
+def test_each_group_theory_name_is_listed_by_one_submodule():
+    for name in group_theory.__all__:
+        homes = [module for module in GROUP_THEORY_MODULES
+                 if name in module.__all__]
+        assert len(homes) == 1, name
+        assert getattr(group_theory, name) is getattr(homes[0], name), name

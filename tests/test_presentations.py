@@ -135,11 +135,18 @@ def test_cw_relator_count_includes_tree():
         assert len(p.relators) == len(c.pairings) + (sigma0 - 1)
 
 
+def with_metadata(c, edge_names, preferred_tree):
+    return PairedComplex(c.vertex_labels, c.faces, c.involution, c.pairings,
+                         name=c.name, n=c.n, edge_names=edge_names,
+                         preferred_tree=preferred_tree)
+
+
 def test_cw_m25_even_tree_relator():
-    p = presentation_from_cw(build_m25(4))
+    c = build_m25(4)
+    p = presentation_from_cw(c)
     assert "u" in p.generators and "v" in p.generators
     assert cnf("v") in cnfset(p)
-    alt = presentation_from_cw(build_m25(4), tree_strategy=("u",))
+    alt = presentation_from_cw(with_metadata(c, c.edge_names, ("u",)))
     assert cnf("u") in cnfset(alt)
 
 
@@ -147,33 +154,18 @@ def test_cw_tree_choice_does_not_change_h1():
     for n in (2, 4, 6):
         c = build_m25(n)
         base = h1(presentation_from_pairings(c))
-        for tree in (("u",), ("v",), "auto"):
-            assert h1(presentation_from_cw(c, tree_strategy=tree)) == base
+        assert h1(presentation_from_cw(c)) == base
+        for tree in (("u",), ("v",)):
+            assert h1(presentation_from_cw(
+                with_metadata(c, c.edge_names, tree))) == base
 
 
 def test_cw_tree_errors():
-    with pytest.raises(DomainError):
-        presentation_from_cw(build_m24(3), tree_strategy=("u",))
-    with pytest.raises(DomainError):
-        presentation_from_cw(build_m25(4), tree_strategy=("x1", "u"))
-    with pytest.raises(DomainError):
-        presentation_from_cw(build_m25(4), tree_strategy=("nope",))
-
-
-def test_cw_tree_strategy_string_is_not_split_into_letters():
-    # "u" would name a generator of m25(4) letter by letter, "x1" would not
-    for strategy in ("x1", "u", "", "Auto"):
-        with pytest.raises(DomainError, match="'auto' or an iterable of "
-                           "generator names"):
-            presentation_from_cw(build_m25(4), tree_strategy=strategy)
-    assert presentation_from_cw(build_m25(4), tree_strategy=["u"]) == \
-        presentation_from_cw(build_m25(4), tree_strategy=("u",))
-
-
-def with_metadata(c, edge_names, preferred_tree):
-    return PairedComplex(c.vertex_labels, c.faces, c.involution, c.pairings,
-                         name=c.name, n=c.n, edge_names=edge_names,
-                         preferred_tree=preferred_tree)
+    for build, n, tree in ((build_m24, 3, ("u",)), (build_m25, 4, ("x1", "u")),
+                           (build_m25, 4, ("nope",))):
+        c = build(n)
+        with pytest.raises(DomainError):
+            presentation_from_cw(with_metadata(c, c.edge_names, tree))
 
 
 def test_cw_greedy_tree_on_documents_without_metadata():
@@ -207,10 +199,10 @@ def test_cw_preferred_tree_too_small_to_span():
     c = PairedComplex(["p", "q", "r"], faces, involution,
                       [Pairing("f", "F", "G", 0, 1)])
     assert len(vertex_orbits(c)) == 3
-    spanned = presentation_from_cw(c, tree_strategy=("e1", "e2"))
+    spanned = presentation_from_cw(with_metadata(c, (), ("e1", "e2")))
     assert len(spanned.relators) == 3
     with pytest.raises(DomainError, match="do not span"):
-        presentation_from_cw(c, tree_strategy=("e1",))
+        presentation_from_cw(with_metadata(c, (), ("e1",)))
 
 
 def test_cw_preferred_tree_with_an_unknown_name():

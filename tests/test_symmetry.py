@@ -226,6 +226,20 @@ def test_quotient_accepts_bare_vertex_map():
     assert quotient.same_structure(build_m25(2))
 
 
+def test_quotient_rebuilds_an_automorphism_of_another_complex():
+    # a fresh build is not the rotation's domain, so its vertex map is
+    # verified again on the complex given
+    auto = rotation("m24", 6, 2)
+    quotient = quotient_complex(build_m24(6), auto)
+    assert quotient.name == "m24/Z3"
+    assert quotient.same_structure(build_m24(2))
+    quotient = quotient_complex(build_m25(6), auto)
+    assert quotient.name == "m25/Z3"
+    assert quotient.same_structure(build_m25(2))
+    with pytest.raises(StructureError):
+        quotient_complex(build_m24(3), auto)
+
+
 def test_quotient_base_homology_is_z3():
     for family, n, step in (("m24", 5, 1), ("m25", 5, 1), ("m25", 6, 2)):
         auto = rotation(family, n, step)
