@@ -7,6 +7,8 @@ replay of each cycle word through the stored offsets and directions.
 
 import copy
 import pickle
+import random
+from types import MappingProxyType
 
 import pytest
 
@@ -18,14 +20,19 @@ from pairglue import (
     cell_counts,
     edge_orbits,
     is_manifold,
+    parse_complex,
     presentation_from_cw,
     presentation_from_pairings,
+    serialize_complex,
     validate,
     vertex_orbits,
 )
 from pairglue import complex_core
-from pairglue.complex_core import _orbit_data, natural_key
-from pairglue.errors import StructureError
+from pairglue.complex_core import (EdgeOrbit, VertexOrbit, _find, _is_int,
+                                   _join, _orbit_data, format_slot,
+                                   natural_key)
+from pairglue.errors import ParseError, StructureError
+from pairglue.group_theory.words import Word
 
 
 def slot_key(slot):
@@ -446,3 +453,276 @@ def test_each_complex_is_analysed_once(monkeypatch):
             with pytest.raises(StructureError):
                 analysis(broken)
     assert calls == {"_violations": [broken]}
+
+
+# ------------------------------------------ the analysis vs its previous version
+
+def reference_violations(complex_):
+    """Reference: the previous ``_violations``, over ``(label, k)`` slots."""
+    violations = [] if complex_.faces else ["boundary has no faces"]
+    c = complex_
+    known_vertices = set(c.vertex_labels)
+
+    for label, cycle in c.faces.items():
+        if not cycle:
+            violations.append(f"face {label} has no vertices")
+        for v in cycle:
+            if v not in known_vertices:
+                violations.append(f"face {label} references unknown vertex {v}")
+
+    seen_names = set()
+    usage = {}
+    for pairing in c.pairings:
+        if pairing.name in seen_names:
+            violations.append(f"duplicate pairing name {pairing.name}")
+        seen_names.add(pairing.name)
+        missing = [f for f in (pairing.source, pairing.target) if f not in c.faces]
+        for f in missing:
+            violations.append(f"pairing {pairing.name} references unknown face {f}")
+        if missing:
+            continue
+        if pairing.source == pairing.target:
+            violations.append(f"pairing {pairing.name} pairs face "
+                              f"{pairing.source} with itself")
+        ls, lt = len(c.faces[pairing.source]), len(c.faces[pairing.target])
+        if ls != lt:
+            violations.append(f"pairing {pairing.name} joins faces of different "
+                              f"lengths ({ls} vs {lt})")
+        if not _is_int(pairing.offset):
+            violations.append(f"pairing {pairing.name} offset "
+                              f"{pairing.offset!r} is not an int")
+        elif not 0 <= pairing.offset < lt:
+            violations.append(f"pairing {pairing.name} offset {pairing.offset} "
+                              f"out of range")
+        if not _is_int(pairing.direction) or pairing.direction not in (1, -1):
+            violations.append(f"pairing {pairing.name} direction must be +1 or -1")
+        for f in (pairing.source, pairing.target):
+            usage.setdefault(f, []).append(pairing.name)
+
+    for label in c.faces:
+        names = usage.get(label, [])
+        if not names:
+            violations.append(f"unpaired face {label}")
+        elif len(names) > 1:
+            violations.append(f"face {label} doubly paired ({', '.join(names)})")
+
+    scan = [(label, k) for label in c.face_order
+            if all(v in known_vertices for v in c.faces[label])
+            for k in range(len(c.faces[label]))]
+    slots = set(scan)
+    for slot in scan:
+        entry = complex_.involution.get(slot)
+        if entry is None:
+            violations.append(f"involution missing entry for {format_slot(slot)}")
+            continue
+        mate, aligned = entry
+        if mate == slot:
+            violations.append(f"involution has a fixed point at {format_slot(slot)}")
+            continue
+        if mate not in slots:
+            violations.append(f"involution at {format_slot(slot)} references "
+                              f"unknown slot {format_slot(mate)}")
+            continue
+        back = complex_.involution.get(mate)
+        if back != (slot, aligned):
+            violations.append(f"involution not symmetric at {format_slot(slot)}")
+            continue
+        tail, head = c.slot_endpoints(slot)
+        mtail, mhead = c.slot_endpoints(mate)
+        expected = (mtail, mhead) if aligned else (mhead, mtail)
+        if (tail, head) != expected:
+            violations.append(f"involution endpoints mismatch at {format_slot(slot)}")
+    for slot in complex_.involution:
+        if slot not in slots:
+            violations.append(f"involution references unknown slot {format_slot(slot)}")
+
+    if violations:
+        return violations
+
+    # Orientation phase: orient every face so that neighbouring faces traverse
+    # each shared edge in opposite directions, then require every pairing to
+    # reverse that orientation (the glued space is then orientable).  One walk
+    # must reach every face, as the boundary is connected.
+    orient = {}
+    for start in c.face_order:
+        if start in orient:
+            continue
+        if orient:
+            violations.append(f"boundary is not connected: face {start} is "
+                              f"not reached from face {next(iter(orient))}")
+            return violations
+        orient[start] = 1
+        queue = [start]
+        while queue:
+            face = queue.pop()
+            for k in range(len(c.faces[face])):
+                mate, aligned = c.involution[(face, k)]
+                needed = -orient[face] if aligned else orient[face]
+                if mate[0] not in orient:
+                    orient[mate[0]] = needed
+                    queue.append(mate[0])
+                elif orient[mate[0]] != needed:
+                    violations.append("boundary orientation inconsistent near "
+                                      f"face {mate[0]}")
+                    return violations
+    for pairing in c.pairings:
+        if pairing.direction * orient[pairing.source] * orient[pairing.target] != -1:
+            violations.append(f"pairing {pairing.name} does not reverse orientation")
+
+    return violations
+
+
+def reference_traverse_edges(complex_):
+    """Reference: the previous ``_traverse_edges``, through closures."""
+    c = complex_
+    by_face = c.pairing_by_face()
+
+    def pairing_move(slot, sense):
+        face, k = slot
+        pairing, is_source = by_face[face]
+        length = len(c.faces[face])
+        if is_source:
+            k2, sense2 = pairing.image_directed(k, sense, length)
+            return (pairing.target, k2), sense2, (pairing.name, 1)
+        k2, sense2 = pairing.preimage_directed(k, sense, length)
+        return (pairing.source, k2), sense2, (pairing.name, -1)
+
+    position = {slot: i for i, slot in enumerate(c.all_slots())}
+
+    def edge_of(slot):
+        """The slot of the edge through ``slot`` that comes first in scan order."""
+        mate = c.involution[slot][0]
+        return slot if position[slot] < position[mate] else mate
+
+    orbits = []
+    slot_sign = {}
+    orbit_index = {}
+    for rep in position:
+        if rep in slot_sign:
+            continue
+        index = len(orbits)
+
+        def record(slot, sense):
+            mate, aligned = c.involution[slot]
+            slot_sign[slot] = sense
+            slot_sign[mate] = sense if aligned else -sense
+            orbit_index[slot] = index
+            orbit_index[mate] = index
+            return edge_of(slot)
+
+        members = [record(rep, 1)]
+        letters = []
+        slot, sense = rep, 1
+        while True:
+            slot, sense, letter = pairing_move(slot, sense)
+            letters.append(letter)
+            if slot in slot_sign and orbit_index[slot] == index:
+                if edge_of(slot) != members[0]:
+                    raise StructureError([f"edge class at {format_slot(rep)} "
+                                          "folds onto itself"])
+                break
+            members.append(record(slot, sense))
+            mate, aligned = c.involution[slot]
+            slot, sense = mate, sense if aligned else -sense
+        members.sort(key=position.__getitem__)
+        orbits.append(EdgeOrbit(representative=rep, member_edges=tuple(members),
+                                cycle_word=Word(letters)))
+    return (tuple(orbits), MappingProxyType(slot_sign),
+            MappingProxyType(orbit_index))
+
+
+def reference_vertex_classes(complex_):
+    """Reference: the previous ``_vertex_classes``."""
+    c = complex_
+    parent = {v: v for v in c.vertex_labels}
+    for pairing in c.pairings:
+        source = c.faces[pairing.source]
+        target = c.faces[pairing.target]
+        for j, v in enumerate(source):
+            _join(parent, v, target[pairing.vertex_image(j, len(source))])
+
+    # walking the vertices in natural order lists each class, and the
+    # classes, by their natural-least member
+    classes = {}
+    for v in c.vertex_order:
+        classes.setdefault(_find(parent, v), []).append(v)
+    return tuple(VertexOrbit(representative=members[0],
+                             member_vertices=tuple(members))
+                 for members in classes.values())
+
+
+def analysis(violations, traverse, classes, complex_):
+    """The violations; for a valid complex, the orbit data and vertex
+    classes instead; or the message of the StructureError raised."""
+    try:
+        found = violations(complex_)
+        if found:
+            return list(found)
+        orbits, slot_sign, orbit_index = traverse(complex_)
+        return orbits, dict(slot_sign), dict(orbit_index), classes(complex_)
+    except StructureError as exc:
+        return str(exc)
+
+
+def assert_analysis_matches_reference(complex_):
+    assert (analysis(complex_core._violations, complex_core._traverse_edges,
+                     complex_core._vertex_classes, complex_)
+            == analysis(reference_violations, reference_traverse_edges,
+                        reference_vertex_classes, complex_))
+
+
+def test_analysis_matches_reference_on_families(family):
+    for n in range(1, 61):
+        assert_analysis_matches_reference(build(family, n))
+
+
+def mutated_documents(seed, count):
+    """Documents of small members with one or two tokens or lines changed."""
+    rng = random.Random(seed)
+    documents = [serialize_complex(build(family, n)).splitlines()
+                 for family, n in (("m24", 1), ("m24", 2), ("m25", 2),
+                                   ("m25", 3))]
+    pool = sorted({token for lines in documents for line in lines[1:]
+                   for token in line.split()} | {"-", "0", "1", "2", "3"})
+    for _ in range(count):
+        lines = list(rng.choice(documents))
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(1, len(lines))
+            tokens = lines[i].split()
+            j = rng.randrange(1, len(tokens)) if len(tokens) > 1 else 0
+            roll = rng.random()
+            if tokens[0] == "pairing" and roll < 0.3:
+                # a new sign and offset, with the image list to match
+                length = len(tokens) - 5
+                sign, offset = rng.choice("+-"), rng.randrange(length)
+                step = 1 if sign == "+" else -1
+                tokens[4:] = [sign] + [str((offset + step * k) % length)
+                                       for k in range(length)]
+            elif roll < 0.6:
+                tokens[j] = rng.choice(pool)
+            elif roll < 0.75:
+                k = rng.randrange(len(tokens))
+                tokens[j], tokens[k] = tokens[k], tokens[j]
+            elif roll < 0.8:
+                del tokens[j]
+            elif roll < 0.9:
+                lines.insert(rng.randrange(1, len(lines) + 1), lines[i])
+                continue
+            else:
+                del lines[i]
+                continue
+            lines[i] = " ".join(tokens)
+        yield "\n".join(lines) + "\n"
+
+
+def test_analysis_matches_reference_on_mutated_documents():
+    outcomes = []
+    for text in mutated_documents(seed=16, count=2000):
+        try:
+            complex_ = parse_complex(text)
+        except ParseError:
+            continue
+        assert_analysis_matches_reference(complex_)
+        outcomes.append(bool(validate(complex_)))
+    # both kinds occur: complexes that fail validation and ones that pass
+    assert outcomes.count(True) > 500 and outcomes.count(False) > 50
