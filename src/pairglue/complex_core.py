@@ -15,8 +15,10 @@ analysis functions return fresh lists or read-only views.
 
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, and a slot is addressed as
-``(face_label, k)``.  Vertex labels play no role in identification; they may
-repeat along a single face (small complexes have monogons and loops).
+``(face_label, k)``.  The analysis numbers the slots in scan order (faces in
+natural order, then ``k``) and runs over lists indexed by those numbers; its
+results name slots as tuples.  Vertex labels play no role in identification;
+they may repeat along a single face (small complexes have monogons and loops).
 """
 
 import re
@@ -39,6 +41,8 @@ def natural_key(label):
     ['P2', 'P10', 'Q1']
     """
     parts = _DIGIT_RUN.split(label)  # the digit runs are the odd parts
+    if len(parts) == 3:  # one digit run, as in every family label
+        return parts[0], int(parts[1]), parts[2]
     parts[1::2] = map(int, parts[1::2])
     return tuple(parts)
 
@@ -120,18 +124,6 @@ class Pairing(_Immutable):
 
     def vertex_image(self, j, length):
         return (self.offset + self.direction * j) % length
-
-    def image_directed(self, k, sense, length):
-        """Image of source slot ``k`` traversed with ``sense`` (+1 forward)."""
-        if self.direction == 1:
-            return (self.offset + k) % length, sense
-        return (self.offset - k - 1) % length, -sense
-
-    def preimage_directed(self, k, sense, length):
-        """Directed preimage of target slot ``k``; inverse of image_directed."""
-        if self.direction == 1:
-            return (k - self.offset) % length, sense
-        return (self.offset - k - 1) % length, -sense
 
 
 class PairedComplex(_Immutable):
@@ -230,18 +222,6 @@ class PairedComplex(_Immutable):
         cycle = self.faces[label]
         return cycle[k], cycle[(k + 1) % len(cycle)]
 
-    def pairing_by_face(self):
-        """Map each face label to ``(pairing, is_source)``.
-
-        Faces appearing in several pairings keep the first occurrence; that
-        situation is reported by validate() and rejected before analysis.
-        """
-        table = {}
-        for pairing in self.pairings:
-            table.setdefault(pairing.source, (pairing, True))
-            table.setdefault(pairing.target, (pairing, False))
-        return table
-
     def same_structure(self, other):
         """Structural equality: cells, involution and pairings.
 
@@ -323,9 +303,9 @@ def _violations(complex_):
     for label, cycle in c.faces.items():
         if not cycle:
             violations.append(f"face {label} has no vertices")
-        for v in cycle:
-            if v not in known_vertices:
-                violations.append(f"face {label} references unknown vertex {v}")
+        elif not known_vertices.issuperset(cycle):
+            violations.extend(f"face {label} references unknown vertex {v}"
+                              for v in cycle if v not in known_vertices)
 
     seen_names = set()
     usage = {}
@@ -363,35 +343,44 @@ def _violations(complex_):
         elif len(names) > 1:
             violations.append(f"face {label} doubly paired ({', '.join(names)})")
 
-    scan = [(label, k) for label in c.face_order
-            if all(v in known_vertices for v in c.faces[label])
-            for k in range(len(c.faces[label]))]
-    slots = set(scan)
-    for slot in scan:
-        entry = complex_.involution.get(slot)
-        if entry is None:
-            violations.append(f"involution missing entry for {format_slot(slot)}")
-            continue
-        mate, aligned = entry
-        if mate == slot:
-            violations.append(f"involution has a fixed point at {format_slot(slot)}")
-            continue
-        if mate not in slots:
-            violations.append(f"involution at {format_slot(slot)} references "
-                              f"unknown slot {format_slot(mate)}")
-            continue
-        back = complex_.involution.get(mate)
-        if back != (slot, aligned):
-            violations.append(f"involution not symmetric at {format_slot(slot)}")
-            continue
-        tail, head = c.slot_endpoints(slot)
-        mtail, mhead = c.slot_endpoints(mate)
-        expected = (mtail, mhead) if aligned else (mhead, mtail)
-        if (tail, head) != expected:
-            violations.append(f"involution endpoints mismatch at {format_slot(slot)}")
-    for slot in complex_.involution:
-        if slot not in slots:
-            violations.append(f"involution references unknown slot {format_slot(slot)}")
+    # number the slots of the faces whose vertices are all known in scan
+    # order, and check every slot over flat lists indexed by those numbers
+    labels = [label for label in c.face_order
+              if known_vertices.issuperset(c.faces[label])]
+    cycles = [c.faces[label] for label in labels]
+    scan = [(label, k) for label, cycle in zip(labels, cycles)
+            for k in range(len(cycle))]
+    number = dict(zip(scan, range(len(scan))))
+    entries = list(map(c.involution.get, scan, [(None, None)] * len(scan)))
+    mates = [number.get(mate, -1) for mate, _ in entries]
+    aligned = [a for _, a in entries]
+    tails = [v for cycle in cycles for v in cycle]
+    heads = [v for cycle in cycles for v in cycle[1:] + cycle[:1]]
+    # a slot passes when its mate is another numbered slot whose entry
+    # points back with the same alignment, along the same two endpoints
+    failed = [i for i, (m, a, tail, head)
+              in enumerate(zip(mates, aligned, tails, heads))
+              if m < 0 or m == i or mates[m] != i or aligned[m] != a
+              or (tail != tails[m] or head != heads[m] if a
+                  else tail != heads[m] or head != tails[m])]
+    absent = [i for i in failed if scan[i] not in c.involution]
+    for i in failed:
+        slot, m = format_slot(scan[i]), mates[i]
+        if i in absent:
+            violations.append(f"involution missing entry for {slot}")
+        elif m == i:
+            violations.append(f"involution has a fixed point at {slot}")
+        elif m < 0:
+            violations.append(f"involution at {slot} references unknown slot "
+                              f"{format_slot(entries[i][0])}")
+        elif mates[m] != i or aligned[m] != aligned[i]:
+            violations.append(f"involution not symmetric at {slot}")
+        else:
+            violations.append(f"involution endpoints mismatch at {slot}")
+    # every numbered slot with an entry is a key: any further key is unknown
+    if len(c.involution) > len(scan) - len(absent):
+        violations.extend(f"involution references unknown slot {format_slot(slot)}"
+                          for slot in c.involution if slot not in number)
 
     if violations:
         return violations
@@ -399,29 +388,27 @@ def _violations(complex_):
     # Orientation phase: orient every face so that neighbouring faces traverse
     # each shared edge in opposite directions, then require every pairing to
     # reverse that orientation (the glued space is then orientable).  One walk
-    # must reach every face, as the boundary is connected.
-    orient = {}
-    for start in c.face_order:
-        if start in orient:
-            continue
-        if orient:
-            violations.append(f"boundary is not connected: face {start} is "
-                              f"not reached from face {next(iter(orient))}")
+    # from the first face must reach every face, as the boundary is connected.
+    orient = {labels[0]: 1}
+    queue = [labels[0]]
+    while queue:
+        face = queue.pop()
+        start = number[(face, 0)]
+        for i in range(start, start + len(c.faces[face])):
+            other = scan[mates[i]][0]
+            needed = -orient[face] if aligned[i] else orient[face]
+            if other not in orient:
+                orient[other] = needed
+                queue.append(other)
+            elif orient[other] != needed:
+                violations.append("boundary orientation inconsistent near "
+                                  f"face {other}")
+                return violations
+    for label in labels:
+        if label not in orient:
+            violations.append(f"boundary is not connected: face {label} is "
+                              f"not reached from face {labels[0]}")
             return violations
-        orient[start] = 1
-        queue = [start]
-        while queue:
-            face = queue.pop()
-            for k in range(len(c.faces[face])):
-                mate, aligned = c.involution[(face, k)]
-                needed = -orient[face] if aligned else orient[face]
-                if mate[0] not in orient:
-                    orient[mate[0]] = needed
-                    queue.append(mate[0])
-                elif orient[mate[0]] != needed:
-                    violations.append("boundary orientation inconsistent near "
-                                      f"face {mate[0]}")
-                    return violations
     for pairing in c.pairings:
         if pairing.direction * orient[pairing.source] * orient[pairing.target] != -1:
             violations.append(f"pairing {pairing.name} does not reverse orientation")
@@ -454,65 +441,71 @@ def _traverse_edges(complex_):
     The traversal starts at the scan-order representative, repeatedly applies
     the pairing of the current slot's face (the inverse pairing when that face
     is a target) and then crosses the boundary involution, recording one
-    pairing letter per step until the starting edge reappears.
+    pairing letter per step until the starting edge reappears.  It walks the
+    slots' numbers in scan order, each slot's two steps listed beforehand.
     """
-    from .group_theory.words import Word
+    from .group_theory.words import _word
 
     c = complex_
-    by_face = c.pairing_by_face()
+    scan = [(label, k) for label in c.face_order
+            for k in range(len(c.faces[label]))]
+    total = len(scan)
+    first = {label: i for i, (label, k) in enumerate(scan) if not k}
 
-    def pairing_move(slot, sense):
-        face, k = slot
-        pairing, is_source = by_face[face]
-        length = len(c.faces[face])
-        if is_source:
-            k2, sense2 = pairing.image_directed(k, sense, length)
-            return (pairing.target, k2), sense2, (pairing.name, 1)
-        k2, sense2 = pairing.preimage_directed(k, sense, length)
-        return (pairing.source, k2), sense2, (pairing.name, -1)
+    # crossing the involution from slot i reaches mate[i], and keeps the
+    # sense when turn[i] is 1
+    mate, turn = [0] * total, [0] * total
+    for (label, k), ((mate_label, mate_k), aligned) in c.involution.items():
+        i = first[label] + k
+        mate[i] = first[mate_label] + mate_k
+        turn[i] = 1 if aligned else -1
+    # the pairing of slot i's face (its inverse on a target face) carries it
+    # to image[i], multiplies the sense by flip[i] and reads letter[i]
+    image, flip, letter = [0] * total, [0] * total, [None] * total
+    for p in c.pairings:
+        source, target = first[p.source], first[p.target]
+        length = len(c.faces[p.source])
+        pair_letters = (str(p.name), 1), (str(p.name), -1)
+        for k in range(length):
+            j = target + (p.offset + k if p.direction == 1
+                          else p.offset - k - 1) % length
+            image[source + k], image[j] = j, source + k
+            flip[source + k] = flip[j] = p.direction
+            letter[source + k], letter[j] = pair_letters
 
-    position = {slot: i for i, slot in enumerate(c.all_slots())}
-
-    def edge_of(slot):
-        """The slot of the edge through ``slot`` that comes first in scan order."""
-        mate = c.involution[slot][0]
-        return slot if position[slot] < position[mate] else mate
-
-    orbits = []
-    slot_sign = {}
-    orbit_index = {}
-    for rep in position:
-        if rep in slot_sign:
+    orbits, sign, orbit_of = [], [0] * total, [-1] * total
+    for rep in range(total):
+        if sign[rep]:
             continue
         index = len(orbits)
-
-        def record(slot, sense):
-            mate, aligned = c.involution[slot]
-            slot_sign[slot] = sense
-            slot_sign[mate] = sense if aligned else -sense
-            orbit_index[slot] = index
-            orbit_index[mate] = index
-            return edge_of(slot)
-
-        members = [record(rep, 1)]
+        other = mate[rep]
+        sign[rep], sign[other] = 1, turn[rep]
+        orbit_of[rep] = orbit_of[other] = index
+        # each edge is listed by its slot that comes first in scan order
+        members = [rep if rep < other else other]
         letters = []
         slot, sense = rep, 1
         while True:
-            slot, sense, letter = pairing_move(slot, sense)
-            letters.append(letter)
-            if slot in slot_sign and orbit_index[slot] == index:
-                if edge_of(slot) != members[0]:
-                    raise StructureError([f"edge class at {format_slot(rep)} "
+            letters.append(letter[slot])
+            sense *= flip[slot]
+            slot = image[slot]
+            other = mate[slot]
+            if sign[slot] and orbit_of[slot] == index:
+                if (slot if slot < other else other) != members[0]:
+                    raise StructureError([f"edge class at {format_slot(scan[rep])} "
                                           "folds onto itself"])
                 break
-            members.append(record(slot, sense))
-            mate, aligned = c.involution[slot]
-            slot, sense = mate, sense if aligned else -sense
-        members.sort(key=position.__getitem__)
-        orbits.append(EdgeOrbit(representative=rep, member_edges=tuple(members),
-                                cycle_word=Word(letters)))
-    return (tuple(orbits), MappingProxyType(slot_sign),
-            MappingProxyType(orbit_index))
+            sign[slot] = sense
+            sense = sign[other] = sense * turn[slot]
+            orbit_of[slot] = orbit_of[other] = index
+            members.append(slot if slot < other else other)
+            slot = other
+        members.sort()
+        orbits.append(EdgeOrbit(representative=scan[rep],
+                                member_edges=tuple([scan[i] for i in members]),
+                                cycle_word=_word(tuple(letters))))
+    return (tuple(orbits), MappingProxyType(dict(zip(scan, sign))),
+            MappingProxyType(dict(zip(scan, orbit_of))))
 
 
 def edge_orbits(complex_):
@@ -536,14 +529,26 @@ def _vertex_classes(complex_):
     for pairing in c.pairings:
         source = c.faces[pairing.source]
         target = c.faces[pairing.target]
-        for j, v in enumerate(source):
-            _join(parent, v, target[pairing.vertex_image(j, len(source))])
+        length = len(source)
+        for j, a in enumerate(source):
+            b = target[(pairing.offset + pairing.direction * j) % length]
+            # join the roots of a and b, halving the paths to them
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            parent[a] = b
 
     # walking the vertices in natural order lists each class, and the
     # classes, by their natural-least member
     classes = {}
     for v in c.vertex_order:
-        classes.setdefault(_find(parent, v), []).append(v)
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        classes.setdefault(root, []).append(v)
     return tuple(VertexOrbit(representative=members[0],
                              member_vertices=tuple(members))
                  for members in classes.values())
@@ -556,8 +561,9 @@ def cell_counts(complex_):
     polyhedron), sigma2 the number of face pairs, sigma1 the number of edge
     classes, sigma0 the number of vertex classes.
     """
-    return CellCounts(sigma0=len(vertex_orbits(complex_)),
-                      sigma1=len(edge_orbits(complex_)),
+    analysis = _require_valid(complex_)
+    return CellCounts(sigma0=len(analysis.vertex_classes),
+                      sigma1=len(analysis.orbit_data[0]),
                       sigma2=len(complex_.faces) // 2,
                       sigma3=1)
 

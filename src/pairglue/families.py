@@ -32,10 +32,10 @@ def _idx(i, n):
     return (i - 1) % n + 1
 
 
-def _labellers(letters, n):
-    """One label function per letter: ``X(i)`` is ``X<i mod n>`` (1-based)."""
-    return [lambda i, letter=letter: f"{letter}{_idx(i, n)}"
-            for letter in letters]
+def _labels(letters, n):
+    """One label list per letter: ``X[i % n]`` is ``X<i mod n>`` (1-based),
+    and so is ``X[i]`` for ``-n <= i < n``."""
+    return [[f"{letter}{i or n}" for i in range(n)] for letter in letters]
 
 
 def _vertices(n):
@@ -67,33 +67,31 @@ def build_m24(n):
     (1, 10, 10, 1)
     """
     _check_n(n)
-    P, Q, R, S = _labellers("PQRS", n)
+    P, Q, R, S, A, Ab, B, Bb, C, Cb = _labels("P Q R S A Ab B Bb C Cb".split(), n)
 
-    faces = {}
+    faces, involution = {}, []
     for i in range(1, n + 1):
-        faces[f"A{i}"] = (P(i), P(i + 1), Q(i))
-        faces[f"Ab{i}"] = (R(i + 2), P(i + 2), Q(i + 1))
-        faces[f"B{i}"] = (R(i), P(i), Q(i))
-        faces[f"Bb{i}"] = (S(i), S(i + 1), R(i + 1))
-        faces[f"C{i}"] = (S(i), R(i), Q(i))
-        faces[f"Cb{i}"] = (R(i + 1), Q(i), S(i))
-    faces["D"] = tuple(P(i) for i in range(1, n + 1))
-    faces["Db"] = tuple(S(k + 3) for k in range(n))
-
-    involution = []
-    for i in range(1, n + 1):
+        i0, i1, i2 = i % n, (i + 1) % n, (i + 2) % n
+        faces[A[i0]] = (P[i0], P[i1], Q[i0])
+        faces[Ab[i0]] = (R[i2], P[i2], Q[i1])
+        faces[B[i0]] = (R[i0], P[i0], Q[i0])
+        faces[Bb[i0]] = (S[i0], S[i1], R[i1])
+        faces[C[i0]] = (S[i0], R[i0], Q[i0])
+        faces[Cb[i0]] = (R[i1], Q[i0], S[i0])
         involution.extend([
-            ((f"A{i}", 0), ("D", i - 1), True),
-            ((f"Bb{i}", 0), ("Db", (i - 3) % n), True),
-            ((f"B{i}", 0), (f"Ab{_idx(i - 2, n)}", 0), True),
-            ((f"C{i}", 2), (f"Cb{i}", 1), True),
-            ((f"A{i}", 2), (f"B{i}", 1), False),
-            ((f"A{i}", 1), (f"Ab{_idx(i - 1, n)}", 1), True),
-            ((f"B{i}", 2), (f"C{i}", 1), False),
-            ((f"Ab{i}", 2), (f"Cb{_idx(i + 1, n)}", 0), False),
-            ((f"C{_idx(i + 1, n)}", 0), (f"Bb{i}", 1), True),
-            ((f"Bb{i}", 2), (f"Cb{i}", 2), False),
+            ((A[i0], 0), ("D", i - 1), True),
+            ((Bb[i0], 0), ("Db", (i - 3) % n), True),
+            ((B[i0], 0), (Ab[i - 2], 0), True),
+            ((C[i0], 2), (Cb[i0], 1), True),
+            ((A[i0], 2), (B[i0], 1), False),
+            ((A[i0], 1), (Ab[i - 1], 1), True),
+            ((B[i0], 2), (C[i0], 1), False),
+            ((Ab[i0], 2), (Cb[i1], 0), False),
+            ((C[i1], 0), (Bb[i0], 1), True),
+            ((Bb[i0], 2), (Cb[i0], 2), False),
         ])
+    faces["D"] = tuple(P[i % n] for i in range(1, n + 1))
+    faces["Db"] = tuple(S[(k + 3) % n] for k in range(n))
 
     edge_names = _edge_names(n, ("A", 0), ("B", 1), ("C", 1))
     edge_names.append(("u", "A1", 1, False))
@@ -111,33 +109,31 @@ def build_m25(n):
     (2, 14, 13, 1)
     """
     _check_n(n)
-    P, Q, R, S = _labellers("PQRS", n)
+    P, Q, R, S, A, Ab, B, Bb, C, Cb = _labels("P Q R S A Ab B Bb C Cb".split(), n)
 
-    faces = {}
+    faces, involution = {}, []
     for i in range(1, n + 1):
-        faces[f"A{i}"] = (P(i), P(i + 1), Q(i))
-        faces[f"Ab{i}"] = (P(i + 2), R(i + 2), Q(i + 2))
-        faces[f"B{i}"] = (Q(i), R(i + 1), P(i + 1))
-        faces[f"Bb{i}"] = (R(i + 2), S(i + 2), S(i + 1))
-        faces[f"C{i}"] = (Q(i - 1), R(i), S(i - 1))
-        faces[f"Cb{i}"] = (S(i), Q(i), R(i))
-    faces["D"] = tuple(P(i) for i in range(1, n + 1))
-    faces["Db"] = tuple(S(k + 3) for k in range(n))
-
-    involution = []
-    for i in range(1, n + 1):
+        i0, i1, i2 = i % n, (i + 1) % n, (i + 2) % n
+        faces[A[i0]] = (P[i0], P[i1], Q[i0])
+        faces[Ab[i0]] = (P[i2], R[i2], Q[i2])
+        faces[B[i0]] = (Q[i0], R[i1], P[i1])
+        faces[Bb[i0]] = (R[i2], S[i2], S[i1])
+        faces[C[i0]] = (Q[i - 1], R[i0], S[i - 1])
+        faces[Cb[i0]] = (S[i0], Q[i0], R[i0])
         involution.extend([
-            ((f"A{i}", 0), ("D", i - 1), True),
-            ((f"Bb{_idx(i - 1, n)}", 1), ("Db", (i - 3) % n), False),
-            ((f"Ab{i}", 0), (f"B{_idx(i + 1, n)}", 1), False),
-            ((f"Cb{i}", 0), (f"C{_idx(i + 1, n)}", 2), True),
-            ((f"A{_idx(i + 2, n)}", 2), (f"Ab{i}", 2), True),
-            ((f"A{i}", 1), (f"B{i}", 2), True),
-            ((f"Ab{i}", 1), (f"Cb{_idx(i + 2, n)}", 1), False),
-            ((f"B{i}", 0), (f"C{_idx(i + 1, n)}", 0), True),
-            ((f"Cb{_idx(i + 2, n)}", 2), (f"Bb{i}", 0), True),
-            ((f"C{_idx(i + 2, n)}", 1), (f"Bb{i}", 2), False),
+            ((A[i0], 0), ("D", i - 1), True),
+            ((Bb[i - 1], 1), ("Db", (i - 3) % n), False),
+            ((Ab[i0], 0), (B[i1], 1), False),
+            ((Cb[i0], 0), (C[i1], 2), True),
+            ((A[i2], 2), (Ab[i0], 2), True),
+            ((A[i0], 1), (B[i0], 2), True),
+            ((Ab[i0], 1), (Cb[i2], 1), False),
+            ((B[i0], 0), (C[i1], 0), True),
+            ((Cb[i2], 2), (Bb[i0], 0), True),
+            ((C[i2], 1), (Bb[i0], 2), False),
         ])
+    faces["D"] = tuple(P[i % n] for i in range(1, n + 1))
+    faces["Db"] = tuple(S[(k + 3) % n] for k in range(n))
 
     edge_names = _edge_names(n, ("A", 0), ("A", 1), ("B", 0))
     # The class containing the P_i Q_i edges is traversed against the stored

@@ -17,7 +17,7 @@ from collections import Counter
 
 from ..complex_core import _Immutable, _join, _orbit_data, vertex_orbits
 from ..errors import CapacityError, DomainError, EliminationError
-from ..families import _check_n, _labellers, build_family
+from ..families import _check_n, _labels, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
 
 __all__ = ["Presentation", "auto_simplify", "family_elimination_order",
@@ -34,8 +34,8 @@ class Presentation(_Immutable):
     """An ordered generator list plus a list of relator words.
 
     Presentations are immutable: assigning to an attribute raises
-    AttributeError.  The result of :func:`auto_simplify` is computed on first
-    use and kept on the instance, so a presentation is simplified once however
+    AttributeError.  The result of :func:`auto_simplify` (or its CapacityError)
+    is kept on the instance, so a presentation is simplified once however
     many times it is counted or reduced; the simplified presentation keeps its
     relators as compiled by the homomorphism counter the same way, and the
     counter keeps the first homology it reads for abelian targets.
@@ -251,13 +251,18 @@ def auto_simplify(presentation):
     whose best defining relator is globally shortest wins, earliest generator
     on ties.  Stops when no generator can be eliminated, and raises
     CapacityError once an elimination leaves more than MAX_SIMPLIFY_LETTERS
-    letters in all relators.  The result is kept on the presentation, so
-    later calls return it without recomputing.
+    letters in all relators.  The result, or that CapacityError, is kept on
+    the presentation, so later calls return it, or raise it, at once.
     """
     simplified = presentation._simplified
     if simplified is None:
-        simplified = _simplify(presentation)
+        try:
+            simplified = _simplify(presentation)
+        except CapacityError as exc:
+            simplified = exc
         object.__setattr__(presentation, "_simplified", simplified)
+    if isinstance(simplified, CapacityError):
+        raise simplified
     return simplified
 
 
@@ -364,27 +369,25 @@ def preset_presentation(preset, n=1):
         return Presentation(gens, rels)
 
     _check_n(n)
-    x, y, z = _labellers("xyz", n)
-    gens = ([x(i) for i in range(1, n + 1)]
-            + [y(i) for i in range(1, n + 1)]
-            + [z(i) for i in range(1, n + 1)]
-            + ["u"])
-    surface = Word([(x(i), 1) for i in range(1, n + 1)])
+    x, y, z = _labels("xyz", n)
+    span = range(1, n + 1)
+    gens = ([x[i % n] for i in span] + [y[i % n] for i in span]
+            + [z[i % n] for i in span] + ["u"])
+    surface = Word([(x[i % n], 1) for i in span])
 
     if tag == "DUAL24":
         rels = [surface]
-        rels += [Word([(x(i), 1), ("u", 1), (y(i), -1)]) for i in range(1, n + 1)]
-        rels += [Word([(x(i), 1), (y(i + 2), 1), (z(i + 2), -1)])
-                 for i in range(1, n + 1)]
-        rels += [Word([(z(i), 1), (z(i), 1), (y(i - 1), 1)]) for i in range(1, n + 1)]
+        rels += [Word([(x[i % n], 1), ("u", 1), (y[i % n], -1)]) for i in span]
+        rels += [Word([(x[i % n], 1), (y[(i + 2) % n], 1), (z[(i + 2) % n], -1)])
+                 for i in span]
+        rels += [Word([(z[i % n], 1), (z[i % n], 1), (y[i - 1], 1)]) for i in span]
         return Presentation(gens, rels)
 
     if tag == "G25":
         rels = [surface]
-        rels += [Word([(x(i), 1), (y(i), 1), ("u", -1)]) for i in range(1, n + 1)]
-        rels += [Word([(y(i), 1), (z(i), 1), (x(i - 1), -1)]) for i in range(1, n + 1)]
-        rels += [Word([(z(i - 1), 1), (z(i), 1), (y(i - 1), -1)])
-                 for i in range(1, n + 1)]
+        rels += [Word([(x[i % n], 1), (y[i % n], 1), ("u", -1)]) for i in span]
+        rels += [Word([(y[i % n], 1), (z[i % n], 1), (x[i - 1], -1)]) for i in span]
+        rels += [Word([(z[i - 1], 1), (z[i % n], 1), (y[i - 1], -1)]) for i in span]
         return Presentation(gens, rels)
 
     # H25: even parameter only; the odd-indexed face words share u while the
@@ -392,8 +395,8 @@ def preset_presentation(preset, n=1):
     if n % 2 != 0:
         raise DomainError("preset H25 requires an even parameter")
     rels = [surface]
-    rels += [Word([(y(i), 1), (z(i), 1), (x(i - 1), -1)]) for i in range(1, n + 1)]
-    rels += [Word([(z(i - 1), 1), (z(i), 1), (y(i - 1), -1)]) for i in range(1, n + 1)]
-    rels += [Word([(x(i), 1), (y(i), 1), ("u", -1)]) for i in range(1, n + 1, 2)]
-    rels += [Word([(x(i), 1), (y(i), 1)]) for i in range(2, n + 1, 2)]
+    rels += [Word([(y[i % n], 1), (z[i % n], 1), (x[i - 1], -1)]) for i in span]
+    rels += [Word([(z[i - 1], 1), (z[i % n], 1), (y[i - 1], -1)]) for i in span]
+    rels += [Word([(x[i % n], 1), (y[i % n], 1), ("u", -1)]) for i in span[::2]]
+    rels += [Word([(x[i % n], 1), (y[i % n], 1)]) for i in span[1::2]]
     return Presentation(gens, rels)

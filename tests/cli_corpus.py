@@ -64,9 +64,12 @@ def digests():
 
 
 def main(argv=None):
-    check = (argv if argv is not None else sys.argv[1:]) == ["--check"]
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--check"]):
+        print("usage: cli_corpus.py [--check]", file=sys.stderr)
+        return 2
     current = digests()
-    if not check:
+    if not argv:
         CORPUS_PATH.write_text(json.dumps(current, indent=1) + "\n")
         print(f"wrote {len(current)} digests to {CORPUS_PATH}")
         return 0

@@ -572,19 +572,45 @@ def reference_violations(complex_):
     return violations
 
 
+def reference_pairing_by_face(complex_):
+    """Reference: the previous ``PairedComplex.pairing_by_face``, each face
+    label's first pairing and whether the face is its source."""
+    table = {}
+    for pairing in complex_.pairings:
+        table.setdefault(pairing.source, (pairing, True))
+        table.setdefault(pairing.target, (pairing, False))
+    return table
+
+
+def reference_image_directed(pairing, k, sense, length):
+    """Reference: the previous ``Pairing.image_directed``, the image of
+    source slot ``k`` traversed with ``sense`` (+1 forward)."""
+    if pairing.direction == 1:
+        return (pairing.offset + k) % length, sense
+    return (pairing.offset - k - 1) % length, -sense
+
+
+def reference_preimage_directed(pairing, k, sense, length):
+    """Reference: the previous ``Pairing.preimage_directed``, the directed
+    preimage of target slot ``k``."""
+    if pairing.direction == 1:
+        return (k - pairing.offset) % length, sense
+    return (pairing.offset - k - 1) % length, -sense
+
+
 def reference_traverse_edges(complex_):
     """Reference: the previous ``_traverse_edges``, through closures."""
     c = complex_
-    by_face = c.pairing_by_face()
+    by_face = reference_pairing_by_face(c)
 
     def pairing_move(slot, sense):
         face, k = slot
         pairing, is_source = by_face[face]
         length = len(c.faces[face])
         if is_source:
-            k2, sense2 = pairing.image_directed(k, sense, length)
+            k2, sense2 = reference_image_directed(pairing, k, sense, length)
             return (pairing.target, k2), sense2, (pairing.name, 1)
-        k2, sense2 = pairing.preimage_directed(k, sense, length)
+        k2, sense2 = reference_preimage_directed(pairing, k, sense, length)
         return (pairing.source, k2), sense2, (pairing.name, -1)
 
     position = {slot: i for i, slot in enumerate(c.all_slots())}

@@ -6,6 +6,7 @@ search over every tuple of images (``brute_force_count``), and against each
 other by running the search on abelian targets too.
 """
 
+import pickle
 import random
 from itertools import permutations, product
 
@@ -25,6 +26,7 @@ from pairglue import (
     validate_table,
 )
 from pairglue.errors import CapacityError, DomainError
+from pairglue.group_theory import presentations
 from pairglue.group_theory.homcount import (
     _automorphisms,
     _direct_product,
@@ -268,6 +270,30 @@ def test_capacity_error_on_wide_free_group():
     with pytest.raises(CapacityError, match="letters"):
         count_homomorphisms(presentation_from_pairings(build_m25(100)),
                             small_groups()["D3"])
+
+
+def test_failed_simplification_is_kept(monkeypatch):
+    # a simplification that hits the letter bound is not redone: the next
+    # count raises the same CapacityError at once
+    calls = []
+    simplify = presentations._simplify
+    monkeypatch.setattr(presentations, "MAX_SIMPLIFY_LETTERS", 1000)
+    monkeypatch.setattr(presentations, "_simplify",
+                        lambda p: calls.append(p) or simplify(p))
+    raw = presentation_from_pairings(build_m25(8))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="letters") as caught:
+            count_homomorphisms(raw, small_groups()["D3"])
+        errors.append(caught.value)
+    assert calls == [raw]
+    assert errors[0] is errors[1]
+    # what is kept is not part of the value: a copy is equal and starts afresh
+    copy = pickle.loads(pickle.dumps(raw))
+    assert copy == raw
+    with pytest.raises(CapacityError):
+        auto_simplify(copy)
+    assert calls == [raw, copy]
 
 
 def test_abelian_targets_have_no_generator_cap():

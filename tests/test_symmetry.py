@@ -385,7 +385,10 @@ def reference_extend_vertex_map(complex_, vertex_map):
                 [f"no face matches the image of face {face} under the vertex map"])
         candidates[face] = options
 
-    by_face = c.pairing_by_face()
+    by_face = {}
+    for pairing in c.pairings:
+        by_face.setdefault(pairing.source, (pairing, True))
+        by_face.setdefault(pairing.target, (pairing, False))
     pairing_lookup = {(p.source, p.target): p for p in c.pairings}
     assignment = {}
     used = set()
