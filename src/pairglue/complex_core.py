@@ -363,7 +363,7 @@ def _violations(complex_):
               if m < 0 or m == i or mates[m] != i or aligned[m] != a
               or (tail != tails[m] or head != heads[m] if a
                   else tail != heads[m] or head != tails[m])]
-    absent = [i for i in failed if scan[i] not in c.involution]
+    absent = {i for i in failed if scan[i] not in c.involution}
     for i in failed:
         slot, m = format_slot(scan[i]), mates[i]
         if i in absent:

@@ -262,7 +262,8 @@ def auto_simplify(presentation):
             simplified = exc
         object.__setattr__(presentation, "_simplified", simplified)
     if isinstance(simplified, CapacityError):
-        raise simplified
+        # without its last traceback, whose frames hold the grown relators
+        raise simplified.with_traceback(None)
     return simplified
 
 

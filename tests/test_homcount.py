@@ -288,6 +288,12 @@ def test_failed_simplification_is_kept(monkeypatch):
         errors.append(caught.value)
     assert calls == [raw]
     assert errors[0] is errors[1]
+    # the kept error holds no frame of the growth, nor of earlier raises
+    frames, tb = [], errors[1].__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "_simplify" not in frames and frames.count("auto_simplify") == 1
     # what is kept is not part of the value: a copy is equal and starts afresh
     copy = pickle.loads(pickle.dumps(raw))
     assert copy == raw
