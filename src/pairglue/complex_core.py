@@ -15,8 +15,9 @@ analysis functions return fresh lists or read-only views.
 
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, and a slot is addressed as
-``(face_label, k)``.  The analysis numbers the slots in scan order (faces in
-natural order, then ``k``) and runs over lists indexed by those numbers; its
+``(face_label, k)``.  Validation numbers the slots once, in scan order (faces
+in natural order, then ``k``), and checks them over lists indexed by those
+numbers; the edge traversal of a valid complex reads that numbering.  The
 results name slots as tuples.  Vertex labels play no role in identification;
 they may repeat along a single face (small complexes have monogons and loops).
 """
@@ -266,11 +267,11 @@ def _analyse(complex_):
     """The analysis of a complex, computed on first use and kept on it."""
     analysis = complex_._analysis
     if analysis is None:
-        violations = tuple(_violations(complex_))
+        violations, numbering = _violations(complex_)
         if violations:
-            analysis = _Analysis(violations, None, None)
+            analysis = _Analysis(tuple(violations), None, None)
         else:
-            analysis = _Analysis(violations, _traverse_edges(complex_),
+            analysis = _Analysis((), _traverse_edges(complex_, *numbering),
                                  _vertex_classes(complex_))
         object.__setattr__(complex_, "_analysis", analysis)
     return analysis
@@ -295,7 +296,9 @@ def _is_int(value):
 
 
 def _violations(complex_):
-    """The body of :func:`validate`: every violation, in a fixed order."""
+    """The body of :func:`validate`: every violation, in a fixed order, and
+    for a valid complex (else None) the slot numbering ``(scan, number,
+    mates, aligned)`` that :func:`_traverse_edges` reads."""
     violations = [] if complex_.faces else ["boundary has no faces"]
     c = complex_
     known_vertices = set(c.vertex_labels)
@@ -383,7 +386,7 @@ def _violations(complex_):
                           for slot in c.involution if slot not in number)
 
     if violations:
-        return violations
+        return violations, None
 
     # Orientation phase: orient every face so that neighbouring faces traverse
     # each shared edge in opposite directions, then require every pairing to
@@ -403,17 +406,17 @@ def _violations(complex_):
             elif orient[other] != needed:
                 violations.append("boundary orientation inconsistent near "
                                   f"face {other}")
-                return violations
+                return violations, None
     for label in labels:
         if label not in orient:
             violations.append(f"boundary is not connected: face {label} is "
                               f"not reached from face {labels[0]}")
-            return violations
+            return violations, None
     for pairing in c.pairings:
         if pairing.direction * orient[pairing.source] * orient[pairing.target] != -1:
             violations.append(f"pairing {pairing.name} does not reverse orientation")
 
-    return violations
+    return violations, None if violations else (scan, number, mates, aligned)
 
 
 def _require_valid(complex_):
@@ -435,35 +438,26 @@ def _orbit_data(complex_):
     return _require_valid(complex_).orbit_data
 
 
-def _traverse_edges(complex_):
+def _traverse_edges(complex_, scan, number, mates, aligned):
     """Traverse every edge class of a valid complex (see :func:`_orbit_data`).
 
     The traversal starts at the scan-order representative, repeatedly applies
     the pairing of the current slot's face (the inverse pairing when that face
     is a target) and then crosses the boundary involution, recording one
     pairing letter per step until the starting edge reappears.  It walks the
-    slots' numbers in scan order, each slot's two steps listed beforehand.
+    slot numbering that validation built (see :func:`_violations`): crossing
+    the involution from slot ``i`` reaches ``mates[i]`` and keeps the sense
+    when ``aligned[i]``.  Each slot's pairing step is listed beforehand.
     """
     from .group_theory.words import _word
 
     c = complex_
-    scan = [(label, k) for label in c.face_order
-            for k in range(len(c.faces[label]))]
     total = len(scan)
-    first = {label: i for i, (label, k) in enumerate(scan) if not k}
-
-    # crossing the involution from slot i reaches mate[i], and keeps the
-    # sense when turn[i] is 1
-    mate, turn = [0] * total, [0] * total
-    for (label, k), ((mate_label, mate_k), aligned) in c.involution.items():
-        i = first[label] + k
-        mate[i] = first[mate_label] + mate_k
-        turn[i] = 1 if aligned else -1
     # the pairing of slot i's face (its inverse on a target face) carries it
     # to image[i], multiplies the sense by flip[i] and reads letter[i]
     image, flip, letter = [0] * total, [0] * total, [None] * total
     for p in c.pairings:
-        source, target = first[p.source], first[p.target]
+        source, target = number[(p.source, 0)], number[(p.target, 0)]
         length = len(c.faces[p.source])
         pair_letters = (str(p.name), 1), (str(p.name), -1)
         for k in range(length):
@@ -478,8 +472,8 @@ def _traverse_edges(complex_):
         if sign[rep]:
             continue
         index = len(orbits)
-        other = mate[rep]
-        sign[rep], sign[other] = 1, turn[rep]
+        other = mates[rep]
+        sign[rep], sign[other] = 1, 1 if aligned[rep] else -1
         orbit_of[rep] = orbit_of[other] = index
         # each edge is listed by its slot that comes first in scan order
         members = [rep if rep < other else other]
@@ -489,14 +483,14 @@ def _traverse_edges(complex_):
             letters.append(letter[slot])
             sense *= flip[slot]
             slot = image[slot]
-            other = mate[slot]
+            other = mates[slot]
             if sign[slot] and orbit_of[slot] == index:
                 if (slot if slot < other else other) != members[0]:
                     raise StructureError([f"edge class at {format_slot(scan[rep])} "
                                           "folds onto itself"])
                 break
             sign[slot] = sense
-            sense = sign[other] = sense * turn[slot]
+            sense = sign[other] = sense if aligned[slot] else -sense
             orbit_of[slot] = orbit_of[other] = index
             members.append(slot if slot < other else other)
             slot = other

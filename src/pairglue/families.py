@@ -27,11 +27,6 @@ def _check_n(n):
         raise DomainError(f"family parameter n must be a positive integer, got {n!r}")
 
 
-def _idx(i, n):
-    """1-based index arithmetic modulo n."""
-    return (i - 1) % n + 1
-
-
 def _labels(letters, n):
     """One label list per letter: ``X[i % n]`` is ``X<i mod n>`` (1-based),
     and so is ``X[i]`` for ``-n <= i < n``."""

@@ -12,7 +12,7 @@ package writes an inverse letter with a ``-`` prefix:
 'd -b3 -a1'
 """
 
-from ..complex_core import _Immutable, natural_key
+from ..complex_core import _Immutable, _is_int, natural_key
 from ..errors import DomainError
 
 __all__ = ["Word", "cyclic_normal_form", "cyclic_reduce", "free_reduce"]
@@ -24,9 +24,9 @@ class Word(_Immutable):
     def __init__(self, letters=()):
         normalized = []
         for name, sign in letters:
-            if sign not in (1, -1):
+            if not _is_int(sign) or sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-            normalized.append((str(name), sign))
+            normalized.append((str(name), int(sign)))
         object.__setattr__(self, "letters", tuple(normalized))
 
     def __reduce__(self):

@@ -19,6 +19,7 @@ import sys
 from .complex_core import (
     PairedComplex,
     Pairing,
+    _is_int,
     cell_counts,
     edge_orbits,
     format_slot,
@@ -49,13 +50,18 @@ def serialize_complex(complex_):
 
     Each edge line stands for both of its slots' involution entries, so a
     complex whose involution is not symmetric raises DomainError.  So does
-    a complex name, vertex label, face label or pairing name that is empty
-    or holds whitespace, since it would read back as other fields.
+    a complex name, vertex label, face label, pairing name or pairing face
+    label that is empty or holds whitespace, since it would read back as
+    other fields, and a pairing whose direction is not the int 1 or -1 or
+    whose offset is not an int in ``range(len(source face))`` (0 when the
+    source face is missing), since its sign and images could not carry it.
     """
     c = complex_
     named = [("complex name", [c.name]), ("vertex label", c.vertex_labels),
              ("face label", c.faces),
-             ("pairing name", [p.name for p in c.pairings])]
+             ("pairing name", [p.name for p in c.pairings]),
+             ("pairing face label",
+              [face for p in c.pairings for face in (p.source, p.target)])]
     for kind, names in named:
         for name in names:
             if name.split() != [name]:
@@ -77,6 +83,10 @@ def serialize_complex(complex_):
                      f"{'same' if aligned else 'opp'}")
     for p in c.pairings:
         length = len(c.faces.get(p.source, ()))
+        if not (_is_int(p.direction) and p.direction in (1, -1)
+                and _is_int(p.offset) and 0 <= p.offset < max(length, 1)):
+            raise DomainError(f"pairing {p.name} direction {p.direction!r} or "
+                              f"offset {p.offset!r} cannot be written")
         fields = ["pairing", p.name, p.source, p.target,
                   "+" if p.direction == 1 else "-"]
         fields.extend(str(p.vertex_image(j, length)) for j in range(length))

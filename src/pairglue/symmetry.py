@@ -30,7 +30,7 @@ from .complex_core import (
     validate,
 )
 from .errors import DomainError, StructureError, UnsupportedQuotientError
-from .families import _check_n, _idx, build_family
+from .families import _check_n, _labels, build_family
 
 __all__ = ["AutomorphismCheck", "ComplexAutomorphism", "SingularComponent",
            "SingularityReport", "quotient_complex", "rotation",
@@ -243,8 +243,8 @@ def rotation(family, n, step=1):
     if step == 2 and n % 2:
         raise DomainError("rotation step 2 requires even n")
     complex_ = build_family(family, n)
-    vertex_map = {f"{letter}{i}": f"{letter}{_idx(i + step, n)}"
-                  for letter in "PQRS" for i in range(1, n + 1)}
+    vertex_map = {X[i % n]: X[(i + step) % n]
+                  for X in _labels("PQRS", n) for i in range(1, n + 1)}
     auto = ComplexAutomorphism(complex_, vertex_map)
     expected = n // gcd(n, step)
     if auto.order != expected:

@@ -423,9 +423,10 @@ def count_analysis(monkeypatch):
     """Record the complex each analysis body runs on, by body name."""
     calls = {}
     for name in ("_violations", "_traverse_edges", "_vertex_classes"):
-        def counted(complex_, _name=name, _body=getattr(complex_core, name)):
+        def counted(complex_, *args, _name=name,
+                    _body=getattr(complex_core, name)):
             calls.setdefault(_name, []).append(complex_)
-            return _body(complex_)
+            return _body(complex_, *args)
         monkeypatch.setattr(complex_core, name, counted)
     return calls
 
@@ -679,12 +680,15 @@ def reference_vertex_classes(complex_):
 
 def analysis(violations, traverse, classes, complex_):
     """The violations; for a valid complex, the orbit data and vertex
-    classes instead; or the message of the StructureError raised."""
+    classes instead; or the message of the StructureError raised.
+
+    ``violations`` returns the violations and the slot numbering that
+    ``traverse`` takes after the complex."""
     try:
-        found = violations(complex_)
+        found, numbering = violations(complex_)
         if found:
             return list(found)
-        orbits, slot_sign, orbit_index = traverse(complex_)
+        orbits, slot_sign, orbit_index = traverse(complex_, *numbering)
         return orbits, dict(slot_sign), dict(orbit_index), classes(complex_)
     except StructureError as exc:
         return str(exc)
@@ -693,8 +697,9 @@ def analysis(violations, traverse, classes, complex_):
 def assert_analysis_matches_reference(complex_):
     assert (analysis(complex_core._violations, complex_core._traverse_edges,
                      complex_core._vertex_classes, complex_)
-            == analysis(reference_violations, reference_traverse_edges,
-                        reference_vertex_classes, complex_))
+            == analysis(lambda c: (reference_violations(c), ()),
+                        reference_traverse_edges, reference_vertex_classes,
+                        complex_))
 
 
 def test_analysis_matches_reference_on_families(family):
@@ -752,3 +757,16 @@ def test_analysis_matches_reference_on_mutated_documents():
         outcomes.append(bool(validate(complex_)))
     # both kinds occur: complexes that fail validation and ones that pass
     assert outcomes.count(True) > 500 and outcomes.count(False) > 50
+
+
+def test_mutated_documents_round_trip():
+    parsed = 0
+    for text in mutated_documents(seed=16, count=2000):
+        try:
+            complex_ = parse_complex(text)
+        except ParseError:
+            continue
+        parsed += 1
+        again = parse_complex(serialize_complex(complex_))
+        assert again.same_structure(complex_), text
+    assert parsed > 500

@@ -167,6 +167,8 @@ def test_parse_complex_reads_a_full_image_list_on_either_side_of_its_faces():
     ("face label", "F 1", {"faces": {"F 1": ("P1", "Q1")}}),
     ("pairing name", "a\tb", {"pairings": [Pairing("a\tb", "A1", "Ab1")]}),
     ("pairing name", "", {"pairings": [Pairing("", "A1", "Ab1")]}),
+    ("pairing face label", "X Y", {"pairings": [Pairing("a1", "X Y", "Ab1")]}),
+    ("pairing face label", "", {"pairings": [Pairing("a1", "A1", "")]}),
 ])
 def test_serialize_complex_rejects_inexpressible_names(kind, name, change):
     # "name two words" would read back as a name line with two values
@@ -177,6 +179,37 @@ def test_serialize_complex_rejects_inexpressible_names(kind, name, change):
     message = re.escape(f"{kind} {name!r} cannot be written in a document")
     with pytest.raises(DomainError, match=message):
         serialize_complex(PairedComplex(**fields))
+
+
+@pytest.mark.parametrize("offset, direction", [
+    ("1", 1),   # not an int
+    (1.0, 1),   # "1.0" is no image the parser reads
+    (0, 2),     # the sign "-" would read back as -1
+    (5, 1),     # out of range for the 1-gon D: image 0 reads back as 0
+])
+def test_serialize_complex_rejects_inexpressible_pairings(offset, direction):
+    c = build_m24(1)
+    pairings = [p if p.name != "d" else Pairing("d", "D", "Db", offset, direction)
+                for p in c.pairings]
+    broken = PairedComplex(c.vertex_labels, c.faces, c.involution, pairings)
+    message = re.escape(f"pairing d direction {direction!r} or offset "
+                        f"{offset!r} cannot be written")
+    with pytest.raises(DomainError, match=message):
+        serialize_complex(broken)
+
+
+def test_serialize_complex_writes_only_offset_zero_for_a_missing_face():
+    # a pairing of missing faces is written with no images, read as offset 0
+    c = build_m24(1)
+
+    def with_missing(offset):
+        return PairedComplex(c.vertex_labels, c.faces, c.involution,
+                             [*c.pairings, Pairing("e", "X", "Y", offset, -1)])
+
+    zero = with_missing(0)
+    assert parse_complex(serialize_complex(zero)).same_structure(zero)
+    with pytest.raises(DomainError, match="pairing e"):
+        serialize_complex(with_missing(1))
 
 
 def test_parse_complex_skips_blank_and_comment_lines():

@@ -27,6 +27,10 @@ def test_word_rejects_bad_signs():
         Word([("a", 2)])
     with pytest.raises(ValueError):
         Word([("a", 0)])
+    # a bool or float sign is refused, not stored as given
+    for sign in (True, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            Word([("a", sign)])
 
 
 def test_parse_rejects_bare_minus():
