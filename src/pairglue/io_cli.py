@@ -55,6 +55,8 @@ def serialize_complex(complex_):
     other fields, and a pairing whose direction is not the int 1 or -1 or
     whose offset is not an int in ``range(len(source face))`` (0 when the
     source face is missing), since its sign and images could not carry it.
+    A face in two pairings, or paired with itself, and an ``n`` that is
+    neither None nor an int raise it too: the parser refuses both.
     """
     c = complex_
     named = [("complex name", [c.name]), ("vertex label", c.vertex_labels),
@@ -69,6 +71,8 @@ def serialize_complex(complex_):
                     f"{kind} {name!r} cannot be written in a document")
     lines = [COMPLEX_HEADER, f"name {c.name}"]
     if c.n is not None:
+        if not _is_int(c.n):
+            raise DomainError(f"n {c.n!r} cannot be written in a document")
         lines.append(f"n {c.n}")
     lines.append(" ".join(["vertices", *c.vertex_labels]))
     for label, cycle in c.faces.items():
@@ -81,7 +85,13 @@ def serialize_complex(complex_):
                     "a pgv1 document cannot express it")
         lines.append(f"edge {format_slot(a)} {format_slot(b)} "
                      f"{'same' if aligned else 'opp'}")
+    paired_faces = set()
     for p in c.pairings:
+        for face in (p.source, p.target):
+            if face in paired_faces:
+                raise DomainError(f"face {face} doubly paired; "
+                                  "a pgv1 document cannot express it")
+            paired_faces.add(face)
         length = len(c.faces.get(p.source, ()))
         if not (_is_int(p.direction) and p.direction in (1, -1)
                 and _is_int(p.offset) and 0 <= p.offset < max(length, 1)):

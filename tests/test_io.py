@@ -212,6 +212,29 @@ def test_serialize_complex_writes_only_offset_zero_for_a_missing_face():
         serialize_complex(with_missing(1))
 
 
+@pytest.mark.parametrize("pairing, face", [
+    (Pairing("d", "D", "A1"), "A1"),  # A1 is also the source of a1
+    (Pairing("d", "D", "D"), "D"),    # read back, D is met twice on one line
+])
+def test_serialize_complex_rejects_doubly_paired_faces(pairing, face):
+    # parse_complex refuses such a document with "face ... doubly paired"
+    c = build_m24(1)
+    pairings = [pairing if p.name == "d" else p for p in c.pairings]
+    broken = PairedComplex(c.vertex_labels, c.faces, c.involution, pairings)
+    with pytest.raises(DomainError, match=f"face {face} doubly paired"):
+        serialize_complex(broken)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_serialize_complex_rejects_a_non_integer_n(n):
+    # "n True" or "n 1.0" would not parse; "n 1" would read back as the int
+    c = build_m24(1)
+    broken = PairedComplex(c.vertex_labels, c.faces, c.involution, c.pairings,
+                           name=c.name, n=n)
+    with pytest.raises(DomainError, match=re.escape(f"n {n!r} cannot be written")):
+        serialize_complex(broken)
+
+
 def test_parse_complex_skips_blank_and_comment_lines():
     text = serialize_complex(build_m24(2))
     noisy = "# a comment\n\n" + text.replace("\n", "\n# noise\n\n", 3)
