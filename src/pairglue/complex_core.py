@@ -7,11 +7,11 @@ compute the cells of that quotient (vertex classes, edge classes with their
 cycle words, face pairs) and certify manifoldness through the Euler
 characteristic.
 
-Complexes and pairings are immutable.  A complex fixes the natural order of
-its face and vertex labels once, when it is constructed, and every scan
-reads that order.  A complex is analysed once, on first use: its validation
-violations, edge-class traversal and vertex classes are kept on it, and the
-analysis functions return fresh lists or read-only views.
+Complexes are immutable and pairings are namedtuples.  A complex fixes the
+natural order of its face and vertex labels once, when it is constructed,
+and every scan reads that order.  A complex is analysed once, on first use:
+its validation violations, edge-class traversal and vertex classes are kept
+on it, and the analysis functions return fresh lists or read-only views.
 
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, and a slot is addressed as
@@ -61,7 +61,7 @@ def format_slot(slot):
 
 
 class _Immutable:
-    """Base of the value classes: slots are set once, in ``__init__``."""
+    """Base of the value classes other than namedtuples: slots are set once."""
 
     __slots__ = ()
 
@@ -91,7 +91,8 @@ def _join(parent, a, b):
     return True
 
 
-class Pairing(_Immutable):
+class Pairing(namedtuple("Pairing", ["name", "source", "target", "offset",
+                                     "direction"], defaults=(0, 1))):
     """An identification of one face with another.
 
     The correspondence is cyclic-affine on slot indices: vertex ``j`` of the
@@ -102,33 +103,7 @@ class Pairing(_Immutable):
     This is fully general for polygon-to-polygon identifications.
     """
 
-    __slots__ = ("name", "source", "target", "offset", "direction")
-
-    def __init__(self, name, source, target, offset=0, direction=1):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "direction", direction)
-
-    def __reduce__(self):
-        return (Pairing, (self.name, self.source, self.target, self.offset,
-                          self.direction))
-
-    def __repr__(self):
-        return (f"Pairing({self.name!r}, {self.source!r}, {self.target!r}, "
-                f"offset={self.offset}, direction={self.direction})")
-
-    def __eq__(self, other):
-        return (isinstance(other, Pairing)
-                and (self.name, self.source, self.target, self.offset,
-                     self.direction)
-                == (other.name, other.source, other.target, other.offset,
-                    other.direction))
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target, self.offset,
-                     self.direction))
+    __slots__ = ()
 
     def vertex_image(self, j, length):
         return (self.offset + self.direction * j) % length

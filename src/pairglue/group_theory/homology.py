@@ -4,7 +4,9 @@ All arithmetic is on Python integers, so entries may grow without bound
 during elimination; nothing here ever rounds.
 """
 
-from ..complex_core import _is_int
+from collections import namedtuple
+
+from ..complex_core import _Immutable, _is_int
 from ..errors import DomainError
 
 __all__ = ["AbelianGroup", "IntegerMatrix", "abelianization_matrix", "h1",
@@ -24,7 +26,7 @@ def _integers(values, what):
     return values
 
 
-class IntegerMatrix:
+class IntegerMatrix(_Immutable):
     """An immutable rows-of-tuples integer matrix.
 
     Every entry must be an int; anything else raises DomainError.
@@ -37,7 +39,10 @@ class IntegerMatrix:
         widths = {len(row) for row in normalized}
         if len(widths) > 1:
             raise DomainError("ragged matrix rows")
-        self.rows = normalized
+        object.__setattr__(self, "rows", normalized)
+
+    def __reduce__(self):
+        return (IntegerMatrix, (self.rows,))
 
     @classmethod
     def identity(cls, k):
@@ -100,7 +105,7 @@ class IntegerMatrix:
         return sign * work[size - 1][size - 1]
 
 
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "rank invariant_factors")):
     """A finitely generated abelian group in invariant-factor form.
 
     ``invariant_factors`` is the ascending divisibility chain (each factor at
@@ -115,9 +120,9 @@ class AbelianGroup:
     '0'
     """
 
-    __slots__ = ("rank", "invariant_factors")
+    __slots__ = ()
 
-    def __init__(self, rank, invariant_factors=()):
+    def __new__(cls, rank, invariant_factors=()):
         (rank,) = _integers((rank,), "free rank")
         factors = _integers(invariant_factors, "invariant factor")
         if rank < 0:
@@ -128,8 +133,11 @@ class AbelianGroup:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise DomainError(f"invariant factors {a}, {b} break divisibility")
-        self.rank = rank
-        self.invariant_factors = factors
+        return super().__new__(cls, rank, factors)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it: run the checks there too
+        return cls(*iterable)
 
     def order(self):
         """Group order, or None for infinite groups."""
@@ -140,22 +148,11 @@ class AbelianGroup:
             product *= d
         return product
 
-    def __eq__(self, other):
-        return (isinstance(other, AbelianGroup)
-                and self.rank == other.rank
-                and self.invariant_factors == other.invariant_factors)
-
-    def __hash__(self):
-        return hash((self.rank, self.invariant_factors))
-
     def __str__(self):
         parts = [f"Z{d}" for d in self.invariant_factors]
         if self.rank:
             parts.append(f"Z^{self.rank}")
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"AbelianGroup(rank={self.rank}, invariant_factors={self.invariant_factors})"
 
 
 def _exponent_rows(presentation):

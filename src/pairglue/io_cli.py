@@ -13,7 +13,6 @@ per line (``gens: c`` / ``rel: c c c``); inverse letters carry a ``-``
 prefix.  A leading ``pgv1 presentation`` line is tolerated but not written.
 """
 
-import argparse
 import sys
 
 from .complex_core import (
@@ -45,30 +44,49 @@ PRESENTATION_HEADER = "pgv1 presentation"
 EX_SOFTWARE = 70  # sysexits.h: internal software error
 
 
+def _check_tokens(kind, values):
+    """DomainError for the first of ``values``, a list, that is not a str
+    that reads back as itself (one token)."""
+    try:
+        if " ".join(values).split() == values:
+            return
+    except TypeError:  # a value that is not a str
+        pass
+    bad = next(v for v in values if not isinstance(v, str) or v.split() != [v])
+    raise DomainError(f"{kind} {bad!r} cannot be written in a document")
+
+
 def serialize_complex(complex_):
     """Render a complex as a pgv1 document (inverse of parse_complex).
 
-    Each edge line stands for both of its slots' involution entries, so a
-    complex whose involution is not symmetric raises DomainError.  So does
-    a complex name, vertex label, face label, pairing name or pairing face
-    label that is empty or holds whitespace, since it would read back as
-    other fields, and a pairing whose direction is not the int 1 or -1 or
-    whose offset is not an int in ``range(len(source face))`` (0 when the
-    source face is missing), since its sign and images could not carry it.
-    A face in two pairings, or paired with itself, and an ``n`` that is
-    neither None nor an int raise it too: the parser refuses both.
+    One rule governs every field: it is written only if it reads back as
+    itself, else DomainError is raised.  Each name, label and face entry
+    must be a str that is neither empty nor holds whitespace, each slot a
+    (label, int k >= 0) pair, ``n`` None or an int, a pairing's direction
+    the int 1 or -1 and its offset an int in ``range(len(source face))``
+    (0 when the source face is missing).  The involution must be symmetric,
+    as each edge line stands for both of its slots' entries, and no face
+    may be in two pairings or paired with itself: the parser refuses both.
     """
     c = complex_
-    named = [("complex name", [c.name]), ("vertex label", c.vertex_labels),
-             ("face label", c.faces),
+    # every slot is checked before edges() sorts them, which mixed index
+    # types would stop
+    slots = dict.fromkeys(c.involution)
+    slots.update((mate, None) for mate, _ in c.involution.values())
+    for slot in slots:
+        if not (isinstance(slot, tuple) and len(slot) == 2
+                and _is_int(slot[1]) and slot[1] >= 0):
+            raise DomainError(f"slot {slot!r} cannot be written in a document")
+    named = [("complex name", [c.name]),
+             ("vertex label", list(c.vertex_labels)),
+             ("face label", list(c.faces)),
+             ("face entry", [v for cycle in c.faces.values() for v in cycle]),
+             ("slot label", [label for label, _ in slots]),
              ("pairing name", [p.name for p in c.pairings]),
              ("pairing face label",
               [face for p in c.pairings for face in (p.source, p.target)])]
-    for kind, names in named:
-        for name in names:
-            if name.split() != [name]:
-                raise DomainError(
-                    f"{kind} {name!r} cannot be written in a document")
+    for kind, values in named:
+        _check_tokens(kind, values)
     lines = [COMPLEX_HEADER, f"name {c.name}"]
     if c.n is not None:
         if not _is_int(c.n):
@@ -427,6 +445,10 @@ def _cmd_table(args):
 
 
 def _build_parser():
+    # imported here, as main imports traceback: argparse and the gettext it
+    # loads would add about a third to ``import pairglue``
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pairglue",
         description="Face-pairing quotient complexes: manifold certification, "

@@ -1,5 +1,6 @@
 """Document serialization, parsing, and the command line."""
 
+import random
 import re
 import subprocess
 import sys
@@ -169,6 +170,9 @@ def test_parse_complex_reads_a_full_image_list_on_either_side_of_its_faces():
     ("pairing name", "", {"pairings": [Pairing("", "A1", "Ab1")]}),
     ("pairing face label", "X Y", {"pairings": [Pairing("a1", "X Y", "Ab1")]}),
     ("pairing face label", "", {"pairings": [Pairing("a1", "A1", "")]}),
+    # "face F a b" would read back as a face of two vertices
+    ("face entry", "a b", {"faces": {"F": ("a b",)}}),
+    ("face entry", "", {"faces": {"F": ("P1", "")}}),
 ])
 def test_serialize_complex_rejects_inexpressible_names(kind, name, change):
     # "name two words" would read back as a name line with two values
@@ -233,6 +237,101 @@ def test_serialize_complex_rejects_a_non_integer_n(n):
                            name=c.name, n=n)
     with pytest.raises(DomainError, match=re.escape(f"n {n!r} cannot be written")):
         serialize_complex(broken)
+
+
+@pytest.mark.parametrize("extra, kind, value", [
+    # "edge a b.0 Z.0 same" would read back as an edge line of five fields
+    ((("a b", 0), ("Z", 0), True), "slot label", "a b"),
+    ((("G", -1), ("Z", 0), True), "slot", ("G", -1)),
+    ((("G", "x"), ("Z", 0), True), "slot", ("G", "x")),
+    ((("G", True), ("Z", 0), True), "slot", ("G", True)),
+    # "G.1.0" would read back silently as the slot ("G.1", 0)
+    ((("G", 1.0), ("Z", 0), True), "slot", ("G", 1.0)),
+    # an int and a str index on one undeclared face cannot be sorted
+    ((("G", 0), ("G", "1"), True), "slot", ("G", "1")),
+], ids=["whitespace label", "negative index", "str index", "bool index",
+        "float index", "mixed index types"])
+def test_serialize_complex_rejects_inexpressible_slots(extra, kind, value):
+    c = build_m24(1)
+    broken = PairedComplex(c.vertex_labels, c.faces, [*c.edges(), extra],
+                           c.pairings, name=c.name, n=c.n)
+    message = re.escape(f"{kind} {value!r} cannot be written in a document")
+    with pytest.raises(DomainError, match=message):
+        serialize_complex(broken)
+
+
+FUZZ_VALUES = ("", "a b", -1, 1.0, True, "x", None)
+
+
+def corrupt(c, rng):
+    """The fields of ``c`` with one of them replaced by a FUZZ_VALUES entry:
+    a label, a face entry, an involution slot, a pairing field or ``n``."""
+    fields = {"vertex_labels": list(c.vertex_labels), "faces": dict(c.faces),
+              "involution": dict(c.involution), "pairings": list(c.pairings),
+              "name": c.name, "n": c.n}
+    value = rng.choice(FUZZ_VALUES)
+    site = rng.choice(["name", "vertex label", "face label", "face entry",
+                       "slot", "pairing", "n"])
+    if site in ("name", "n"):
+        fields[site] = value
+    elif site == "vertex label":
+        fields["vertex_labels"][rng.randrange(len(c.vertex_labels))] = value
+    elif site == "face label":
+        old = rng.choice(c.face_order)
+        fields["faces"] = {value if label == old else label: cycle
+                           for label, cycle in c.faces.items()}
+    elif site == "face entry":
+        label = rng.choice(c.face_order)
+        cycle = list(c.faces[label])
+        cycle[rng.randrange(len(cycle))] = value
+        fields["faces"][label] = cycle
+    elif site == "slot":
+        # the slot's label or index changes wherever the involution names it
+        old = rng.choice(c.all_slots())
+        new = (value, old[1]) if rng.random() < 0.5 else (old[0], value)
+
+        def rename(slot):
+            return new if slot == old else slot
+
+        fields["involution"] = {rename(slot): (rename(mate), aligned)
+                                for slot, (mate, aligned)
+                                in c.involution.items()}
+    else:
+        i = rng.randrange(len(c.pairings))
+        pairing = {field: getattr(c.pairings[i], field) for field
+                   in ("name", "source", "target", "offset", "direction")}
+        pairing[rng.choice(list(pairing))] = value
+        fields["pairings"][i] = Pairing(**pairing)
+    return site, value, fields
+
+
+def test_serialize_complex_fuzz_writes_only_what_reads_back():
+    # each corrupted complex is refused with DomainError or written as a
+    # document that reads back as the same complex
+    rng = random.Random(2011)
+    members = [build_family(family, n) for family in ("m24", "m25")
+               for n in (1, 2, 3)]
+    outcomes = {"refused": 0, "written": 0}
+    for _ in range(600):
+        site, value, fields = corrupt(rng.choice(members), rng)
+        try:
+            broken = PairedComplex(**fields)
+        except TypeError:
+            # labels are str: the constructor sorts them in natural order
+            assert site in ("vertex label", "face label")
+            assert not isinstance(value, str)
+            continue
+        try:
+            document = serialize_complex(broken)
+        except DomainError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["written"] += 1
+        back = parse_complex(document)
+        assert back.same_structure(broken), (site, value)
+        assert (back.name, back.n, back.vertex_labels) \
+            == (broken.name, broken.n, broken.vertex_labels), (site, value)
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_parse_complex_skips_blank_and_comment_lines():

@@ -1,6 +1,10 @@
 """The package's public names: each is listed once, by its own module."""
 
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import pairglue
 from pairglue import complex_core, errors, families, group_theory, io_cli, symmetry
@@ -50,3 +54,65 @@ def test_each_group_theory_name_is_listed_by_one_submodule():
                  if name in module.__all__]
         assert len(homes) == 1, name
         assert getattr(group_theory, name) is getattr(homes[0], name), name
+
+
+def public_instances():
+    """One instance of each public class that is not an exception."""
+    member = pairglue.build_m24(2)
+    report = pairglue.singularity_report("m24", 2, 1)
+    return {
+        "AbelianGroup": pairglue.AbelianGroup(0, (3,)),
+        "AutomorphismCheck": pairglue.verify_automorphism(
+            member, pairglue.rotation("m24", 2)),
+        "CellCounts": pairglue.cell_counts(member),
+        "ComplexAutomorphism": pairglue.rotation("m24", 2),
+        "EdgeOrbit": pairglue.edge_orbits(member)[0],
+        "IntegerMatrix": pairglue.IntegerMatrix([[1]]),
+        "PairedComplex": member,
+        "Pairing": member.pairings[0],
+        "Presentation": pairglue.presentation_from_pairings(member),
+        "SingularComponent": report.components[0],
+        "SingularityReport": report,
+        "VertexOrbit": pairglue.vertex_orbits(member)[0],
+        "Word": pairglue.Word.parse("a b"),
+    }
+
+
+def test_every_public_value_type_refuses_attribute_assignment():
+    instances = public_instances()
+    classes = {name for name in pairglue.__all__
+               if isinstance(getattr(pairglue, name), type)
+               and not issubclass(getattr(pairglue, name), BaseException)}
+    assert set(instances) == classes
+    for name, value in instances.items():
+        assert type(value) is getattr(pairglue, name)
+        # a slot or field the instance has, and a name it lacks
+        attribute = (value._fields[0] if isinstance(value, tuple)
+                     else type(value).__slots__[0])
+        for target in (attribute, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, target, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attribute)
+
+
+def test_abelian_group_replace_runs_the_checks():
+    group = pairglue.AbelianGroup(0, (3,))
+    assert group._replace(rank=2) == pairglue.AbelianGroup(2, (3,))
+    for change in ({"rank": -1}, {"invariant_factors": (3, 4)},
+                   {"invariant_factors": (1.0,)}):
+        with pytest.raises(pairglue.DomainError):
+            group._replace(**change)
+
+
+def test_import_pairglue_leaves_the_cli_and_traceback_imports_out():
+    # argparse, traceback and heapq are imported where they are used
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import pairglue; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(Path(__file__).parent.parent / "src")],
+        check=True, capture_output=True, text=True)
+    new = set(done.stdout.split())
+    assert "pairglue" in new
+    assert new.isdisjoint({"argparse", "traceback", "heapq"}), new
