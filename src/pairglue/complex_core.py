@@ -7,18 +7,20 @@ compute the cells of that quotient (vertex classes, edge classes with their
 cycle words, face pairs) and certify manifoldness through the Euler
 characteristic.
 
-Complexes are immutable and pairings are namedtuples.  A complex fixes the
-natural order of its face and vertex labels once, when it is constructed,
-and every scan reads that order.  A complex is analysed once, on first use:
-its validation violations, edge-class traversal and vertex classes are kept
-on it, and the analysis functions return fresh lists or read-only views.
+Complexes are immutable and pairings are namedtuples; each fixes the natural
+order of its face and vertex labels when it is constructed, and every scan
+reads that order.  A complex is analysed once, on first use: its violations,
+edge classes and vertex classes are kept on it, and the analysis functions
+return fresh lists or read-only views.
 
 Edges are positional throughout: slot ``k`` of a face is the directed edge
-from its ``k``-th boundary vertex to the next one, and a slot is addressed as
+from its ``k``-th boundary vertex to the next one, addressed as
 ``(face_label, k)``.  Validation numbers the slots once, in scan order (faces
-in natural order, then ``k``), and checks them over lists indexed by those
-numbers; the edge traversal of a valid complex reads that numbering.  The
-results name slots as tuples.  Vertex labels play no role in identification;
+in natural order, then ``k``), and checks them, and walks the orientation by
+face number, over lists indexed by those numbers; the edge traversal reads
+the same lists, and the vertex classes are found over vertex numbers.  The
+results name slots as tuples; the slot-keyed maps of :func:`_orbit_data` are
+built on their first read.  Vertex labels play no role in identification;
 they may repeat along a single face (small complexes have monogons and loops).
 """
 
@@ -27,7 +29,7 @@ import re
 from collections import namedtuple
 from types import MappingProxyType
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 
 __all__ = ["CellCounts", "EdgeOrbit", "PairedComplex", "Pairing",
            "VertexOrbit", "cell_counts", "edge_orbits", "is_manifold",
@@ -164,10 +166,13 @@ class PairedComplex(_Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_names", tuple(edge_names))
         object.__setattr__(self, "preferred_tree", tuple(preferred_tree))
-        object.__setattr__(self, "face_order",
-                           tuple(sorted(faces, key=natural_key)))
-        object.__setattr__(self, "vertex_order",
-                           tuple(sorted(self.vertex_labels, key=natural_key)))
+        for kind, labels in (("face", faces), ("vertex", self.vertex_labels)):
+            try:  # natural_key reads str labels only
+                object.__setattr__(self, f"{kind}_order",
+                                   tuple(sorted(labels, key=natural_key)))
+            except TypeError:
+                bad = next(v for v in labels if not isinstance(v, str))
+                raise DomainError(f"{kind} label {bad!r} is not a str") from None
         object.__setattr__(self, "_analysis", None)
 
     def __reduce__(self):
@@ -186,18 +191,18 @@ class PairedComplex(_Immutable):
         """The involution as ``(slot, mate, aligned)`` triples, the form the
         constructor takes: one per edge, its earlier slot in scan order first,
         sorted in scan order.  Slots of faces the complex lacks (an invalid
-        complex only) sort after every other slot, by label.
+        complex only) sort after every other slot, by label; parts of two
+        slots are compared only when their types agree.
         """
         rank = {label: i for i, label in enumerate(self.face_order)}
-
-        def key(slot):
-            return rank.get(slot[0], len(rank)), slot
-
-        edges = set()
-        for slot, (mate, aligned) in self.involution.items():
-            a, b = sorted((slot, mate), key=key)
-            edges.add((a, b, aligned))
-        return sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
+        key = {(label, k): (rank.get(label, len(rank)), type(label).__name__,
+                            label, type(k).__name__, k)
+               for label, k in {*self.involution,
+                                *(mate for mate, _ in self.involution.values())}}
+        edges = {(slot, mate, aligned) if key[slot] <= key[mate]
+                 else (mate, slot, aligned)
+                 for slot, (mate, aligned) in self.involution.items()}
+        return sorted(edges, key=lambda e: (key[e[0]], key[e[1]], e[2]))
 
     def slot_endpoints(self, slot):
         """The (tail, head) vertex labels of a slot's directed edge."""
@@ -211,14 +216,11 @@ class PairedComplex(_Immutable):
         Ignores ``name``, ``n`` and presentation metadata, and ignores the
         order in which vertices, faces and pairings were supplied.
         """
-        if set(self.vertex_labels) != set(other.vertex_labels):
-            return False
-        if self.faces != other.faces:
-            return False
-        if self.involution != other.involution:
-            return False
-        return ({p.name: p for p in self.pairings}
-                == {p.name: p for p in other.pairings})
+        return (set(self.vertex_labels) == set(other.vertex_labels)
+                and self.faces == other.faces
+                and self.involution == other.involution
+                and ({p.name: p for p in self.pairings}
+                     == {p.name: p for p in other.pairings}))
 
     def __repr__(self):
         return (f"<PairedComplex {self.name!r}: {len(self.vertex_labels)} vertices, "
@@ -239,10 +241,11 @@ the representative edge around its class and back to itself.
 VertexOrbit = namedtuple("VertexOrbit", ["representative", "member_vertices"])
 
 
-# The validation violations and, for a valid complex, the edge-class
-# traversal (see _orbit_data) and the tuple of vertex classes.
-_Analysis = namedtuple("_Analysis",
-                       ["violations", "orbit_data", "vertex_classes"])
+# The validation violations and, for a valid complex, what _traverse_edges
+# returns, the vertex classes and, once read, the 3-tuple of _orbit_data.
+_Analysis = namedtuple("_Analysis", ["violations", "edge_classes", "slots",
+                                     "vertex_classes", "orbit_data"],
+                       defaults=(None,) * 4)
 
 
 def _analyse(complex_):
@@ -250,11 +253,9 @@ def _analyse(complex_):
     analysis = complex_._analysis
     if analysis is None:
         violations, numbering = _violations(complex_)
-        if violations:
-            analysis = _Analysis(tuple(violations), None, None)
-        else:
-            analysis = _Analysis((), _traverse_edges(complex_, *numbering),
-                                 _vertex_classes(complex_))
+        analysis = (_Analysis(tuple(violations)) if violations
+                    else _Analysis((), *_traverse_edges(complex_, *numbering),
+                                   _vertex_classes(complex_)))
         object.__setattr__(complex_, "_analysis", analysis)
     return analysis
 
@@ -373,27 +374,29 @@ def _violations(complex_):
     # Orientation phase: orient every face so that neighbouring faces traverse
     # each shared edge in opposite directions, then require every pairing to
     # reverse that orientation (the glued space is then orientable).  One walk
-    # from the first face must reach every face, as the boundary is connected.
-    orient = {labels[0]: 1}
-    queue = [labels[0]]
+    # over the face numbers (orient[f] is 0 until face f is reached) from face
+    # 0 must reach every face, as the boundary is connected.
+    face_of = [f for f, cycle in enumerate(cycles) for _ in cycle]
+    orient = [1] + [0] * (len(labels) - 1)
+    queue = [0]
     while queue:
         face = queue.pop()
-        start = number[(face, 0)]
-        for i in range(start, start + len(c.faces[face])):
-            other = scan[mates[i]][0]
-            needed = -orient[face] if aligned[i] else orient[face]
-            if other not in orient:
+        sense, start = orient[face], number[labels[face], 0]
+        for i in range(start, start + len(cycles[face])):
+            other = face_of[mates[i]]
+            needed = -sense if aligned[i] else sense
+            if not orient[other]:
                 orient[other] = needed
                 queue.append(other)
             elif orient[other] != needed:
                 violations.append("boundary orientation inconsistent near "
-                                  f"face {other}")
+                                  f"face {labels[other]}")
                 return violations, None
-    for label in labels:
-        if label not in orient:
-            violations.append(f"boundary is not connected: face {label} is "
-                              f"not reached from face {labels[0]}")
-            return violations, None
+    if 0 in orient:
+        violations.append(f"boundary is not connected: face {labels[orient.index(0)]}"
+                          f" is not reached from face {labels[0]}")
+        return violations, None
+    orient = dict(zip(labels, orient))
     for pairing in c.pairings:
         if pairing.direction * orient[pairing.source] * orient[pairing.target] != -1:
             violations.append(f"pairing {pairing.name} does not reverse orientation")
@@ -410,14 +413,21 @@ def _require_valid(complex_):
 
 
 def _orbit_data(complex_):
-    """The edge-class traversal; the workhorse behind edge_orbits.
+    """The edge-class traversal, with its slot-keyed maps (built on first call).
 
     Returns ``(orbits, slot_sign, orbit_index)``: the tuple of edge classes
     and two read-only mappings, ``slot_sign[slot]`` +1/-1 as the traversal
     first crossed the slot along or against its stored direction, and
     ``orbit_index[slot]`` the position of the slot's class in ``orbits``.
     """
-    return _require_valid(complex_).orbit_data
+    analysis = _require_valid(complex_)
+    if analysis.orbit_data is None:
+        scan, sign, orbit_of = analysis.slots
+        analysis = analysis._replace(slots=None, orbit_data=(
+            analysis.edge_classes, MappingProxyType(dict(zip(scan, sign))),
+            MappingProxyType(dict(zip(scan, orbit_of)))))
+        object.__setattr__(complex_, "_analysis", analysis)
+    return analysis.orbit_data
 
 
 def _traverse_edges(complex_, scan, number, mates, aligned):
@@ -430,6 +440,7 @@ def _traverse_edges(complex_, scan, number, mates, aligned):
     slot numbering that validation built (see :func:`_violations`): crossing
     the involution from slot ``i`` reaches ``mates[i]`` and keeps the sense
     when ``aligned[i]``.  Each slot's pairing step is listed beforehand.
+    Returns the tuple of edge classes and ``(scan, sign, orbit_of)``.
     """
     from .group_theory.words import _word
 
@@ -477,11 +488,9 @@ def _traverse_edges(complex_, scan, number, mates, aligned):
             members.append(slot if slot < other else other)
             slot = other
         members.sort()
-        orbits.append(EdgeOrbit(representative=scan[rep],
-                                member_edges=tuple([scan[i] for i in members]),
-                                cycle_word=_word(tuple(letters))))
-    return (tuple(orbits), MappingProxyType(dict(zip(scan, sign))),
-            MappingProxyType(dict(zip(scan, orbit_of))))
+        orbits.append(EdgeOrbit(scan[rep], tuple([scan[i] for i in members]),
+                                _word(tuple(letters))))
+    return tuple(orbits), (scan, sign, orbit_of)
 
 
 def edge_orbits(complex_):
@@ -490,7 +499,7 @@ def edge_orbits(complex_):
     Each class comes with its closed cycle word of pairing letters.  Raises
     StructureError when the complex does not validate.
     """
-    return list(_orbit_data(complex_)[0])
+    return list(_require_valid(complex_).edge_classes)
 
 
 def vertex_orbits(complex_):
@@ -499,34 +508,28 @@ def vertex_orbits(complex_):
 
 
 def _vertex_classes(complex_):
-    """Compute the vertex classes of a valid complex by union-find."""
+    """Compute the vertex classes of a valid complex by union-find over
+    vertex numbers (positions in natural order)."""
     c = complex_
-    parent = {v: v for v in c.vertex_labels}
-    for pairing in c.pairings:
-        source = c.faces[pairing.source]
-        target = c.faces[pairing.target]
-        length = len(source)
-        for j, a in enumerate(source):
-            b = target[(pairing.offset + pairing.direction * j) % length]
-            # join the roots of a and b, halving the paths to them
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            parent[a] = b
+    number = dict(zip(c.vertex_order, range(len(c.vertex_order))))
+    parent = list(range(len(c.vertex_order)))
+    # vertex j of a source is joined to (offset + direction*j) mod L of its target
+    sources, images = [], []
+    for p in c.pairings:
+        target, offset = c.faces[p.target], p.offset
+        sources += c.faces[p.source]
+        images += (target[offset:] + target[:offset] if p.direction == 1
+                   else target[offset::-1] + target[:offset:-1])
+    for a, b in zip(map(number.__getitem__, sources),
+                    map(number.__getitem__, images)):
+        _join(parent, a, b)
 
     # walking the vertices in natural order lists each class, and the
     # classes, by their natural-least member
     classes = {}
     for v in c.vertex_order:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        classes.setdefault(root, []).append(v)
-    return tuple(VertexOrbit(representative=members[0],
-                             member_vertices=tuple(members))
+        classes.setdefault(_find(parent, number[v]), []).append(v)
+    return tuple(VertexOrbit(members[0], tuple(members))
                  for members in classes.values())
 
 
@@ -538,10 +541,8 @@ def cell_counts(complex_):
     classes, sigma0 the number of vertex classes.
     """
     analysis = _require_valid(complex_)
-    return CellCounts(sigma0=len(analysis.vertex_classes),
-                      sigma1=len(analysis.orbit_data[0]),
-                      sigma2=len(complex_.faces) // 2,
-                      sigma3=1)
+    return CellCounts(len(analysis.vertex_classes), len(analysis.edge_classes),
+                      len(complex_.faces) // 2, 1)
 
 
 def is_manifold(complex_):

@@ -15,7 +15,8 @@ computed downstream, and the tests hold them against each other.
 
 from collections import Counter
 
-from ..complex_core import _Immutable, _join, _orbit_data, vertex_orbits
+from ..complex_core import (_Immutable, _join, _orbit_data, edge_orbits,
+                            vertex_orbits)
 from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labels, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
@@ -79,9 +80,8 @@ class Presentation(_Immutable):
 
 def presentation_from_pairings(complex_):
     """Generators = pairing names, relators = edge-class cycle words."""
-    orbits, _, _ = _orbit_data(complex_)
     generators = [p.name for p in complex_.pairings]
-    return Presentation(generators, [orbit.cycle_word for orbit in orbits])
+    return Presentation(generators, [o.cycle_word for o in edge_orbits(complex_)])
 
 
 def _spanning_tree(orbit_edges, vertex_class, generators, preferred):

@@ -69,8 +69,7 @@ def serialize_complex(complex_):
     may be in two pairings or paired with itself: the parser refuses both.
     """
     c = complex_
-    # every slot is checked before edges() sorts them, which mixed index
-    # types would stop
+    # every slot is checked before any edge line is written
     slots = dict.fromkeys(c.involution)
     slots.update((mate, None) for mate, _ in c.involution.values())
     for slot in slots:
@@ -238,11 +237,8 @@ def parse_complex(text):
             raise ParseError(number, f"pairing {pname} lists {count} images "
                              f"for the {len(faces[source])} vertices of "
                              f"face {source}")
-    if edge_triples:
-        involution = edge_triples
-    else:
-        involution = _edges_from_labels(faces)
-    return PairedComplex(vertices or (), faces, involution, pairings,
+    return PairedComplex(vertices or (), faces,
+                         edge_triples or _edges_from_labels(faces), pairings,
                          name=name, n=n)
 
 

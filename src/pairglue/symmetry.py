@@ -25,6 +25,7 @@ from .complex_core import (
     _Immutable,
     _orbit_data,
     _require_valid,
+    edge_orbits,
     format_slot,
     natural_key,
     validate,
@@ -41,8 +42,7 @@ def _cycles(mapping, starts):
     """The cycles of a permutation, each from its first member in ``starts``."""
     seen = set()
     for start in starts:
-        cycle = []
-        x = start
+        cycle, x = [], start
         while x not in seen:
             seen.add(x)
             cycle.append(x)
@@ -93,9 +93,9 @@ class ComplexAutomorphism(_Immutable):
     ``ComplexAutomorphism(domain, vertex_map)`` extends a permutation of the
     vertex labels of a valid complex to the whole structure, or raises
     StructureError, so an instance is an automorphism by construction.  A
-    face's candidate placements ``(g, r)``, from an index of every rotation
-    of every face cycle, are the faces ``g`` whose cycle read from slot ``r``
-    is the image of its own; the first candidate of the natural-least face
+    face's candidate placements ``(g, r)``, among the slots indexed by their
+    tail vertex, are the faces ``g`` whose cycle read from slot ``r`` is the
+    image of its own; the first candidate of the natural-least face
     whose forced placements (see :func:`_forced_placements`) survive gives
     the automorphism.
 
@@ -122,15 +122,19 @@ class ComplexAutomorphism(_Immutable):
             raise StructureError(
                 ["vertex map is not a permutation of the vertex labels"])
 
-        placements = {}
+        slots_from = {}  # every slot (g, r) with g's cycle, by its tail vertex
         for g in c.face_order:
             cycle = c.faces[g]
-            for r in range(len(cycle)):
-                placements.setdefault(cycle[r:] + cycle[:r], []).append((g, r))
+            for r, v in enumerate(cycle):
+                slots_from.setdefault(v, []).append((g, r, cycle))
         candidates = {}
         for face in c.face_order:
-            options = placements.get(tuple(vertex_map[v] for v in c.faces[face]))
-            if options is None:
+            image = tuple(map(vertex_map.__getitem__, c.faces[face]))
+            # the cycle read from slot r starts and ends where the image does
+            options = [(g, r) for g, r, cycle in slots_from.get(image[0], ())
+                       if cycle[r - 1] == image[-1]
+                       and cycle[r:] + cycle[:r] == image]
+            if not options:
                 raise StructureError(
                     [f"no face matches the image of face {face} under the vertex map"])
             candidates[face] = options
@@ -365,11 +369,10 @@ def singularity_report(family, n, step=1):
         raise UnsupportedQuotientError(
             f"quotient of {family}({n}) by the step {step} rotation is not "
             f"{family}({step})")
-    up_orbits, _, _ = _orbit_data(upstairs)
     down_orbits, _, down_index = _orbit_data(quotient)
 
     over = {}
-    for orbit in up_orbits:
+    for orbit in edge_orbits(upstairs):
         over.setdefault(down_index[auto.project(orbit.representative)],
                         []).append(orbit)
 

@@ -8,6 +8,7 @@ replay of each cycle word through the stored offsets and directions.
 import copy
 import pickle
 import random
+import re
 from types import MappingProxyType
 
 import pytest
@@ -31,7 +32,7 @@ from pairglue import complex_core
 from pairglue.complex_core import (EdgeOrbit, VertexOrbit, _find, _is_int,
                                    _join, _orbit_data, format_slot,
                                    natural_key)
-from pairglue.errors import ParseError, StructureError
+from pairglue.errors import DomainError, ParseError, StructureError
 from pairglue.group_theory.words import Word
 
 
@@ -361,6 +362,29 @@ def test_orbit_functions_refuse_invalid_input():
         edge_orbits(broken)
     with pytest.raises(StructureError):
         cell_counts(broken)
+
+
+@pytest.mark.parametrize("label", [None, -1, 1.0, True])
+def test_constructor_refuses_labels_that_are_not_str(label):
+    c = build_m24(1)
+    last = c.face_order[-1]
+    faces = {label if face == last else face: cycle
+             for face, cycle in c.faces.items()}
+    for kind, args in (
+            ("vertex", ([*c.vertex_labels, label], c.faces)),
+            ("face", (c.vertex_labels, faces))):
+        message = re.escape(f"{kind} label {label!r} is not a str")
+        with pytest.raises(DomainError, match=message):
+            PairedComplex(*args, c.involution, c.pairings)
+
+
+def test_edges_sorts_mixed_index_types_of_an_undeclared_face():
+    # the two slots of face G have an int and a str index
+    c = build_m24(1)
+    extra = (("G", "1"), ("G", 0), True)
+    broken = PairedComplex(c.vertex_labels, c.faces, [*c.edges(), extra],
+                           c.pairings)
+    assert broken.edges() == [*c.edges(), (("G", 0), ("G", "1"), True)]
 
 
 # ------------------------------------------- immutability, analysis once
@@ -694,12 +718,39 @@ def analysis(violations, traverse, classes, complex_):
         return str(exc)
 
 
+def traverse_edges_by_slot(complex_, *numbering):
+    """``_traverse_edges`` with its per-slot lists keyed by slot, as the
+    reference returns them."""
+    orbits, (scan, sign, orbit_of) = complex_core._traverse_edges(complex_,
+                                                                  *numbering)
+    return orbits, dict(zip(scan, sign)), dict(zip(scan, orbit_of))
+
+
+def public_analysis(complex_):
+    """``analysis`` through the public functions of a fresh copy of the
+    complex, with the slot-keyed maps of ``_orbit_data`` read last."""
+    c = copy.copy(complex_)
+    try:
+        found = validate(c)
+        if found:
+            return found
+        orbits, classes = edge_orbits(c), vertex_orbits(c)
+        assert cell_counts(c) == (len(classes), len(orbits), len(c.faces) // 2, 1)
+        assert is_manifold(c)[1] == len(classes) - len(orbits) + len(c.faces) // 2 - 1
+        kept, slot_sign, orbit_index = _orbit_data(c)
+        assert list(kept) == orbits
+        return kept, dict(slot_sign), dict(orbit_index), tuple(classes)
+    except StructureError as exc:
+        return str(exc)
+
+
 def assert_analysis_matches_reference(complex_):
-    assert (analysis(complex_core._violations, complex_core._traverse_edges,
-                     complex_core._vertex_classes, complex_)
-            == analysis(lambda c: (reference_violations(c), ()),
+    expected = analysis(lambda c: (reference_violations(c), ()),
                         reference_traverse_edges, reference_vertex_classes,
-                        complex_))
+                        complex_)
+    assert analysis(complex_core._violations, traverse_edges_by_slot,
+                    complex_core._vertex_classes, complex_) == expected
+    assert public_analysis(complex_) == expected
 
 
 def test_analysis_matches_reference_on_families(family):

@@ -316,10 +316,11 @@ def test_serialize_complex_fuzz_writes_only_what_reads_back():
         site, value, fields = corrupt(rng.choice(members), rng)
         try:
             broken = PairedComplex(**fields)
-        except TypeError:
+        except DomainError as exc:
             # labels are str: the constructor sorts them in natural order
             assert site in ("vertex label", "face label")
             assert not isinstance(value, str)
+            assert str(exc) == f"{site} {value!r} is not a str"
             continue
         try:
             document = serialize_complex(broken)
