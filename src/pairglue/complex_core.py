@@ -58,8 +58,13 @@ def natural_key(label):
 
 
 def format_slot(slot):
-    """Render a slot as ``FACE.k``, the form used in documents and reports."""
-    return f"{slot[0]}.{slot[1]}"
+    """Render a slot as ``FACE.k``, the form used in documents and reports;
+    a value that does not unpack to two parts is rendered with ``repr``."""
+    try:
+        label, k = slot
+    except (TypeError, ValueError):
+        return repr(slot)
+    return f"{label}.{k}"
 
 
 class _Immutable:
@@ -139,7 +144,10 @@ class PairedComplex(_Immutable):
     Construction is deliberately permissive: malformed data, such as faces
     that the involution does not join into one nonempty boundary, is
     accepted and reported by :func:`validate` (on first analysis), which is
-    what the error contract requires.
+    what the error contract requires.  Only arguments that cannot be
+    converted raise DomainError: a label that is not a str, a face that is
+    not a vertex list, and an involution entry that is not a slot's mate
+    with its alignment.
     """
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
@@ -148,16 +156,32 @@ class PairedComplex(_Immutable):
 
     def __init__(self, vertex_labels, faces, involution, pairings,
                  name="complex", n=None, edge_names=(), preferred_tree=()):
-        if hasattr(involution, "items"):
-            mates = {slot: (tuple(mate), bool(aligned))
-                     for slot, (mate, aligned) in involution.items()}
-        else:
-            mates = {}
-            for a, b, aligned in involution:
-                a, b = tuple(a), tuple(b)
-                mates[a] = (b, bool(aligned))
-                mates[b] = (a, bool(aligned))
-        faces = {label: tuple(vertices) for label, vertices in dict(faces).items()}
+        mates, slot, entry = {}, None, involution
+        try:
+            if hasattr(involution, "items"):
+                for slot, entry in involution.items():
+                    mate, aligned = entry
+                    mates[slot] = (tuple(mate), bool(aligned))
+            else:
+                for entry in involution:
+                    a, b, aligned = entry
+                    a, b = tuple(a), tuple(b)
+                    mates[a] = (b, bool(aligned))
+                    mates[b] = (a, bool(aligned))
+        except (TypeError, ValueError):  # not a slot with its mate
+            if hasattr(involution, "items"):
+                raise DomainError(
+                    f"involution entry of slot {format_slot(slot)} is not a "
+                    f"(mate, aligned) pair: {entry!r}") from None
+            raise DomainError(f"involution entry {entry!r} is not a "
+                              "(slot, mate, aligned) triple") from None
+        faces = dict(faces)
+        try:
+            for label, vertices in faces.items():
+                faces[label] = tuple(vertices)
+        except TypeError:
+            raise DomainError(f"face {label} is not a vertex list: "
+                              f"{vertices!r}") from None
         object.__setattr__(self, "vertex_labels", tuple(vertex_labels))
         object.__setattr__(self, "faces", MappingProxyType(faces))
         object.__setattr__(self, "involution", MappingProxyType(mates))
@@ -192,13 +216,19 @@ class PairedComplex(_Immutable):
         constructor takes: one per edge, its earlier slot in scan order first,
         sorted in scan order.  Slots of faces the complex lacks (an invalid
         complex only) sort after every other slot, by label; parts of two
-        slots are compared only when their types agree.
+        slots are compared only when their types agree.  A slot that is not
+        a hashable pair raises DomainError.
         """
         rank = {label: i for i, label in enumerate(self.face_order)}
-        key = {(label, k): (rank.get(label, len(rank)), type(label).__name__,
-                            label, type(k).__name__, k)
-               for label, k in {*self.involution,
-                                *(mate for mate, _ in self.involution.values())}}
+        try:
+            key = {(label, k): (rank.get(label, len(rank)),
+                                type(label).__name__, label,
+                                type(k).__name__, k)
+                   for label, k in {*self.involution, *(
+                       mate for mate, _ in self.involution.values())}}
+        except (TypeError, ValueError):  # a slot that is not a hashable pair
+            raise DomainError("the involution holds a slot that is not a "
+                              "(label, k) pair") from None
         edges = {(slot, mate, aligned) if key[slot] <= key[mate]
                  else (mate, slot, aligned)
                  for slot, (mate, aligned) in self.involution.items()}
@@ -278,6 +308,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _hashable(value):
+    """Whether ``value`` can be hashed, as a set member or a dict key must."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order, and
     for a valid complex (else None) the slot numbering ``(scan, number,
@@ -286,20 +325,37 @@ def _violations(complex_):
     c = complex_
     known_vertices = set(c.vertex_labels)
 
+    unknown = set()  # faces with an entry that is not a vertex label
     for label, cycle in c.faces.items():
         if not cycle:
             violations.append(f"face {label} has no vertices")
-        elif not known_vertices.issuperset(cycle):
-            violations.extend(f"face {label} references unknown vertex {v}"
-                              for v in cycle if v not in known_vertices)
+            continue
+        try:
+            if known_vertices.issuperset(cycle):
+                continue
+        except TypeError:  # an unhashable entry
+            pass
+        unknown.add(label)
+        # vertex labels are str, so an entry of another type is unknown
+        violations.extend(f"face {label} references unknown vertex {v}"
+                          for v in cycle
+                          if not isinstance(v, str) or v not in known_vertices)
 
     seen_names = set()
     usage = {}
     for pairing in c.pairings:
-        if pairing.name in seen_names:
+        if not isinstance(pairing.name, str):
+            violations.append(f"pairing name {pairing.name!r} is not a str")
+        elif pairing.name in seen_names:
             violations.append(f"duplicate pairing name {pairing.name}")
-        seen_names.add(pairing.name)
-        missing = [f for f in (pairing.source, pairing.target) if f not in c.faces]
+        else:
+            seen_names.add(pairing.name)
+        ends = (pairing.source, pairing.target)
+        try:
+            missing = [f for f in ends if f not in c.faces]
+        except TypeError:  # labels are str, so an unhashable one is no face's
+            missing = [f for f in ends if not isinstance(f, str)
+                       or f not in c.faces]
         for f in missing:
             violations.append(f"pairing {pairing.name} references unknown face {f}")
         if missing:
@@ -327,18 +383,22 @@ def _violations(complex_):
         if not names:
             violations.append(f"unpaired face {label}")
         elif len(names) > 1:
-            violations.append(f"face {label} doubly paired ({', '.join(names)})")
+            violations.append(f"face {label} doubly paired "
+                              f"({', '.join(map(str, names))})")
 
     # number the slots of the faces whose vertices are all known in scan
     # order, and check every slot over flat lists indexed by those numbers
-    labels = [label for label in c.face_order
-              if known_vertices.issuperset(c.faces[label])]
+    labels = [label for label in c.face_order if label not in unknown]
     cycles = [c.faces[label] for label in labels]
     scan = [(label, k) for label, cycle in zip(labels, cycles)
             for k in range(len(cycle))]
     number = dict(zip(scan, range(len(scan))))
     entries = list(map(c.involution.get, scan, [(None, None)] * len(scan)))
-    mates = [number.get(mate, -1) for mate, _ in entries]
+    try:
+        mates = [number.get(mate, -1) for mate, _ in entries]
+    except TypeError:  # a mate that cannot be hashed is no numbered slot
+        mates = [number.get(mate, -1) if _hashable(mate) else -1
+                 for mate, _ in entries]
     aligned = [a for _, a in entries]
     tails = [v for cycle in cycles for v in cycle]
     heads = [v for cycle in cycles for v in cycle[1:] + cycle[:1]]

@@ -18,6 +18,7 @@ import sys
 from .complex_core import (
     PairedComplex,
     Pairing,
+    _hashable,
     _is_int,
     cell_counts,
     edge_orbits,
@@ -71,7 +72,13 @@ def serialize_complex(complex_):
     c = complex_
     # every slot is checked before any edge line is written
     slots = dict.fromkeys(c.involution)
-    slots.update((mate, None) for mate, _ in c.involution.values())
+    try:
+        slots.update((mate, None) for mate, _ in c.involution.values())
+    except TypeError:  # a mate that cannot be hashed
+        bad = next(mate for mate, _ in c.involution.values()
+                   if not _hashable(mate))
+        raise DomainError(
+            f"slot {bad!r} cannot be written in a document") from None
     for slot in slots:
         if not (isinstance(slot, tuple) and len(slot) == 2
                 and _is_int(slot[1]) and slot[1] >= 0):

@@ -12,6 +12,11 @@ rotation the stabilizer induces), which is how an n-gon lid descends to the
 lid of the smaller family member.  Identifications that fail to descend
 raise :class:`pairglue.errors.UnsupportedQuotientError`; a verified
 automorphism never produces one, but the quotient refuses to guess.
+
+:func:`singular_components` derives the collapsed edge classes of a quotient
+from the cells of any automorphism and its base complex.
+:func:`singularity_report` wraps it for a family member and its rotation,
+and appends the rotation-axis component from the construction.
 """
 
 from collections import namedtuple
@@ -35,7 +40,8 @@ from .families import _check_n, _labels, build_family
 
 __all__ = ["AutomorphismCheck", "ComplexAutomorphism", "SingularComponent",
            "SingularityReport", "quotient_complex", "rotation",
-           "singularity_report", "strongly_cyclic", "verify_automorphism"]
+           "singular_components", "singularity_report", "strongly_cyclic",
+           "verify_automorphism"]
 
 
 def _cycles(mapping, starts):
@@ -351,24 +357,23 @@ _AXIS_NOTE = ("rotation-axis component listed from the construction of the "
               "recomputed from the cell structure")
 
 
-def singularity_report(family, n, step=1):
-    """Branching data of the family member over its rotation quotient.
+def singular_components(automorphism, base):
+    """The edge classes of a cyclic quotient over which the covering branches.
 
-    Each edge class downstairs whose upstairs classes are longer circles is a
-    branched component with index equal to the length ratio; the rotation
-    axis itself is appended as a component whenever the covering is
-    nontrivial, with branching index equal to the covering degree.
-
-    The base is the member with parameter ``step``: the quotient is checked
-    against it, and UnsupportedQuotientError raised when they differ.
+    The domain of ``automorphism`` is quotiented by the group it spans.  Each
+    edge class downstairs whose upstairs classes are longer circles is a
+    ``collapsed-edge-class`` component, with index equal to the length ratio.
+    UnsupportedQuotientError is raised unless the quotient has the structure
+    of ``base`` and every class is covered evenly, and freely off the
+    branching locus.
     """
-    auto = rotation(family, n, step)
-    upstairs = auto.domain
+    auto, upstairs = automorphism, automorphism.domain
     quotient = quotient_complex(upstairs, auto)
-    if not quotient.same_structure(build_family(family, step)):
+    if not quotient.same_structure(base):
         raise UnsupportedQuotientError(
-            f"quotient of {family}({n}) by the step {step} rotation is not "
-            f"{family}({step})")
+            f"quotient of {upstairs.name} by an automorphism of order "
+            f"{auto.order} does not have the structure of the base "
+            f"{base.name}")
     down_orbits, _, down_index = _orbit_data(quotient)
 
     over = {}
@@ -396,15 +401,24 @@ def singularity_report(family, n, step=1):
                 upstairs_orbit_size=len(preimages),
                 downstairs_class=down_orbit.representative,
                 downstairs_size=down_size))
-    if auto.order > 1:
-        components.append(SingularComponent(
-            kind="rotation-axis", branching_index=auto.order,
-            upstairs_orbit_size=1, downstairs_class=None, downstairs_size=None))
+    return tuple(components)
 
-    return SingularityReport(base_family=family, base_n=step,
-                             covering_degree=auto.order,
-                             components=tuple(components),
-                             total_space_n=n, note=_AXIS_NOTE)
+
+def singularity_report(family, n, step=1):
+    """Branching data of the family member over its rotation quotient.
+
+    The base is the member with parameter ``step``.  The collapsed edge
+    classes come from :func:`singular_components`; the rotation axis is
+    appended from the construction whenever the covering is nontrivial,
+    with branching index equal to the covering degree.
+    """
+    auto = rotation(family, n, step)
+    components = singular_components(auto, build_family(family, step))
+    if auto.order > 1:
+        components += (SingularComponent("rotation-axis", auto.order, 1,
+                                         None, None),)
+    return SingularityReport(family, step, auto.order, components, n,
+                             _AXIS_NOTE)
 
 
 def strongly_cyclic(report):

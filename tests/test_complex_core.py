@@ -20,10 +20,12 @@ from pairglue import (
     build_m25,
     cell_counts,
     edge_orbits,
+    h1,
     is_manifold,
     parse_complex,
     presentation_from_cw,
     presentation_from_pairings,
+    quotient_complex,
     serialize_complex,
     validate,
     vertex_orbits,
@@ -32,7 +34,8 @@ from pairglue import complex_core
 from pairglue.complex_core import (EdgeOrbit, VertexOrbit, _find, _is_int,
                                    _join, _orbit_data, format_slot,
                                    natural_key)
-from pairglue.errors import DomainError, ParseError, StructureError
+from pairglue.errors import (DomainError, PairglueError, ParseError,
+                             StructureError)
 from pairglue.group_theory.words import Word
 
 
@@ -264,11 +267,35 @@ def broken_tetra(vertices=None, faces=(), involution=(), pairings=None):
       for slot in ("F.0", "F.1", "G.0", "G.1")]),
     (broken_tetra(involution={("F", 3): (("G", 0), True)}),
      ["involution references unknown slot F.3"]),
+    # a value that is not a (label, k) pair is rendered with repr
+    (broken_tetra(involution={("Z",): (("F", 0), True)}),
+     ["involution references unknown slot ('Z',)"]),
+    (broken_tetra(involution={("F", 0): (("G", 0, 9), True)}),
+     ["involution at F.0 references unknown slot ('G', 0, 9)",
+      "involution not symmetric at G.0"]),
+    (broken_tetra(involution={("F", 0): (("G", []), True)}),
+     ["involution at F.0 references unknown slot G.[]",
+      "involution not symmetric at G.0"]),
+    (broken_tetra(faces={"F": ("p", ["x"], "r")}),
+     ["face F references unknown vertex ['x']"]
+     + [f"involution at G.{k} references unknown slot F.{k}" for k in range(3)]
+     + [f"involution references unknown slot F.{k}" for k in range(3)]),
+    (broken_tetra(pairings=[Pairing(5, "F", "G")]),
+     ["pairing name 5 is not a str"]),
+    (broken_tetra(pairings=[Pairing([], "F", "G")]),
+     ["pairing name [] is not a str"]),
+    (broken_tetra(pairings=[Pairing("f", "F", [])]),
+     ["pairing f references unknown face []", "unpaired face F",
+      "unpaired face G"]),
 ], ids=["faceless face", "unknown vertex", "duplicate pairing name",
         "unknown face", "self-pairing", "offset out of range", "bad direction",
         "missing involution entry", "involution fixed point",
         "involution mate unknown", "involution not symmetric",
-        "involution endpoints mismatch", "involution key unknown"])
+        "involution endpoints mismatch", "involution key unknown",
+        "short involution key", "long involution mate",
+        "unhashable involution mate", "unhashable face entry",
+        "pairing name not str", "unhashable pairing name",
+        "unhashable pairing face"])
 def test_validator_messages(broken, expected):
     assert validate(broken) == expected
 
@@ -378,6 +405,33 @@ def test_constructor_refuses_labels_that_are_not_str(label):
             PairedComplex(*args, c.involution, c.pairings)
 
 
+@pytest.mark.parametrize("entry", [(5, True), (None, True), (), ("Z",), 5],
+                         ids=["int mate", "None mate", "empty entry",
+                              "short entry", "int entry"])
+def test_constructor_refuses_involution_entries_that_are_not_mates(entry):
+    c = build_m24(1)
+    mates = {**c.involution, ("A1", 0): entry}
+    message = (f"involution entry of slot A1.0 is not a (mate, aligned) "
+               f"pair: {entry!r}")
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PairedComplex(c.vertex_labels, c.faces, mates, c.pairings)
+    triple = (("A1", 0), *entry) if isinstance(entry, tuple) else entry
+    message = (f"involution entry {triple!r} is not a "
+               "(slot, mate, aligned) triple")
+    with pytest.raises(DomainError, match=re.escape(message)):
+        PairedComplex(c.vertex_labels, c.faces, [*c.edges(), triple],
+                      c.pairings)
+
+
+@pytest.mark.parametrize("cycle", [None, -1, 1.0, True])
+def test_constructor_refuses_a_face_that_is_not_a_vertex_list(cycle):
+    c = build_m24(1)
+    message = re.escape(f"face A1 is not a vertex list: {cycle!r}")
+    with pytest.raises(DomainError, match=message):
+        PairedComplex(c.vertex_labels, {**c.faces, "A1": cycle},
+                      c.involution, c.pairings)
+
+
 def test_edges_sorts_mixed_index_types_of_an_undeclared_face():
     # the two slots of face G have an int and a str index
     c = build_m24(1)
@@ -385,6 +439,75 @@ def test_edges_sorts_mixed_index_types_of_an_undeclared_face():
     broken = PairedComplex(c.vertex_labels, c.faces, [*c.edges(), extra],
                            c.pairings)
     assert broken.edges() == [*c.edges(), (("G", 0), ("G", "1"), True)]
+
+
+# ------------------------------------------------ object-level fuzz
+
+# a dict key must be hashable, so involution keys come from the first part
+FUZZ_KEYS = ("", "a b", -1, 1.0, True, None, ("Z",), ("A1", 0, 9))
+FUZZ_VALUES = FUZZ_KEYS + (("A1", []), [])
+
+
+def corrupt_argument(c, rng):
+    """The constructor arguments of ``c`` with one part replaced by junk: a
+    vertex label, a face entry, an involution key, mate or entry, or a
+    pairing field."""
+    args = {"vertex_labels": list(c.vertex_labels), "faces": dict(c.faces),
+            "involution": dict(c.involution), "pairings": list(c.pairings)}
+    site = rng.choice(["vertex label", "face entry", "involution key",
+                       "involution mate", "involution entry", "pairing field"])
+    value = rng.choice(FUZZ_KEYS if site == "involution key" else FUZZ_VALUES)
+    if site == "vertex label":
+        args["vertex_labels"][rng.randrange(len(c.vertex_labels))] = value
+    elif site == "face entry":
+        label = rng.choice(c.face_order)
+        cycle = list(c.faces[label])
+        cycle[rng.randrange(len(cycle))] = value
+        args["faces"][label] = cycle
+    elif site == "pairing field":
+        i = rng.randrange(len(c.pairings))
+        args["pairings"][i] = c.pairings[i]._replace(
+            **{rng.choice(Pairing._fields): value})
+    else:
+        slot = rng.choice(c.all_slots())
+        mate, aligned = args["involution"].pop(slot)
+        if site == "involution key":
+            args["involution"][value] = (mate, aligned)
+        else:
+            args["involution"][slot] = (
+                (value, aligned) if site == "involution mate" else value)
+    return site, value, args
+
+
+def test_object_level_fuzz_ends_in_a_result_or_a_pairglue_error():
+    # every corrupted argument is refused by the constructor, reported by
+    # validate, or analysed; no other exception escapes any analysis
+    rng = random.Random(7)
+    members = [build_m24(1), build_m24(2), build_m25(2), build_m25(3)]
+    analyses = (edge_orbits, vertex_orbits, cell_counts,
+                presentation_from_pairings, presentation_from_cw,
+                lambda c: h1(presentation_from_pairings(c)),
+                lambda c: quotient_complex(c, {v: v for v in c.vertex_labels}),
+                serialize_complex, PairedComplex.edges)
+    outcomes = {"refused": 0, "invalid": 0, "valid": 0}
+    for _ in range(6000):
+        site, value, args = corrupt_argument(rng.choice(members), rng)
+        try:
+            broken = PairedComplex(**args)
+        except DomainError:
+            outcomes["refused"] += 1
+            continue
+        problems = validate(broken)
+        assert all(isinstance(problem, str) for problem in problems)
+        outcomes["invalid" if problems else "valid"] += 1
+        for analysis in analyses:
+            try:
+                analysis(broken)
+            except PairglueError:
+                pass
+            except Exception as exc:  # the error contract allows no other
+                raise AssertionError(f"{site} {value!r}") from exc
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 # ------------------------------------------- immutability, analysis once

@@ -30,9 +30,9 @@ def test_public_names_are_pinned():
         "presentation_from_pairings", "preset_presentation",
         "quotient_complex", "reduced_family_presentation", "rotation",
         "scripted_reduction", "serialize_complex", "serialize_presentation",
-        "singularity_report", "small_groups", "smith_normal_form",
-        "strongly_cyclic", "tietze_eliminate", "validate", "validate_table",
-        "verify_automorphism", "vertex_orbits"]
+        "singular_components", "singularity_report", "small_groups",
+        "smith_normal_form", "strongly_cyclic", "tietze_eliminate",
+        "validate", "validate_table", "verify_automorphism", "vertex_orbits"]
 
 
 def test_each_public_name_is_its_defining_modules_object():

@@ -16,9 +16,12 @@ from pairglue import (
     build_m24,
     build_m25,
     h1,
+    parse_complex,
     presentation_from_pairings,
     quotient_complex,
     rotation,
+    serialize_complex,
+    singular_components,
     singularity_report,
     strongly_cyclic,
     validate,
@@ -304,14 +307,31 @@ def test_report_strongly_cyclic_sweep():
     assert strongly_cyclic(singularity_report("m25", 2))
 
 
-def test_report_checks_quotient_against_base_member(monkeypatch):
-    def wrong_base(family, n):
-        return build_family(family, n + 1 if n <= 2 else n)
-
-    monkeypatch.setattr(symmetry, "build_family", wrong_base)
+def test_report_checks_quotient_against_base_member():
     for family, n, step in (("m24", 5, 1), ("m25", 6, 2)):
-        with pytest.raises(UnsupportedQuotientError, match="is not"):
-            singularity_report(family, n, step)
+        auto = rotation(family, n, step)
+        for wrong in (build_family(family, step + 1),
+                      build_family("m25" if family == "m24" else "m24", step)):
+            with pytest.raises(UnsupportedQuotientError,
+                               match="not have the structure of the base"):
+                singular_components(auto, wrong)
+
+
+@pytest.mark.parametrize("family", ["m24", "m25"])
+def test_components_of_parsed_copies_match_the_report(family):
+    # a parsed document names no family: the collapsed classes come from its
+    # cells under a shift of its vertex labels, the axis from the report
+    for n in range(1, 13):
+        for step in (1, 2) if n % 2 == 0 else (1,):
+            report = singularity_report(family, n, step)
+            upstairs, base = (parse_complex(serialize_complex(
+                build_family(family, m))) for m in (n, step))
+            auto = ComplexAutomorphism(upstairs, shift_map(n, step))
+            components = singular_components(auto, base)
+            assert components == tuple(
+                c for c in report.components
+                if c.kind == "collapsed-edge-class"), (family, n, step)
+            assert report.components[:len(components)] == components
 
 
 def test_report_notes_axis_provenance():
