@@ -18,7 +18,9 @@ from its ``k``-th boundary vertex to the next one, addressed as
 ``(face_label, k)``.  Validation numbers the slots once, in scan order (faces
 in natural order, then ``k``), and checks them, and walks the orientation by
 face number, over lists indexed by those numbers; the edge traversal reads
-the same lists, and the vertex classes are found over vertex numbers.  The
+the same lists, and the vertex classes are found over vertex numbers.  Each
+slot's face number, mate and alignment stay with the analysis, and the
+automorphisms and quotients of :mod:`pairglue.symmetry` read them.  The
 results name slots as tuples; the slot-keyed maps of :func:`_orbit_data` are
 built on their first read.  Vertex labels play no role in identification;
 they may repeat along a single face (small complexes have monogons and loops).
@@ -145,9 +147,10 @@ class PairedComplex(_Immutable):
     that the involution does not join into one nonempty boundary, is
     accepted and reported by :func:`validate` (on first analysis), which is
     what the error contract requires.  Only arguments that cannot be
-    converted raise DomainError: a label that is not a str, a face that is
-    not a vertex list, and an involution entry that is not a slot's mate
-    with its alignment.
+    converted raise DomainError: an argument that is not a collection, a
+    label that is not a str, a face that is not a vertex list, an involution
+    entry that is not a slot's mate with its alignment, and a pairing entry
+    that is not a :class:`Pairing`.
     """
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
@@ -175,17 +178,30 @@ class PairedComplex(_Immutable):
                     f"(mate, aligned) pair: {entry!r}") from None
             raise DomainError(f"involution entry {entry!r} is not a "
                               "(slot, mate, aligned) triple") from None
-        faces = dict(faces)
+        converted = []
+        for field, value, convert in (("faces", faces, dict),
+                                      ("vertex_labels", vertex_labels, tuple),
+                                      ("pairings", pairings, tuple)):
+            try:
+                converted.append(convert(value))
+            except (TypeError, ValueError):  # not a collection of entries
+                raise DomainError(f"{field} argument cannot be read: "
+                                  f"{value!r}") from None
+        faces, vertex_labels, pairings = converted
         try:
             for label, vertices in faces.items():
                 faces[label] = tuple(vertices)
         except TypeError:
             raise DomainError(f"face {label} is not a vertex list: "
                               f"{vertices!r}") from None
-        object.__setattr__(self, "vertex_labels", tuple(vertex_labels))
+        # a Pairing equals the tuple of its fields, but a tuple is no Pairing
+        for pairing in pairings:
+            if not isinstance(pairing, Pairing):
+                raise DomainError(f"pairing entry {pairing!r} is not a Pairing")
+        object.__setattr__(self, "vertex_labels", vertex_labels)
         object.__setattr__(self, "faces", MappingProxyType(faces))
         object.__setattr__(self, "involution", MappingProxyType(mates))
-        object.__setattr__(self, "pairings", tuple(pairings))
+        object.__setattr__(self, "pairings", pairings)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_names", tuple(edge_names))
@@ -272,10 +288,12 @@ VertexOrbit = namedtuple("VertexOrbit", ["representative", "member_vertices"])
 
 
 # The validation violations and, for a valid complex, what _traverse_edges
-# returns, the vertex classes and, once read, the 3-tuple of _orbit_data.
+# returns, the vertex classes, once read the 3-tuple of _orbit_data, and the
+# slot numbering's lists: each slot's face number, mate and alignment.
 _Analysis = namedtuple("_Analysis", ["violations", "edge_classes", "slots",
-                                     "vertex_classes", "orbit_data"],
-                       defaults=(None,) * 4)
+                                     "vertex_classes", "orbit_data", "face_of",
+                                     "mates", "aligned"],
+                       defaults=(None,) * 7)
 
 
 def _analyse(complex_):
@@ -283,9 +301,13 @@ def _analyse(complex_):
     analysis = complex_._analysis
     if analysis is None:
         violations, numbering = _violations(complex_)
-        analysis = (_Analysis(tuple(violations)) if violations
-                    else _Analysis((), *_traverse_edges(complex_, *numbering),
-                                   _vertex_classes(complex_)))
+        if violations:
+            analysis = _Analysis(tuple(violations))
+        else:
+            scan, number, face_of, mates, aligned = numbering
+            analysis = _Analysis(
+                (), *_traverse_edges(complex_, scan, number, mates, aligned),
+                _vertex_classes(complex_), None, face_of, mates, aligned)
         object.__setattr__(complex_, "_analysis", analysis)
     return analysis
 
@@ -320,7 +342,9 @@ def _hashable(value):
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order, and
     for a valid complex (else None) the slot numbering ``(scan, number,
-    mates, aligned)`` that :func:`_traverse_edges` reads."""
+    face_of, mates, aligned)``.  Face ``f`` is the ``f``-th of ``face_order``,
+    and its slots are numbered consecutively from the sum of the lengths of
+    the faces before it."""
     violations = [] if complex_.faces else ["boundary has no faces"]
     c = complex_
     known_vertices = set(c.vertex_labels)
@@ -461,7 +485,8 @@ def _violations(complex_):
         if pairing.direction * orient[pairing.source] * orient[pairing.target] != -1:
             violations.append(f"pairing {pairing.name} does not reverse orientation")
 
-    return violations, None if violations else (scan, number, mates, aligned)
+    return violations, (None if violations
+                        else (scan, number, face_of, mates, aligned))
 
 
 def _require_valid(complex_):

@@ -5,6 +5,8 @@ piece of structure at once: faces map to faces matching the vertex images,
 the boundary involution commutes with the induced slot map, and each pairing
 is carried onto another pairing.  Only the vertex permutation is supplied;
 the rest is forced over the connected boundary, without recursion, and checked.
+The extension and the quotient walk the slot numbers of the complex's
+analysis, and name slots as ``(face, k)`` tuples only in their results.
 
 Quotients fold each cell orbit to a single cell.  A face fixed setwise by
 part of the group folds to a shorter polygon (its length divided by the
@@ -28,6 +30,7 @@ from .complex_core import (
     PairedComplex,
     Pairing,
     _Immutable,
+    _hashable,
     _orbit_data,
     _require_valid,
     edge_orbits,
@@ -57,40 +60,81 @@ def _cycles(mapping, starts):
             yield cycle
 
 
-def _forced_placements(c, candidates, pairing_lookup, face, placement):
-    """Every face's placement forced by placing ``face``, or None.
+def _vertex_dict(vertex_map):
+    """A vertex map copied into a dict; DomainError unless it is a mapping
+    (or an iterable of pairs) of hashable labels."""
+    try:
+        vertex_map = dict(vertex_map)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"vertex map is not a mapping: {vertex_map!r}") from None
+    try:
+        set(vertex_map.values())
+    except TypeError:
+        bad = next(v for v in vertex_map.values() if not _hashable(v))
+        raise DomainError(f"vertex map label {bad!r} cannot be hashed") from None
+    return vertex_map
+
+
+def _placements(cycles, image, faces):
+    """Each ``(g, r)``, ``g`` among ``faces`` in order and ``r`` ascending,
+    whose cycle read from slot ``r`` is ``image``."""
+    first = image[0]
+    return [(g, r) for g in faces for cycle in (cycles[g],)
+            if len(cycle) == len(image) and first in cycle
+            for r, v in enumerate(cycle)
+            if v == first and cycle[r:] + cycle[:r] == image]
+
+
+def _forced_placements(numbering, image_of, pairings, placement):
+    """Every face's placement forced by placing face 0 at ``placement``, or
+    None.
+
+    Faces and slots are numbers: ``numbering`` holds the face cycles in
+    natural order, the number of each face's first slot, and the analysis's
+    ``face_of``, ``mates`` and ``aligned`` lists (see ``_violations``).  A
+    placement ``(g, r)`` sends slot ``k`` of a face to slot ``k + r`` of
+    face ``g``.
 
     The mate of each slot goes to the mate of the slot's image, with the same
-    alignment, onto a candidate, and pairings go onto pairings.  The images
-    are then closed under the involution, so on a connected boundary they are
-    all the faces, each once.
+    alignment, and the face so placed must read, from the forced slot, the
+    image ``image_of(face)`` of its own cycle.  Pairings, keyed by the
+    numbers of their source and target faces, go onto pairings.  The images
+    are then closed under the involution, so on a connected boundary they
+    are all the faces, each once.
     """
-    assignment = {face: placement}
-    stack = [face]
+    cycles, starts, face_of, mates, aligned = numbering
+    place = [None] * len(cycles)
+    place[0] = placement
+    stack = [0]
     while stack:
         face = stack.pop()
-        g, r = assignment[face]
-        length = len(c.faces[face])
+        g, r = place[face]
+        start, length, g_start = starts[face], len(cycles[face]), starts[g]
         for k in range(length):
-            (mface, mk), aligned = c.involution[(face, k)]
-            (mg, mk_image), aligned_image = c.involution[(g, (k + r) % length)]
-            forced = (mg, (mk_image - mk) % len(c.faces[mface]))
-            if aligned_image != aligned:
+            i, j = start + k, g_start + (k + r) % length
+            if aligned[i] != aligned[j]:
                 return None
-            if mface not in assignment and forced in candidates[mface]:
-                assignment[mface] = forced
+            m, m_image = mates[i], mates[j]
+            mface, mg = face_of[m], face_of[m_image]
+            cycle = cycles[mg]
+            rot = (m_image - starts[mg] - m + starts[mface]) % len(cycle)
+            if place[mface] is None:
+                if cycle[rot:] + cycle[:rot] != image_of(mface):
+                    return None
+                place[mface] = (mg, rot)
                 stack.append(mface)
-            elif assignment.get(mface) != forced:
+            elif place[mface] != (mg, rot):
                 return None
-    for p in c.pairings:
-        gs, rs = assignment[p.source]
-        gt, rt = assignment[p.target]
-        image = pairing_lookup.get((gs, gt))
+    for (source, target), p in pairings.items():
+        gs, rs = place[source]
+        gt, rt = place[target]
+        image = pairings.get((gs, gt))
         if (image is None or image.direction != p.direction
                 or image.offset != (p.offset - p.direction * rs + rt)
-                % len(c.faces[gt])):
+                % len(cycles[gt])):
             return None
-    return assignment
+    return place
 
 
 class ComplexAutomorphism(_Immutable):
@@ -98,22 +142,26 @@ class ComplexAutomorphism(_Immutable):
 
     ``ComplexAutomorphism(domain, vertex_map)`` extends a permutation of the
     vertex labels of a valid complex to the whole structure, or raises
-    StructureError, so an instance is an automorphism by construction.  A
-    face's candidate placements ``(g, r)``, among the slots indexed by their
-    tail vertex, are the faces ``g`` whose cycle read from slot ``r`` is the
-    image of its own; the first candidate of the natural-least face
-    whose forced placements (see :func:`_forced_placements`) survive gives
-    the automorphism.
+    StructureError, so an instance is an automorphism by construction.  The
+    natural-least face's candidate placements ``(g, r)`` are the faces ``g``
+    whose cycle read from slot ``r`` is the image of its own, in scan order;
+    the first whose forced placements survive (see
+    :func:`_forced_placements`, which checks each forced face against the
+    image of its cycle) gives the automorphism.  Only when none survives are
+    the faces scanned, in natural order, for one whose image matches no face.
 
     Everything else is derived from the vertex map: the face map with its
-    per-face rotation offsets, the induced slot map, the induced permutation
-    of pairing names, the element's order, and the face transport of the
-    cyclic group it spans (each face's orbit representative, the natural-
-    least member; the slot rotation carrying the representative onto the
-    face; and the representative's folded length), which :meth:`project`
-    reads.  Instances are immutable, their maps are read-only
+    per-face rotation offsets, the induced permutation of pairing names, the
+    element's order (the lcm of the vertex cycles and, for each face orbit,
+    its length times the face length over the folded length), and the face
+    transport of the cyclic group it spans (each face's orbit
+    representative, the natural-least member; the slot rotation carrying the
+    representative onto the face; and the representative's folded length),
+    which :meth:`project` reads.  The induced slot map is built on its first
+    read.  Instances are immutable, their maps are read-only
     (``MappingProxyType``), and copies and pickles are rebuilt, and so
-    checked again, from ``(domain, vertex_map)``.
+    checked again, from ``(domain, vertex_map)``.  A vertex map that is not
+    a mapping of hashable labels raises DomainError.
     """
 
     __slots__ = ("domain", "vertex_map", "face_map", "face_rotation",
@@ -121,69 +169,77 @@ class ComplexAutomorphism(_Immutable):
 
     def __init__(self, domain, vertex_map):
         c = domain
-        _require_valid(c)
-        vertex_map = dict(vertex_map)
+        analysis = _require_valid(c)
+        vertex_map = _vertex_dict(vertex_map)
         labels = set(c.vertex_labels)
         if set(vertex_map) != labels or set(vertex_map.values()) != labels:
             raise StructureError(
                 ["vertex map is not a permutation of the vertex labels"])
 
-        slots_from = {}  # every slot (g, r) with g's cycle, by its tail vertex
-        for g in c.face_order:
-            cycle = c.faces[g]
-            for r, v in enumerate(cycle):
-                slots_from.setdefault(v, []).append((g, r, cycle))
-        candidates = {}
-        for face in c.face_order:
-            image = tuple(map(vertex_map.__getitem__, c.faces[face]))
-            # the cycle read from slot r starts and ends where the image does
-            options = [(g, r) for g, r, cycle in slots_from.get(image[0], ())
-                       if cycle[r - 1] == image[-1]
-                       and cycle[r:] + cycle[:r] == image]
-            if not options:
-                raise StructureError(
-                    [f"no face matches the image of face {face} under the vertex map"])
-            candidates[face] = options
+        faces = c.face_order
+        cycles = [c.faces[label] for label in faces]
+        numbering = (cycles, list(accumulate(map(len, cycles), initial=0)),
+                     analysis.face_of, analysis.mates, analysis.aligned)
+        index = dict(zip(faces, range(len(faces))))
+        pairings = {(index[p.source], index[p.target]): p for p in c.pairings}
 
-        pairing_lookup = {(p.source, p.target): p for p in c.pairings}
-        for placement in candidates[c.face_order[0]]:
-            assignment = _forced_placements(c, candidates, pairing_lookup,
-                                            c.face_order[0], placement)
-            if assignment is not None:
+        def image_of(face):
+            return tuple(map(vertex_map.__getitem__, cycles[face]))
+
+        for placement in _placements(cycles, image_of(0), range(len(cycles))):
+            place = _forced_placements(numbering, image_of, pairings,
+                                       placement)
+            if place is not None:
                 break
         else:
+            faces_at = {}  # the faces through each vertex, in natural order
+            for g, cycle in enumerate(cycles):
+                for v in dict.fromkeys(cycle):
+                    faces_at.setdefault(v, []).append(g)
+            for face, label in enumerate(faces):
+                image = image_of(face)
+                if not _placements(cycles, image, faces_at.get(image[0], ())):
+                    raise StructureError([f"no face matches the image of face "
+                                          f"{label} under the vertex map"])
             raise StructureError(
                 ["vertex map does not extend to an automorphism of the paired complex"])
 
-        face_map = {f: assignment[f][0] for f in c.face_order}
-        face_rotation = {f: assignment[f][1] for f in c.face_order}
-        slot_map = {(f, k): (face_map[f],
-                             (k + face_rotation[f]) % len(c.faces[f]))
-                    for f in c.face_order for k in range(len(c.faces[f]))}
-        pairing_map = {p.name: pairing_lookup[(face_map[p.source],
-                                               face_map[p.target])].name
-                       for p in c.pairings}
-        face_transport = {}
-        for cycle in _cycles(face_map, c.face_order):
-            rots = list(accumulate((face_rotation[f] for f in cycle), initial=0))
-            length = len(c.faces[cycle[0]])
+        face_map = {f: faces[g] for f, (g, _) in zip(faces, place)}
+        face_rotation = {f: r for f, (_, r) in zip(faces, place)}
+        pairing_map = {p.name: pairings[place[source][0], place[target][0]].name
+                       for (source, target), p in pairings.items()}
+        face_transport, orders = {}, []
+        for cycle in _cycles([g for g, _ in place], range(len(place))):
+            rots = list(accumulate((place[f][1] for f in cycle), initial=0))
+            length = len(cycles[cycle[0]])
             # the last sum is the rotation the orbit-stabilizing power
             # induces on the representative
             folded = gcd(length, rots.pop() % length)
-            face_transport.update((face, (cycle[0], rot, folded))
+            orders.append(len(cycle) * length // folded)
+            face_transport.update((faces[face], (faces[cycle[0]], rot, folded))
                                   for face, rot in zip(cycle, rots))
 
         object.__setattr__(self, "domain", c)
         object.__setattr__(self, "vertex_map", MappingProxyType(vertex_map))
         object.__setattr__(self, "face_map", MappingProxyType(face_map))
         object.__setattr__(self, "face_rotation", MappingProxyType(face_rotation))
-        object.__setattr__(self, "slot_map", MappingProxyType(slot_map))
         object.__setattr__(self, "pairing_map", MappingProxyType(pairing_map))
         object.__setattr__(self, "order", lcm(
-            *(len(cycle) for mapping in (vertex_map, slot_map)
-              for cycle in _cycles(mapping, mapping))))
+            *orders, *map(len, _cycles(vertex_map, vertex_map))))
         object.__setattr__(self, "face_transport",
                            MappingProxyType(face_transport))
+
+    def __getattr__(self, name):
+        # only an unset slot reaches here: the slot map, until its first read
+        if name != "slot_map":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        faces = self.domain.faces
+        slot_map = MappingProxyType({
+            (f, k): (g, (k + self.face_rotation[f]) % len(faces[f]))
+            for f, g in self.face_map.items() for k in range(len(faces[f]))})
+        object.__setattr__(self, "slot_map", slot_map)
+        return slot_map
 
     def __reduce__(self):
         return (ComplexAutomorphism, (self.domain, dict(self.vertex_map)))
@@ -224,12 +280,13 @@ def verify_automorphism(complex_, automorphism):
     """
     vertex_map = (automorphism.vertex_map
                   if isinstance(automorphism, ComplexAutomorphism)
-                  else dict(automorphism))
-    unknown = sorted((set(vertex_map) | set(vertex_map.values()))
-                     - set(complex_.vertex_labels), key=natural_key)
-    if unknown:
-        raise DomainError(
-            "vertex map uses labels not in the complex: " + " ".join(unknown))
+                  else _vertex_dict(automorphism))
+    unknown = (set(vertex_map) | set(vertex_map.values())) - set(
+        complex_.vertex_labels)
+    if unknown:  # labels that are not str are named by repr, after the rest
+        raise DomainError("vertex map uses labels not in the complex: " + " ".join(
+            sorted((v for v in unknown if isinstance(v, str)), key=natural_key)
+            + sorted(repr(v) for v in unknown if not isinstance(v, str))))
     try:
         order = ComplexAutomorphism(complex_, vertex_map).order
     except StructureError as exc:
@@ -280,7 +337,7 @@ def quotient_complex(complex_, automorphism):
             auto.vertex_map if isinstance(auto, ComplexAutomorphism) else auto))
     c = complex_
     transport = auto.face_transport
-    project = auto.project
+    analysis = _require_valid(c)
 
     # each orbit is represented by its natural-least member, so the
     # representatives taken in natural order are the quotient's labels
@@ -290,14 +347,26 @@ def quotient_complex(complex_, automorphism):
 
     faces_q = {f: tuple(vrep_of[v] for v in c.faces[f][:transport[f][2]])
                for f in c.face_order if transport[f][0] == f}
+    # the quotient's slots, numbered in its scan order, and the number of
+    # the quotient slot each slot of the complex projects to
+    slots_q = [(f, k) for f, cycle in faces_q.items() for k in range(len(cycle))]
+    start_q = dict(zip(faces_q, accumulate(map(len, faces_q.values()),
+                                           initial=0)))
+    project = [start_q[rep] + (k - rot) % folded for f in c.face_order
+               for rep, rot, folded in (transport[f],)
+               for k in range(len(c.faces[f]))]
 
-    involution_q = {}
-    for slot in c.all_slots():
-        mate, aligned = c.involution[slot]
-        entry = (project(mate), aligned)
-        if involution_q.setdefault(project(slot), entry) != entry:
+    mates_q, aligned_q = [None] * len(slots_q), [None] * len(slots_q)
+    for i, (q, m, a) in enumerate(zip(
+            project, map(project.__getitem__, analysis.mates), analysis.aligned)):
+        if mates_q[q] is None:
+            mates_q[q], aligned_q[q] = m, a
+        elif mates_q[q] != m or aligned_q[q] != a:
             raise UnsupportedQuotientError(
-                f"edge identifications do not descend at {format_slot(slot)}")
+                "edge identifications do not descend at "
+                + format_slot(c.all_slots()[i]))
+    involution_q = dict(zip(slots_q, zip(map(slots_q.__getitem__, mates_q),
+                                         aligned_q)))
 
     def descend(p):
         """``(source rep, target rep, offset, direction)`` of the quotient

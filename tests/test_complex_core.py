@@ -432,6 +432,30 @@ def test_constructor_refuses_a_face_that_is_not_a_vertex_list(cycle):
                       c.involution, c.pairings)
 
 
+@pytest.mark.parametrize("entry", [None, ("a1", "A1"), "a1", "tuple"])
+def test_constructor_refuses_a_pairing_entry_that_is_not_a_pairing(entry):
+    # a Pairing equals the tuple of its fields, but the tuple is refused
+    c = build_m24(1)
+    if entry == "tuple":
+        entry = tuple(c.pairings[0])
+    message = re.escape(f"pairing entry {entry!r} is not a Pairing")
+    with pytest.raises(DomainError, match=message):
+        PairedComplex(c.vertex_labels, c.faces, c.involution,
+                      [entry, *c.pairings[1:]])
+
+
+@pytest.mark.parametrize("field", ["vertex_labels", "faces", "pairings"])
+@pytest.mark.parametrize("value", [5, None, 1.0])
+def test_constructor_refuses_an_argument_that_is_not_a_collection(field, value):
+    c = build_m24(1)
+    args = {"vertex_labels": c.vertex_labels, "faces": c.faces,
+            "involution": c.involution, "pairings": c.pairings}
+    args[field] = value
+    message = re.escape(f"{field} argument cannot be read: {value!r}")
+    with pytest.raises(DomainError, match=message):
+        PairedComplex(**args)
+
+
 def test_edges_sorts_mixed_index_types_of_an_undeclared_face():
     # the two slots of face G have an int and a str index
     c = build_m24(1)
@@ -450,14 +474,23 @@ FUZZ_VALUES = FUZZ_KEYS + (("A1", []), [])
 
 def corrupt_argument(c, rng):
     """The constructor arguments of ``c`` with one part replaced by junk: a
-    vertex label, a face entry, an involution key, mate or entry, or a
-    pairing field."""
+    vertex label, a face entry, an involution key, mate or entry, a pairing
+    field or entry, or a whole argument."""
     args = {"vertex_labels": list(c.vertex_labels), "faces": dict(c.faces),
             "involution": dict(c.involution), "pairings": list(c.pairings)}
     site = rng.choice(["vertex label", "face entry", "involution key",
-                       "involution mate", "involution entry", "pairing field"])
+                       "involution mate", "involution entry", "pairing field",
+                       "pairing entry", "whole argument"])
     value = rng.choice(FUZZ_KEYS if site == "involution key" else FUZZ_VALUES)
-    if site == "vertex label":
+    if site == "pairing entry":
+        # the plain tuple of a Pairing's fields, or a short one, is no Pairing
+        i = rng.randrange(len(c.pairings))
+        value = rng.choice((value, tuple(c.pairings[i]),
+                            tuple(c.pairings[i])[:3]))
+        args["pairings"][i] = value
+    elif site == "whole argument":
+        args[rng.choice(list(args))] = value
+    elif site == "vertex label":
         args["vertex_labels"][rng.randrange(len(c.vertex_labels))] = value
     elif site == "face entry":
         label = rng.choice(c.face_order)
@@ -841,11 +874,11 @@ def analysis(violations, traverse, classes, complex_):
         return str(exc)
 
 
-def traverse_edges_by_slot(complex_, *numbering):
+def traverse_edges_by_slot(complex_, scan, number, face_of, mates, aligned):
     """``_traverse_edges`` with its per-slot lists keyed by slot, as the
-    reference returns them."""
-    orbits, (scan, sign, orbit_of) = complex_core._traverse_edges(complex_,
-                                                                  *numbering)
+    reference returns them; the face numbers are the analysis's, not its."""
+    orbits, (scan, sign, orbit_of) = complex_core._traverse_edges(
+        complex_, scan, number, mates, aligned)
     return orbits, dict(zip(scan, sign)), dict(zip(scan, orbit_of))
 
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from math import gcd, lcm
 
 import pytest
@@ -28,7 +29,13 @@ from pairglue import (
     verify_automorphism,
 )
 from pairglue import symmetry
-from pairglue.complex_core import _find, _join, _require_valid, natural_key
+from pairglue.complex_core import (
+    _find,
+    _join,
+    _require_valid,
+    format_slot,
+    natural_key,
+)
 from pairglue.errors import (
     DomainError,
     StructureError,
@@ -124,6 +131,33 @@ def test_verify_unknown_labels_raise():
         verify_automorphism(complex_, {"P1": "P9", "P9": "P1"})
 
 
+def identity_with(**changes):
+    """The identity map of m24(2)'s labels, with the images given."""
+    return {**{v: v for v in build_m24(2).vertex_labels}, **changes}
+
+
+@pytest.mark.parametrize("entry", [verify_automorphism, ComplexAutomorphism,
+                                   quotient_complex])
+@pytest.mark.parametrize("vertex_map, message", [
+    (identity_with(P1=["x"]), "vertex map label ['x'] cannot be hashed"),
+    (5, "vertex map is not a mapping: 5"),
+    ([("P1",)], "vertex map is not a mapping: [('P1',)]"),
+    # labels that are not str are unknown, named by repr after the rest
+    (identity_with(P1=1), "labels not in the complex: 1"),
+    ({**identity_with(P1=1, Q1=("x",)), "P9": "P1"},
+     "labels not in the complex: P9 ('x',) 1"),
+], ids=["unhashable", "int", "short pair", "int label", "mixed labels"])
+def test_vertex_maps_that_are_not_label_maps_raise_domain_error(
+        entry, vertex_map, message):
+    if "not in the complex" in message and entry is not verify_automorphism:
+        # a map onto other hashable labels is no permutation of the labels
+        with pytest.raises(StructureError, match="not a permutation"):
+            entry(build_m24(2), vertex_map)
+        return
+    with pytest.raises(DomainError, match=re.escape(message)):
+        entry(build_m24(2), vertex_map)
+
+
 class Payload:
     """Pickles as the constructor call its ``__reduce__`` names."""
 
@@ -192,6 +226,23 @@ def test_automorphism_maps_are_read_only():
     for field in ComplexAutomorphism.__slots__[1:]:
         assert getattr(copied, field) == getattr(auto, field), field
     assert pickle.loads(pickle.dumps(copied)).vertex_map == auto.vertex_map
+
+
+def test_labels_on_no_face_count_in_the_order():
+    # two labels on no face: swapping them doubles the rotation's order, and
+    # a face vertex sent to one of them leaves a face image unmatched
+    c = build_m24(3)
+    extra = PairedComplex([*c.vertex_labels, "Z", "W"], c.faces,
+                          c.involution, c.pairings)
+    assert validate(extra) == []
+    swap = {**rotation("m24", 3).vertex_map, "Z": "W", "W": "Z"}
+    assert verify_automorphism(extra, swap) == (True, 6, "")
+    assert quotient_complex(extra, swap).same_structure(PairedComplex(
+        [*build_m24(1).vertex_labels, "W"], build_m24(1).faces,
+        build_m24(1).involution, build_m24(1).pairings))
+    off_face = {**{v: v for v in extra.vertex_labels}, "P1": "Z", "Z": "P1"}
+    assert verify_automorphism(extra, off_face) == (
+        False, None, "no face matches the image of face A1 under the vertex map")
 
 
 def test_identity_rotation_has_order_one():
@@ -477,6 +528,68 @@ def reference_extend_vertex_map(complex_, vertex_map):
             order)
 
 
+def reference_quotient_complex(complex_, auto):
+    """Reference: the per-slot quotient the slot-number one replaced.
+
+    Projects every slot through ``auto.project`` and keys the quotient's
+    involution by the projected slot tuples as it goes.
+    """
+    c = complex_
+    transport = auto.face_transport
+    project = auto.project
+
+    vrep_of = {v: cycle[0]
+               for cycle in symmetry._cycles(auto.vertex_map, c.vertex_order)
+               for v in cycle}
+    labels_q = [v for v, rep in vrep_of.items() if v == rep]
+
+    faces_q = {f: tuple(vrep_of[v] for v in c.faces[f][:transport[f][2]])
+               for f in c.face_order if transport[f][0] == f}
+
+    involution_q = {}
+    for slot in c.all_slots():
+        mate, aligned = c.involution[slot]
+        entry = (project(mate), aligned)
+        if involution_q.setdefault(project(slot), entry) != entry:
+            raise UnsupportedQuotientError(
+                f"edge identifications do not descend at {format_slot(slot)}")
+
+    def descend(p):
+        source_rep, source_rot, length_q = transport[p.source]
+        target_rep, target_rot, _ = transport[p.target]
+        return (source_rep, target_rep,
+                (p.offset + p.direction * source_rot - target_rot) % length_q,
+                p.direction)
+
+    by_name = {p.name: p for p in c.pairings}
+    pairings_q = []
+    for names in symmetry._cycles(auto.pairing_map, by_name):
+        rep_name = min(names, key=natural_key)
+        descended = descend(by_name[names[0]])
+        if any(descend(by_name[name]) != descended for name in names):
+            raise UnsupportedQuotientError(
+                f"pairing orbit of {rep_name} does not descend")
+        pairings_q.append(Pairing(rep_name, *descended))
+
+    quotient = PairedComplex(labels_q, faces_q, involution_q, pairings_q,
+                             name=f"{c.name}/Z{auto.order}")
+    problems = validate(quotient)
+    if problems:
+        raise UnsupportedQuotientError(
+            "quotient is not a valid paired complex: " + "; ".join(problems))
+    return quotient
+
+
+def quotient_fields(quotient, complex_, auto):
+    """The fields of a quotient, or the text of its UnsupportedQuotientError."""
+    try:
+        q = quotient(complex_, auto)
+    except UnsupportedQuotientError as exc:
+        return str(exc)
+    return (q.vertex_labels, dict(q.faces), dict(q.involution), q.pairings,
+            q.name)
+
+
 def extension_outcome(extend, complex_, vertex_map):
     """The fields the extension derives, or the text of its StructureError."""
     try:
@@ -493,9 +606,15 @@ def automorphism_fields(complex_, vertex_map):
 
 
 def assert_matches_reference(complex_, vertex_map):
+    """The extension equals the reference's, and where it extends, so does
+    the quotient."""
     outcome = extension_outcome(automorphism_fields, complex_, vertex_map)
     assert outcome == extension_outcome(reference_extend_vertex_map,
                                         complex_, vertex_map)
+    if not isinstance(outcome, str):
+        auto = ComplexAutomorphism(complex_, vertex_map)
+        assert (quotient_fields(quotient_complex, complex_, auto)
+                == quotient_fields(reference_quotient_complex, complex_, auto))
     return outcome
 
 
