@@ -16,14 +16,16 @@ return fresh lists or read-only views.
 Edges are positional throughout: slot ``k`` of a face is the directed edge
 from its ``k``-th boundary vertex to the next one, addressed as
 ``(face_label, k)``.  Validation numbers the slots once, in scan order (faces
-in natural order, then ``k``), and checks them, and walks the orientation by
-face number, over lists indexed by those numbers; the edge traversal reads
-the same lists, and the vertex classes are found over vertex numbers.  Each
-slot's face number, mate and alignment stay with the analysis, and the
-automorphisms and quotients of :mod:`pairglue.symmetry` read them.  The
-results name slots as tuples; the slot-keyed maps of :func:`_orbit_data` are
-built on their first read.  Vertex labels play no role in identification;
-they may repeat along a single face (small complexes have monogons and loops).
+in natural order, then ``k``), so slot ``k`` of face ``f`` has number
+``start[f] + k``; it checks them and walks the orientation by face number,
+over lists indexed by those numbers.  The edge traversal reads the same
+lists, and the vertex classes are found over vertex numbers.  The slot
+number is the only per-slot key the analysis keeps: each face's first slot
+number, and each slot's face number, mate, alignment, traversal sign and
+edge class, which :func:`_orbit_data`, the CW route to π1 and
+:mod:`pairglue.symmetry` read.  The results name slots as tuples.  Vertex
+labels play no role in identification; they may repeat along a single face
+(small complexes have monogons and loops).
 """
 
 import functools
@@ -150,7 +152,8 @@ class PairedComplex(_Immutable):
     converted raise DomainError: an argument that is not a collection, a
     label that is not a str, a face that is not a vertex list, an involution
     entry that is not a slot's mate with its alignment, and a pairing entry
-    that is not a :class:`Pairing`.
+    that is not a :class:`Pairing`.  Malformed metadata entries are refused
+    by :func:`~pairglue.group_theory.presentations.presentation_from_cw`.
     """
 
     __slots__ = ("vertex_labels", "faces", "involution", "pairings", "name",
@@ -181,13 +184,15 @@ class PairedComplex(_Immutable):
         converted = []
         for field, value, convert in (("faces", faces, dict),
                                       ("vertex_labels", vertex_labels, tuple),
-                                      ("pairings", pairings, tuple)):
+                                      ("pairings", pairings, tuple),
+                                      ("edge_names", edge_names, tuple),
+                                      ("preferred_tree", preferred_tree, tuple)):
             try:
                 converted.append(convert(value))
             except (TypeError, ValueError):  # not a collection of entries
                 raise DomainError(f"{field} argument cannot be read: "
                                   f"{value!r}") from None
-        faces, vertex_labels, pairings = converted
+        faces, vertex_labels, pairings, edge_names, preferred_tree = converted
         try:
             for label, vertices in faces.items():
                 faces[label] = tuple(vertices)
@@ -204,8 +209,8 @@ class PairedComplex(_Immutable):
         object.__setattr__(self, "pairings", pairings)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_names", tuple(edge_names))
-        object.__setattr__(self, "preferred_tree", tuple(preferred_tree))
+        object.__setattr__(self, "edge_names", edge_names)
+        object.__setattr__(self, "preferred_tree", preferred_tree)
         for kind, labels in (("face", faces), ("vertex", self.vertex_labels)):
             try:  # natural_key reads str labels only
                 object.__setattr__(self, f"{kind}_order",
@@ -288,12 +293,13 @@ VertexOrbit = namedtuple("VertexOrbit", ["representative", "member_vertices"])
 
 
 # The validation violations and, for a valid complex, what _traverse_edges
-# returns, the vertex classes, once read the 3-tuple of _orbit_data, and the
-# slot numbering's lists: each slot's face number, mate and alignment.
-_Analysis = namedtuple("_Analysis", ["violations", "edge_classes", "slots",
-                                     "vertex_classes", "orbit_data", "face_of",
-                                     "mates", "aligned"],
-                       defaults=(None,) * 7)
+# returns (the edge classes, and each slot's sign and class by slot number),
+# the vertex classes, and the slot numbering: each face label's first slot
+# number, and each slot's face number, mate and alignment.
+_Analysis = namedtuple("_Analysis", ["violations", "edge_classes", "sign",
+                                     "orbit_of", "vertex_classes", "start",
+                                     "face_of", "mates", "aligned"],
+                       defaults=(None,) * 8)
 
 
 def _analyse(complex_):
@@ -304,10 +310,10 @@ def _analyse(complex_):
         if violations:
             analysis = _Analysis(tuple(violations))
         else:
-            scan, number, face_of, mates, aligned = numbering
+            scan, start, face_of, mates, aligned = numbering
             analysis = _Analysis(
-                (), *_traverse_edges(complex_, scan, number, mates, aligned),
-                _vertex_classes(complex_), None, face_of, mates, aligned)
+                (), *_traverse_edges(complex_, scan, start, mates, aligned),
+                _vertex_classes(complex_), start, face_of, mates, aligned)
         object.__setattr__(complex_, "_analysis", analysis)
     return analysis
 
@@ -341,10 +347,12 @@ def _hashable(value):
 
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order, and
-    for a valid complex (else None) the slot numbering ``(scan, number,
-    face_of, mates, aligned)``.  Face ``f`` is the ``f``-th of ``face_order``,
-    and its slots are numbered consecutively from the sum of the lengths of
-    the faces before it."""
+    for a valid complex (else None) the slot numbering ``(scan, start,
+    face_of, mates, aligned)``.  ``scan`` lists the slots in scan order.
+    Face number ``f`` is the ``f``-th of ``face_order``, and its slots are
+    numbered consecutively from the sum of the lengths of the faces before
+    it; ``start`` is the read-only map from each face label to that first
+    number.  The slot -> number dict that the checks read stays here."""
     violations = [] if complex_.faces else ["boundary has no faces"]
     c = complex_
     known_vertices = set(c.vertex_labels)
@@ -461,12 +469,13 @@ def _violations(complex_):
     # over the face numbers (orient[f] is 0 until face f is reached) from face
     # 0 must reach every face, as the boundary is connected.
     face_of = [f for f, cycle in enumerate(cycles) for _ in cycle]
+    start = MappingProxyType({label: number[label, 0] for label in labels})
     orient = [1] + [0] * (len(labels) - 1)
     queue = [0]
     while queue:
         face = queue.pop()
-        sense, start = orient[face], number[labels[face], 0]
-        for i in range(start, start + len(cycles[face])):
+        sense, first = orient[face], start[labels[face]]
+        for i in range(first, first + len(cycles[face])):
             other = face_of[mates[i]]
             needed = -sense if aligned[i] else sense
             if not orient[other]:
@@ -486,7 +495,7 @@ def _violations(complex_):
             violations.append(f"pairing {pairing.name} does not reverse orientation")
 
     return violations, (None if violations
-                        else (scan, number, face_of, mates, aligned))
+                        else (scan, start, face_of, mates, aligned))
 
 
 def _require_valid(complex_):
@@ -498,24 +507,21 @@ def _require_valid(complex_):
 
 
 def _orbit_data(complex_):
-    """The edge-class traversal, with its slot-keyed maps (built on first call).
+    """The edge-class traversal by slot number.
 
-    Returns ``(orbits, slot_sign, orbit_index)``: the tuple of edge classes
-    and two read-only mappings, ``slot_sign[slot]`` +1/-1 as the traversal
-    first crossed the slot along or against its stored direction, and
-    ``orbit_index[slot]`` the position of the slot's class in ``orbits``.
+    Returns ``(orbits, start, sign, orbit_of)``: the tuple of edge classes,
+    the read-only map from each face label to its first slot number (slot
+    ``k`` of face ``f`` has number ``start[f] + k``), and two tuples indexed
+    by slot number: ``sign[i]`` +1/-1 as the traversal first crossed the
+    slot along or against its stored direction, and ``orbit_of[i]`` the
+    position of the slot's class in ``orbits``.
     """
     analysis = _require_valid(complex_)
-    if analysis.orbit_data is None:
-        scan, sign, orbit_of = analysis.slots
-        analysis = analysis._replace(slots=None, orbit_data=(
-            analysis.edge_classes, MappingProxyType(dict(zip(scan, sign))),
-            MappingProxyType(dict(zip(scan, orbit_of)))))
-        object.__setattr__(complex_, "_analysis", analysis)
-    return analysis.orbit_data
+    return (analysis.edge_classes, analysis.start, analysis.sign,
+            analysis.orbit_of)
 
 
-def _traverse_edges(complex_, scan, number, mates, aligned):
+def _traverse_edges(complex_, scan, start, mates, aligned):
     """Traverse every edge class of a valid complex (see :func:`_orbit_data`).
 
     The traversal starts at the scan-order representative, repeatedly applies
@@ -525,7 +531,8 @@ def _traverse_edges(complex_, scan, number, mates, aligned):
     slot numbering that validation built (see :func:`_violations`): crossing
     the involution from slot ``i`` reaches ``mates[i]`` and keeps the sense
     when ``aligned[i]``.  Each slot's pairing step is listed beforehand.
-    Returns the tuple of edge classes and ``(scan, sign, orbit_of)``.
+    ``scan`` names the numbered slots in the classes.  Returns the tuple of
+    edge classes and the tuples ``sign`` and ``orbit_of``.
     """
     from .group_theory.words import _word
 
@@ -535,7 +542,7 @@ def _traverse_edges(complex_, scan, number, mates, aligned):
     # to image[i], multiplies the sense by flip[i] and reads letter[i]
     image, flip, letter = [0] * total, [0] * total, [None] * total
     for p in c.pairings:
-        source, target = number[(p.source, 0)], number[(p.target, 0)]
+        source, target = start[p.source], start[p.target]
         length = len(c.faces[p.source])
         pair_letters = (str(p.name), 1), (str(p.name), -1)
         for k in range(length):
@@ -575,7 +582,7 @@ def _traverse_edges(complex_, scan, number, mates, aligned):
         members.sort()
         orbits.append(EdgeOrbit(scan[rep], tuple([scan[i] for i in members]),
                                 _word(tuple(letters))))
-    return tuple(orbits), (scan, sign, orbit_of)
+    return tuple(orbits), tuple(sign), tuple(orbit_of)
 
 
 def edge_orbits(complex_):

@@ -15,8 +15,8 @@ computed downstream, and the tests hold them against each other.
 
 from collections import Counter
 
-from ..complex_core import (_Immutable, _join, _orbit_data, edge_orbits,
-                            vertex_orbits)
+from ..complex_core import (_hashable, _Immutable, _join, _orbit_data,
+                            edge_orbits, vertex_orbits)
 from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labels, build_family
 from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
@@ -90,7 +90,8 @@ def _spanning_tree(orbit_edges, vertex_class, generators, preferred):
     ``orbit_edges`` maps generator name -> (vertex class, vertex class) of its
     edge's endpoints.  When ``preferred`` names are given they must form a
     spanning tree on their own; otherwise the tree is grown greedily in
-    generator order.
+    generator order.  A ``preferred`` entry that cannot be hashed names no
+    generator and raises DomainError.
     """
     classes = set(vertex_class.values())
     if len(classes) <= 1:
@@ -101,6 +102,8 @@ def _spanning_tree(orbit_edges, vertex_class, generators, preferred):
     tree = []
     if preferred:
         for name in preferred:
+            if not _hashable(name):
+                raise DomainError(f"malformed preferred_tree entry {name!r}")
             if name not in orbit_edges:
                 raise DomainError(f"unknown tree generator {name!r}")
             if not _join(parent, *orbit_edges[name]):
@@ -127,20 +130,30 @@ def presentation_from_cw(complex_):
     complexes, v); without metadata the classes are e1..ek in class order.
     An anchor flagged as reversed gives its generator the direction opposite
     to the anchor slot's stored arrow, which fixes every appearance's sign.
+    An entry that is not a ``(name, face, k, reversed)`` anchor whose name
+    and slot ``(face, k)`` can be hashed raises DomainError.  Signs and
+    classes are read by slot number: slot ``k`` of face ``f`` is
+    ``start[f] + k``.
     """
-    orbits, slot_sign, orbit_index = _orbit_data(complex_)
+    orbits, start, sign, orbit_of = _orbit_data(complex_)
 
     names = [f"e{i + 1}" for i in range(len(orbits))]
     anchor_sign = [1] * len(orbits)
     order = list(range(len(orbits)))
     if complex_.edge_names:
         order = []
-        for name, face, slot_index, reversed_flag in complex_.edge_names:
-            idx = orbit_index.get((face, slot_index))
-            if idx is not None:
+        for entry in complex_.edge_names:
+            try:
+                name, face, k, reversed_flag = entry
+                hash((name, face, k))  # a generator name and a slot
+            except (TypeError, ValueError):
+                raise DomainError(f"malformed edge_names entry {entry!r}") from None
+            idx = None
+            if face in start and k in range(len(complex_.faces[face])):
+                i = start[face] + int(k)  # k equals an int index (1.0 may)
+                idx = orbit_of[i]
                 names[idx] = name
-                anchor_sign[idx] = (slot_sign[(face, slot_index)]
-                                    * (-1 if reversed_flag else 1))
+                anchor_sign[idx] = sign[i] * (-1 if reversed_flag else 1)
             order.append(idx)
         if len(order) != len(orbits) or set(order) != set(range(len(orbits))):
             raise DomainError("edge naming metadata does not match the edge classes")
@@ -149,21 +162,15 @@ def presentation_from_cw(complex_):
 
     relators = []
     for pairing in complex_.pairings:
-        letters = []
-        for k in range(len(complex_.faces[pairing.source])):
-            slot = (pairing.source, k)
-            idx = orbit_index[slot]
-            letters.append((names[idx], slot_sign[slot] * anchor_sign[idx]))
-        relators.append(Word(letters))
+        first = start[pairing.source]
+        slots = range(first, first + len(complex_.faces[pairing.source]))
+        relators.append(Word([(names[orbit_of[i]],
+                               sign[i] * anchor_sign[orbit_of[i]]) for i in slots]))
 
-    vclass = {}
-    for orbit in vertex_orbits(complex_):
-        for v in orbit.member_vertices:
-            vclass[v] = orbit.representative
-    orbit_edges = {}
-    for idx, orbit in enumerate(orbits):
-        tail, head = complex_.slot_endpoints(orbit.representative)
-        orbit_edges[names[idx]] = (vclass[tail], vclass[head])
+    vclass = {v: orbit.representative for orbit in vertex_orbits(complex_)
+              for v in orbit.member_vertices}
+    orbit_edges = {name: tuple(vclass[v] for v in complex_.slot_endpoints(
+        orbit.representative)) for name, orbit in zip(names, orbits)}
 
     for name in _spanning_tree(orbit_edges, vclass, generators,
                                complex_.preferred_tree):

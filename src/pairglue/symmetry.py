@@ -91,10 +91,10 @@ def _forced_placements(numbering, image_of, pairings, placement):
     None.
 
     Faces and slots are numbers: ``numbering`` holds the face cycles in
-    natural order, the number of each face's first slot, and the analysis's
-    ``face_of``, ``mates`` and ``aligned`` lists (see ``_violations``).  A
-    placement ``(g, r)`` sends slot ``k`` of a face to slot ``k + r`` of
-    face ``g``.
+    natural order, the number of each face's first slot (from the analysis's
+    ``start``), and the analysis's ``face_of``, ``mates`` and ``aligned``
+    lists (see ``_violations``).  A placement ``(g, r)`` sends slot ``k`` of
+    a face to slot ``k + r`` of face ``g``.
 
     The mate of each slot goes to the mate of the slot's image, with the same
     alignment, and the face so placed must read, from the forced slot, the
@@ -149,6 +149,8 @@ class ComplexAutomorphism(_Immutable):
     :func:`_forced_placements`, which checks each forced face against the
     image of its cycle) gives the automorphism.  Only when none survives are
     the faces scanned, in natural order, for one whose image matches no face.
+    The propagation reads each face's first slot number, and each slot's
+    face number, mate and alignment, from the domain's analysis.
 
     Everything else is derived from the vertex map: the face map with its
     per-face rotation offsets, the induced permutation of pairing names, the
@@ -157,15 +159,15 @@ class ComplexAutomorphism(_Immutable):
     transport of the cyclic group it spans (each face's orbit
     representative, the natural-least member; the slot rotation carrying the
     representative onto the face; and the representative's folded length),
-    which :meth:`project` reads.  The induced slot map is built on its first
-    read.  Instances are immutable, their maps are read-only
+    which :meth:`project` reads.  The induced slot map is built on each read
+    of :attr:`slot_map`.  Instances are immutable, their maps are read-only
     (``MappingProxyType``), and copies and pickles are rebuilt, and so
     checked again, from ``(domain, vertex_map)``.  A vertex map that is not
     a mapping of hashable labels raises DomainError.
     """
 
     __slots__ = ("domain", "vertex_map", "face_map", "face_rotation",
-                 "slot_map", "pairing_map", "order", "face_transport")
+                 "pairing_map", "order", "face_transport")
 
     def __init__(self, domain, vertex_map):
         c = domain
@@ -178,7 +180,7 @@ class ComplexAutomorphism(_Immutable):
 
         faces = c.face_order
         cycles = [c.faces[label] for label in faces]
-        numbering = (cycles, list(accumulate(map(len, cycles), initial=0)),
+        numbering = (cycles, list(map(analysis.start.__getitem__, faces)),
                      analysis.face_of, analysis.mates, analysis.aligned)
         index = dict(zip(faces, range(len(faces))))
         pairings = {(index[p.source], index[p.target]): p for p in c.pairings}
@@ -229,17 +231,13 @@ class ComplexAutomorphism(_Immutable):
         object.__setattr__(self, "face_transport",
                            MappingProxyType(face_transport))
 
-    def __getattr__(self, name):
-        # only an unset slot reaches here: the slot map, until its first read
-        if name != "slot_map":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def slot_map(self):
+        """The induced slot map, ``(f, k)`` to ``(g, k')``, read-only."""
         faces = self.domain.faces
-        slot_map = MappingProxyType({
+        return MappingProxyType({
             (f, k): (g, (k + self.face_rotation[f]) % len(faces[f]))
             for f, g in self.face_map.items() for k in range(len(faces[f]))})
-        object.__setattr__(self, "slot_map", slot_map)
-        return slot_map
 
     def __reduce__(self):
         return (ComplexAutomorphism, (self.domain, dict(self.vertex_map)))
@@ -348,13 +346,17 @@ def quotient_complex(complex_, automorphism):
     faces_q = {f: tuple(vrep_of[v] for v in c.faces[f][:transport[f][2]])
                for f in c.face_order if transport[f][0] == f}
     # the quotient's slots, numbered in its scan order, and the number of
-    # the quotient slot each slot of the complex projects to
+    # the quotient slot each slot of the complex projects to, written at
+    # the slot's own number
     slots_q = [(f, k) for f, cycle in faces_q.items() for k in range(len(cycle))]
     start_q = dict(zip(faces_q, accumulate(map(len, faces_q.values()),
                                            initial=0)))
-    project = [start_q[rep] + (k - rot) % folded for f in c.face_order
-               for rep, rot, folded in (transport[f],)
-               for k in range(len(c.faces[f]))]
+    project = [0] * len(analysis.mates)
+    for f, first in analysis.start.items():
+        rep, rot, folded = transport[f]
+        length = len(c.faces[f])
+        project[first:first + length] = [start_q[rep] + (k - rot) % folded
+                                         for k in range(length)]
 
     mates_q, aligned_q = [None] * len(slots_q), [None] * len(slots_q)
     for i, (q, m, a) in enumerate(zip(
@@ -443,12 +445,12 @@ def singular_components(automorphism, base):
             f"quotient of {upstairs.name} by an automorphism of order "
             f"{auto.order} does not have the structure of the base "
             f"{base.name}")
-    down_orbits, _, down_index = _orbit_data(quotient)
+    down_orbits, start, _, orbit_of = _orbit_data(quotient)
 
     over = {}
     for orbit in edge_orbits(upstairs):
-        over.setdefault(down_index[auto.project(orbit.representative)],
-                        []).append(orbit)
+        face, k = auto.project(orbit.representative)
+        over.setdefault(orbit_of[start[face] + k], []).append(orbit)
 
     components = []
     for i, down_orbit in enumerate(down_orbits):

@@ -1,12 +1,15 @@
 """The command-line byte-identity corpus: regenerate it, or check against it.
 
-The corpus holds, for each command line below, the sha256 of the exit code
-and the standard output of that run, made in-process through
-``pairglue.io_cli.main``.  The runs are ``-v analyze``, ``pi1`` in both
-modes with and without ``--simplify``, ``h1`` in both modes, ``symmetry``
-with every valid step, for both families and n = 1..12, and ``table`` from
-1 to 12 for both families.  A change that means to keep every output
-byte-identical must leave every digest as it is.
+The corpus holds, for each command line below, the sha256 of the exit
+code, the standard output and the standard error of that run, made
+in-process through ``pairglue.io_cli.main``.  The runs are ``gen``,
+``-v analyze``, ``pi1`` in both modes with and without ``--simplify``,
+``h1`` in both modes, ``symmetry`` with every valid step, for both families
+and n = 1..12, and ``table`` from 1 to 12 for both families.  A few runs
+that end in exit 1 (a ``PairglueError``) follow them.  Runs that argparse
+refuses (exit 2) are left out: their text differs across Python versions.
+A change that means to keep every output byte-identical must leave every
+digest as it is.
 
 Usage, from the root of a checkout::
 
@@ -26,6 +29,12 @@ from pathlib import Path
 CORPUS_PATH = Path(__file__).resolve().parent / "cli_corpus.json"
 FAMILIES = ("m24", "m25")
 SIZES = range(1, 13)
+# runs that end in exit 1 with a message on standard error
+ERROR_LINES = (
+    ["analyze", "--family", "m24", "--n", "0"],
+    ["symmetry", "--family", "m24", "--n", "3", "--step", "2"],
+    ["table", "--family", "m25", "--from", "3", "--to", "2"],
+)
 
 
 def command_lines():
@@ -34,6 +43,7 @@ def command_lines():
     for family in FAMILIES:
         for n in SIZES:
             member = ["--family", family, "--n", str(n)]
+            lines.append(["gen", *member])
             lines.append(["-v", "analyze", *member])
             for mode in ("pairing", "cw"):
                 lines.append(["pi1", *member, "--mode", mode])
@@ -44,18 +54,19 @@ def command_lines():
                 lines.append(["symmetry", *member, "--step", str(step)])
         lines.append(["table", "--family", family, "--from", "1",
                       "--to", str(SIZES[-1])])
+    lines.extend(ERROR_LINES)
     return lines
 
 
 def digest(argv):
-    """The sha256 of one run's exit code and standard output."""
+    """The sha256 of one run's exit code, standard output and standard error."""
     from pairglue.io_cli import main
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digests():

@@ -444,12 +444,14 @@ def test_constructor_refuses_a_pairing_entry_that_is_not_a_pairing(entry):
                       [entry, *c.pairings[1:]])
 
 
-@pytest.mark.parametrize("field", ["vertex_labels", "faces", "pairings"])
+@pytest.mark.parametrize("field", ["vertex_labels", "faces", "pairings",
+                                   "edge_names", "preferred_tree"])
 @pytest.mark.parametrize("value", [5, None, 1.0])
 def test_constructor_refuses_an_argument_that_is_not_a_collection(field, value):
     c = build_m24(1)
     args = {"vertex_labels": c.vertex_labels, "faces": c.faces,
-            "involution": c.involution, "pairings": c.pairings}
+            "involution": c.involution, "pairings": c.pairings,
+            "edge_names": c.edge_names, "preferred_tree": c.preferred_tree}
     args[field] = value
     message = re.escape(f"{field} argument cannot be read: {value!r}")
     with pytest.raises(DomainError, match=message):
@@ -475,14 +477,25 @@ FUZZ_VALUES = FUZZ_KEYS + (("A1", []), [])
 def corrupt_argument(c, rng):
     """The constructor arguments of ``c`` with one part replaced by junk: a
     vertex label, a face entry, an involution key, mate or entry, a pairing
-    field or entry, or a whole argument."""
+    field or entry, an edge_names entry or one part of it, the preferred
+    tree or one entry of it, or a whole argument."""
     args = {"vertex_labels": list(c.vertex_labels), "faces": dict(c.faces),
-            "involution": dict(c.involution), "pairings": list(c.pairings)}
+            "involution": dict(c.involution), "pairings": list(c.pairings),
+            "edge_names": list(c.edge_names),
+            "preferred_tree": list(c.preferred_tree)}
     site = rng.choice(["vertex label", "face entry", "involution key",
                        "involution mate", "involution entry", "pairing field",
-                       "pairing entry", "whole argument"])
+                       "pairing entry", "edge_names entry", "preferred_tree",
+                       "whole argument"])
     value = rng.choice(FUZZ_KEYS if site == "involution key" else FUZZ_VALUES)
-    if site == "pairing entry":
+    if site == "edge_names entry":
+        i = rng.randrange(len(c.edge_names))
+        anchor = list(c.edge_names[i])
+        anchor[rng.randrange(len(anchor))] = value
+        args["edge_names"][i] = rng.choice((value, tuple(anchor)))
+    elif site == "preferred_tree":
+        args["preferred_tree"] = rng.choice((value, [value]))
+    elif site == "pairing entry":
         # the plain tuple of a Pairing's fields, or a short one, is no Pairing
         i = rng.randrange(len(c.pairings))
         value = rng.choice((value, tuple(c.pairings[i]),
@@ -592,11 +605,13 @@ def test_returned_analysis_cannot_be_corrupted():
     assert edge_orbits(c) == edges == edge_orbits(build_m25(4))
     assert vertex_orbits(c) == vertices == vertex_orbits(build_m25(4))
     assert validate(c) == []
-    _, slot_sign, orbit_index = _orbit_data(c)
+    _, start, sign, orbit_of = _orbit_data(c)
     with pytest.raises(TypeError):
-        slot_sign[("A1", 0)] = -slot_sign[("A1", 0)]
+        start["A1"] = 1
     with pytest.raises(TypeError):
-        orbit_index[("A1", 0)] = 0
+        sign[0] = -sign[0]
+    with pytest.raises(TypeError):
+        orbit_of[0] = 1
 
 
 def count_analysis(monkeypatch):
@@ -874,17 +889,20 @@ def analysis(violations, traverse, classes, complex_):
         return str(exc)
 
 
-def traverse_edges_by_slot(complex_, scan, number, face_of, mates, aligned):
-    """``_traverse_edges`` with its per-slot lists keyed by slot, as the
-    reference returns them; the face numbers are the analysis's, not its."""
-    orbits, (scan, sign, orbit_of) = complex_core._traverse_edges(
-        complex_, scan, number, mates, aligned)
-    return orbits, dict(zip(scan, sign)), dict(zip(scan, orbit_of))
+def traverse_edges_by_slot(complex_, scan, start, face_of, mates, aligned):
+    """``_traverse_edges`` with its per-slot tuples keyed by slot, in the
+    numbering ``all_slots()`` lists, as the reference returns them; the face
+    numbers are the analysis's, not its."""
+    orbits, sign, orbit_of = complex_core._traverse_edges(
+        complex_, scan, start, mates, aligned)
+    slots = complex_.all_slots()
+    return orbits, dict(zip(slots, sign)), dict(zip(slots, orbit_of))
 
 
 def public_analysis(complex_):
     """``analysis`` through the public functions of a fresh copy of the
-    complex, with the slot-keyed maps of ``_orbit_data`` read last."""
+    complex, with ``_orbit_data`` read last and its numbered tuples keyed by
+    the slots of ``all_slots()``, each face's from its first number."""
     c = copy.copy(complex_)
     try:
         found = validate(c)
@@ -893,9 +911,12 @@ def public_analysis(complex_):
         orbits, classes = edge_orbits(c), vertex_orbits(c)
         assert cell_counts(c) == (len(classes), len(orbits), len(c.faces) // 2, 1)
         assert is_manifold(c)[1] == len(classes) - len(orbits) + len(c.faces) // 2 - 1
-        kept, slot_sign, orbit_index = _orbit_data(c)
+        kept, start, sign, orbit_of = _orbit_data(c)
         assert list(kept) == orbits
-        return kept, dict(slot_sign), dict(orbit_index), tuple(classes)
+        slots = c.all_slots()
+        assert [start[face] + k for face, k in slots] == list(range(len(slots)))
+        return (kept, dict(zip(slots, sign)), dict(zip(slots, orbit_of)),
+                tuple(classes))
     except StructureError as exc:
         return str(exc)
 

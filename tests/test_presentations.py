@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -189,6 +190,32 @@ def test_cw_edge_name_metadata_must_match_the_classes():
         with pytest.raises(DomainError, match="edge naming metadata does not "
                            "match the edge classes"):
             presentation_from_cw(with_metadata(c, edge_names, ()))
+
+
+def test_cw_edge_name_anchor_off_the_faces_does_not_match():
+    # an anchor on a face the complex lacks, or past the end of its face
+    c = build_m24(2)
+    name, face, _, flag = c.edge_names[0]
+    for anchor in ((name, "Z9", 0, flag), (name, face, len(c.faces[face]), flag),
+                   (name, face, -1, flag)):
+        with pytest.raises(DomainError, match="edge naming metadata does not "
+                           "match the edge classes"):
+            presentation_from_cw(with_metadata(
+                c, (anchor, *c.edge_names[1:]), ()))
+
+
+def test_cw_refuses_malformed_metadata_entries():
+    c = build_m24(2)
+    for entry in (5, ("x1", "A1"), ("x1", "A1", [0], False),
+                  (["x1"], "A1", 0, False)):
+        with pytest.raises(DomainError, match=re.escape(
+                f"malformed edge_names entry {entry!r}")):
+            presentation_from_cw(with_metadata(
+                c, (entry, *c.edge_names[1:]), ()))
+    d = build_m25(2)
+    with pytest.raises(DomainError,
+                       match=re.escape("malformed preferred_tree entry ['v']")):
+        presentation_from_cw(with_metadata(d, d.edge_names, [["v"]]))
 
 
 def test_cw_preferred_tree_too_small_to_span():

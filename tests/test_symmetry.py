@@ -245,6 +245,34 @@ def test_labels_on_no_face_count_in_the_order():
         False, None, "no face matches the image of face A1 under the vertex map")
 
 
+def hexagonal_bipyramid():
+    """Faces F_i = (N, E_i, E_i+1) and G_i = (S, E_i+1, E_i), i = 0..5, with
+    E_i labelled a(i mod 3), each F_i paired onto G_i."""
+    e = [f"a{i % 3}" for i in range(7)]
+    faces = {**{f"F{i}": ("N", e[i], e[i + 1]) for i in range(6)},
+             **{f"G{i}": ("S", e[i + 1], e[i]) for i in range(6)}}
+    involution = [edge for i in range(6) for edge in (
+        ((f"F{i}", 0), (f"F{(i - 1) % 6}", 2), False),
+        ((f"F{i}", 1), (f"G{i}", 1), False),
+        ((f"G{i}", 0), (f"G{(i + 1) % 6}", 2), False))]
+    pairings = [Pairing(f"p{i}", f"F{i}", f"G{i}", 0, -1) for i in range(6)]
+    return PairedComplex(["N", "S", "a0", "a1", "a2"], faces, involution,
+                         pairings, name="bipyramid")
+
+
+def test_order_counts_the_face_orbit_beyond_the_vertex_cycles():
+    # the vertex map has order 3, but it carries F0 to F1 round all six F
+    # faces, so the face-orbit term alone gives the order 6
+    c = hexagonal_bipyramid()
+    assert validate(c) == []
+    auto = ComplexAutomorphism(c, {"N": "N", "S": "S", "a0": "a1",
+                                   "a1": "a2", "a2": "a0"})
+    assert auto.face_map["F0"] == "F1"
+    assert auto.order == 6 == lcm(*map(len, symmetry._cycles(
+        auto.slot_map, auto.slot_map)))
+    assert quotient_complex(c, auto).name == "bipyramid/Z6"
+
+
 def test_identity_rotation_has_order_one():
     assert rotation("m24", 1).order == 1
     assert rotation("m25", 1).order == 1
