@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from ..errors import CapacityError, DomainError
-from .homology import h1
+from .homology import _sequence, h1
 from .presentations import auto_simplify
 
 __all__ = ["count_homomorphisms", "small_groups", "validate_table"]
@@ -57,8 +57,10 @@ def validate_table(table):
     :func:`_generating_tree`, whose tree writes every element as a product
     of them.  For a group each generator at least doubles the subgroup
     spanned so far, so the test costs O(order^2 log order), not
-    O(order^3).
+    O(order^3).  A table or row that cannot be read as a sequence raises
+    DomainError too.
     """
+    table = _table_rows(table)
     order = len(table)
     if order == 0:
         raise DomainError("empty multiplication table")
@@ -81,6 +83,16 @@ def validate_table(table):
                 if table[xs][y] != table[x][table[s][y]]:
                     raise DomainError(
                         f"associativity fails at ({x}, {s}, {y})")
+
+
+def _table_rows(table):
+    """``table`` as a tuple of row tuples; DomainError naming the table, or
+    its first row, that cannot be read as a sequence."""
+    table = _sequence(table, "table")
+    try:
+        return tuple(map(tuple, table))
+    except TypeError:
+        return tuple(_sequence(row, f"table row {i}") for i, row in enumerate(table))
 
 
 def _generating_tree(table):
@@ -270,7 +282,7 @@ def count_homomorphisms(presentation, table):
     >>> count_homomorphisms(presentation_from_pairings(build_m24(11)), z12)
     3
     """
-    rows = tuple(map(tuple, table))
+    rows = _table_rows(table)
     if not all({int}.issuperset(map(type, row)) for row in rows):
         # a float, bool or string equal to an index must not match a kept
         # table

@@ -13,11 +13,21 @@ __all__ = ["AbelianGroup", "IntegerMatrix", "abelianization_matrix", "h1",
            "smith_normal_form"]
 
 
+def _sequence(values, what):
+    """``values`` as a tuple; DomainError naming ``what`` when ``values``
+    cannot be read as a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} is not a sequence: {values!r}") from None
+
+
 def _integers(values, what):
     """``values`` as a tuple of ints; DomainError for any value that is not
     an int (a bool, float, string or Fraction is refused, never truncated);
-    an int subclass other than bool is converted to int."""
-    values = tuple(values)
+    an int subclass other than bool is converted to int.  DomainError too
+    when ``values`` cannot be read as a sequence."""
+    values = _sequence(values, f"{what} list")
     if not {int}.issuperset(map(type, values)):
         for x in values:
             if not _is_int(x):
@@ -29,13 +39,15 @@ def _integers(values, what):
 class IntegerMatrix(_Immutable):
     """An immutable rows-of-tuples integer matrix.
 
-    Every entry must be an int; anything else raises DomainError.
+    Every entry must be an int; anything else, and rows that cannot be read
+    as sequences, raises DomainError.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        normalized = tuple(_integers(row, "matrix entry") for row in rows)
+        normalized = tuple(_integers(row, "matrix entry")
+                           for row in _sequence(rows, "matrix"))
         widths = {len(row) for row in normalized}
         if len(widths) > 1:
             raise DomainError("ragged matrix rows")
@@ -358,55 +370,38 @@ def _eliminate_unit_pivots(rows, num_cols):
     """Eliminate ±1 entries of a sparse integer matrix; return (count, core).
 
     ``rows`` are ``{column: nonzero entry}`` dicts, which are consumed;
-    empty ones are skipped.  Each step picks a ±1 entry of least Markowitz
-    cost (row length - 1) * (column count - 1), clears its column with row
-    operations and then drops its row and column: over the integers that
-    splits off an invariant factor 1.  Costs are kept in a heap and
-    refreshed when a popped entry's cost has grown, so no step rescans the
-    matrix.  The core is the dense matrix of what is left: no entry in it is
-    ±1, and its columns are the nonzero ones in index order.
+    empty ones are skipped.  One pass visits the columns in index order.
+    In a column that holds a ±1 entry, the shortest row holding one (the
+    lowest index on ties) clears the column with row operations, and then
+    its row and column are dropped: over the integers that splits off an
+    invariant factor 1.  A later step can make a ±1 entry in a column the
+    pass has already visited; that entry stays in the core, which
+    :func:`_diagonalize` reduces like any other.  The core is the dense
+    matrix of what is left, its columns the nonzero ones in index order.
     """
-    import heapq  # here, not at the top: importing pairglue stays cheap
-
     live = {r: row for r, row in enumerate(rows) if row}
     cols = [set() for _ in range(num_cols)]
     for r, row in live.items():
         for c in row:
             cols[c].add(r)
-
-    def cost(row, c):
-        return (len(row) - 1) * (len(cols[c]) - 1)
-
-    heap = [(cost(row, c), r, c) for r, row in live.items()
-            for c, x in row.items() if x in (1, -1)]
-    heapq.heapify(heap)
     pivots = 0
-    while heap:
-        stored, r, c = heapq.heappop(heap)
-        pivot_row = live.get(r)
-        if pivot_row is None:
+    for c in range(num_cols):
+        units = [(len(live[r]), r) for r in cols[c] if live[r][c] in (1, -1)]
+        if not units:
             continue
-        s = pivot_row.get(c)
-        if s not in (1, -1):
-            continue
-        now = cost(pivot_row, c)
-        if now > stored:
-            heapq.heappush(heap, (now, r, c))
-            continue
-        del live[r]
+        r = min(units)[1]
+        pivot_row = live.pop(r)
         for k in pivot_row:
             cols[k].discard(r)
         targets, cols[c] = cols[c], set()
         for i in targets:
             row = live[i]
-            f = row[c] * s
+            f = row[c] * pivot_row[c]
             for k, x in pivot_row.items():
                 y = row.get(k, 0) - f * x
                 if y:
                     row[k] = y
                     cols[k].add(i)
-                    if y in (1, -1):
-                        heapq.heappush(heap, (cost(row, k), i, k))
                 else:
                     del row[k]
                     cols[k].discard(i)
@@ -425,11 +420,10 @@ def h1(presentation):
     matrix A, and only the invariant factors of A are needed.  A matrix and
     its transpose have the same Smith normal form diagonal, so A is reduced
     as it stands.  Its rows are built sparse, and ±1 entries are eliminated
-    first in a sparsity-preserving order, each one an invariant factor 1.
+    first by :func:`_eliminate_unit_pivots`, each one an invariant factor 1.
     Only the small core that remains is diagonalized, by
-    :func:`_diagonalize` alone: no triangular pass first, which made the
-    cores of m25(100) and m25(200) slower, and no U or V, which nothing here
-    reads and whose entries grow far larger than the core's.  Factors equal
+    :func:`_diagonalize` alone: no U or V, which nothing here reads and
+    whose entries grow far larger than the core's.  Factors equal
     to 1 are dropped; the free rank is the generator count minus the rank of
     A (unit pivots plus nonzero core diagonal entries).
 

@@ -299,6 +299,7 @@ def _simplify(presentation):
 
 def family_elimination_order(n):
     """The scripted elimination schedule: b_1..b_n, a_1..a_n, d."""
+    _check_n(n)
     return ([f"b{i}" for i in range(1, n + 1)]
             + [f"a{i}" for i in range(1, n + 1)]
             + ["d"])

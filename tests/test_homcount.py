@@ -60,6 +60,13 @@ def test_validate_table_rejects_defects():
     bad = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]
     with pytest.raises(DomainError):
         validate_table(tuple(tuple(row) for row in bad))
+    # a table, or a row, that cannot be read names itself
+    with pytest.raises(DomainError, match="table is not a sequence: 5"):
+        validate_table(5)
+    with pytest.raises(DomainError, match="table row 0 is not"):
+        validate_table([5])
+    with pytest.raises(DomainError, match="table row 1 is not"):
+        validate_table([[0, 1], 5])
 
 
 def cubic_associative(table):
@@ -345,6 +352,10 @@ def test_malformed_table_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(DomainError, match="element index"):
             count_homomorphisms(triple, broken)
+        with pytest.raises(DomainError, match="table is not a sequence: 5"):
+            count_homomorphisms(triple, 5)
+        with pytest.raises(DomainError, match="table row 0 is not"):
+            count_homomorphisms(triple, [5])
 
 
 def test_table_of_bools_is_refused_after_its_int_twin():

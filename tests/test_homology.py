@@ -9,7 +9,8 @@ family matrices, while U and V need only meet the contract, and on dense
 20x20 matrices be smaller than the reference's.  ``h1`` is checked against
 the dense path it replaced (``reference_h1``), for square matrices against
 the determinant, and for both families against the closed form of its order
-(``closed_form_order``, up to n = 1000).
+(``closed_form_order``, up to n = 2000).  The cores that the unit-pivot
+sweep leaves for ``_diagonalize`` are bounded in size.
 """
 
 import functools
@@ -35,6 +36,7 @@ from pairglue import (
     smith_normal_form,
 )
 from pairglue.errors import DomainError
+from pairglue.group_theory.homology import _eliminate_unit_pivots, _exponent_rows
 
 
 def cofactor_det(rows):
@@ -73,6 +75,10 @@ def test_non_integer_entries_are_refused_not_truncated():
             AbelianGroup(0, (3, bad))
         with pytest.raises(DomainError, match="not an integer"):
             AbelianGroup(bad, ())
+    # rows, or a row, that cannot be read are refused the same way
+    for bad in (5, [5], [[1], 5]):
+        with pytest.raises(DomainError, match="not a sequence"):
+            IntegerMatrix(bad)
     # an int subclass is stored as a plain int
     class Count(int):
         pass
@@ -132,6 +138,8 @@ def test_abelian_group_validation():
         AbelianGroup(0, (1,))
     with pytest.raises(DomainError):
         AbelianGroup(0, (4, 2))  # divisibility chain violated
+    with pytest.raises(DomainError, match="not a sequence"):
+        AbelianGroup(0, 5)
 
 
 def test_abelian_group_formatting():
@@ -414,11 +422,28 @@ def closed_form_order(family, n):
 
 def test_h1_order_matches_closed_form():
     members = [(family, n) for family in ("m24", "m25") for n in range(1, 41)]
-    members += [("m24", 300), ("m25", 1000)]
+    members += [("m24", 300), ("m25", 1000), ("m25", 2000)]
     for family, n in members:
         group = h1(presentation_from_pairings(build_family(family, n)))
         assert group.rank == 0
         assert group.order() == closed_form_order(family, n), (family, n)
+
+
+def test_unit_pivot_sweep_leaves_small_cores():
+    # the shortest-row rule keeps the core small: at most 4x3 for m25 at
+    # any n, and at most n//2 + 1 square for m24, on both routes
+    def core_shape(p):
+        _, core = _eliminate_unit_pivots(_exponent_rows(p), len(p.generators))
+        return len(core), len(core[0]) if core else 0
+
+    for n in range(1, 61):
+        for family, bound in (("m25", (4, 3)), ("m24", (n // 2 + 1,) * 2)):
+            c = build_family(family, n)
+            for route in (presentation_from_pairings, presentation_from_cw):
+                rows, cols = core_shape(route(c))
+                assert rows <= bound[0] and cols <= bound[1], (family, n, rows, cols)
+    rows, cols = core_shape(presentation_from_pairings(build_m25(1000)))
+    assert rows <= 4 and cols <= 3, (rows, cols)
 
 
 # ------------------------------- smith_normal_form vs its previous version

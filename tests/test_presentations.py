@@ -302,6 +302,10 @@ def test_auto_simplify_preserves_h1():
 def test_family_elimination_order():
     assert family_elimination_order(2) == ["b1", "b2", "a1", "a2", "d"]
     assert family_elimination_order(1) == ["b1", "a1", "d"]
+    # n is checked like every other family function's
+    for bad in (0, -1, True, "3", 2.0):
+        with pytest.raises(DomainError, match="positive integer"):
+            family_elimination_order(bad)
 
 
 def test_scripted_reduction_step_count_and_generators():
