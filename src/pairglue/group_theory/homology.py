@@ -5,9 +5,11 @@ during elimination; nothing here ever rounds.
 """
 
 from collections import namedtuple
+from math import gcd
 
 from ..complex_core import _Immutable, _is_int
 from ..errors import DomainError
+from .presentations import Presentation
 
 __all__ = ["AbelianGroup", "IntegerMatrix", "abelianization_matrix", "h1",
            "smith_normal_form"]
@@ -58,6 +60,8 @@ class IntegerMatrix(_Immutable):
 
     @classmethod
     def identity(cls, k):
+        if not _is_int(k) or k < 0:
+            raise DomainError(f"identity size {k!r} is not a non-negative integer")
         return cls(tuple(tuple(1 if i == j else 0 for j in range(k))
                          for i in range(k)))
 
@@ -170,8 +174,11 @@ class AbelianGroup(namedtuple("AbelianGroup", "rank invariant_factors")):
 def _exponent_rows(presentation):
     """One ``{generator index: exponent sum}`` dict per relator, zeros dropped.
 
-    Each relator is read once, letter by letter.
+    Each relator is read once, letter by letter.  DomainError when
+    ``presentation`` is not a Presentation.
     """
+    if not isinstance(presentation, Presentation):
+        raise DomainError(f"presentation is not a Presentation: {presentation!r}")
     index = {g: k for k, g in enumerate(presentation.generators)}
     rows = []
     for relator in presentation.relators:
@@ -185,9 +192,10 @@ def _exponent_rows(presentation):
 
 def abelianization_matrix(presentation):
     """Relator-by-generator matrix of net exponent sums."""
+    rows = _exponent_rows(presentation)
     width = range(len(presentation.generators))
     return IntegerMatrix(tuple(tuple(row.get(k, 0) for k in width)
-                               for row in _exponent_rows(presentation)))
+                               for row in rows))
 
 
 def smith_normal_form(matrix):
@@ -202,8 +210,9 @@ def smith_normal_form(matrix):
     second pass keeps U and V far smaller than interleaving them for every
     pivot would: on dense 20x20 matrices with entries in [-20, 20] they stay
     under about 500 and 710 bits, against 1,400 and 1,200.  D is unique, so
-    it does not depend on the route; :func:`h1` runs :func:`_diagonalize`
-    alone.
+    it does not depend on the route; :func:`h1` reaches its invariant
+    factors on sparse rows, with no U or V.  DomainError when ``matrix`` is
+    not an IntegerMatrix.
 
     >>> m = IntegerMatrix([[2, 4], [6, 8]])
     >>> d, u, v = smith_normal_form(m)
@@ -212,6 +221,8 @@ def smith_normal_form(matrix):
     >>> u * m * v == d
     True
     """
+    if not isinstance(matrix, IntegerMatrix):
+        raise DomainError(f"matrix is not an IntegerMatrix: {matrix!r}")
     a = [list(row) for row in matrix.rows]
     u, vt = _hermite_rows(a, matrix.num_cols)
     _diagonalize(a, matrix.num_cols, u, vt)
@@ -286,14 +297,11 @@ def _hermite_rows(a, num_cols):
     return u, vt
 
 
-def _diagonalize(a, num_cols, u=None, vt=None):
+def _diagonalize(a, num_cols, u, vt):
     """Reduce the rows ``a`` (lists, changed in place) to Smith normal form.
 
     Every step is also applied to ``u`` and ``vt``, the U and V transposed
-    (lists of rows, changed in place) of the steps that made ``a``.  Without
-    them both get rows of width zero, so every step applied to them is a
-    no-op and the same steps reduce ``a`` alone: ``a`` ends up exactly as
-    with the transforms, while no entry of U or V is ever computed.
+    (lists of rows, changed in place) of the steps that made ``a``.
 
     Each pivot is the least nonzero absolute value of the remaining
     submatrix, row-major on ties, swapped into place; the row and column
@@ -306,9 +314,6 @@ def _diagonalize(a, num_cols, u=None, vt=None):
     only updated from the pivot on.
     """
     num_rows = len(a)
-    if u is None:
-        u = [[] for _ in range(num_rows)]
-        vt = [[] for _ in range(num_cols)]
 
     def add_row(i, j, q, t):
         # row i += q * row j; both rows are zero before column t
@@ -366,8 +371,28 @@ def _diagonalize(a, num_cols, u=None, vt=None):
         t += 1
 
 
+def _subtract_row(rows, cols, i, f, pivot_row):
+    """Row ``i`` of ``rows`` loses ``f`` times ``pivot_row``.
+
+    ``rows`` maps row numbers to ``{column: nonzero entry}`` dicts and
+    ``cols`` lists the set of row numbers of each column; both are kept in
+    step, and a row left empty is dropped from ``rows``.
+    """
+    row = rows[i]
+    for k, x in pivot_row.items():
+        y = row.get(k, 0) - f * x
+        if y:
+            row[k] = y
+            cols[k].add(i)
+        else:
+            del row[k]
+            cols[k].discard(i)
+    if not row:
+        del rows[i]
+
+
 def _eliminate_unit_pivots(rows, num_cols):
-    """Eliminate ±1 entries of a sparse integer matrix; return (count, core).
+    """Eliminate ±1 entries of a sparse integer matrix.
 
     ``rows`` are ``{column: nonzero entry}`` dicts, which are consumed;
     empty ones are skipped.  One pass visits the columns in index order.
@@ -375,9 +400,9 @@ def _eliminate_unit_pivots(rows, num_cols):
     lowest index on ties) clears the column with row operations, and then
     its row and column are dropped: over the integers that splits off an
     invariant factor 1.  A later step can make a ±1 entry in a column the
-    pass has already visited; that entry stays in the core, which
-    :func:`_diagonalize` reduces like any other.  The core is the dense
-    matrix of what is left, its columns the nonzero ones in index order.
+    pass has already visited; that entry stays for :func:`_sparse_diagonal`.
+    Returns (count, rows, cols): the number of pivots, the rows left as a
+    ``{row number: row}`` dict, and each column's set of row numbers.
     """
     live = {r: row for r, row in enumerate(rows) if row}
     cols = [set() for _ in range(num_cols)]
@@ -395,22 +420,61 @@ def _eliminate_unit_pivots(rows, num_cols):
             cols[k].discard(r)
         targets, cols[c] = cols[c], set()
         for i in targets:
-            row = live[i]
-            f = row[c] * pivot_row[c]
-            for k, x in pivot_row.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    row[k] = y
-                    cols[k].add(i)
-                else:
-                    del row[k]
-                    cols[k].discard(i)
-            if not row:
-                del live[i]
+            _subtract_row(live, cols, i, live[i][c] * pivot_row[c], pivot_row)
         pivots += 1
-    core_cols = sorted({c for row in live.values() for c in row})
-    core = [[row.get(c, 0) for c in core_cols] for row in live.values()]
-    return pivots, core
+    return pivots, live, cols
+
+
+def _sparse_diagonal(rows, cols):
+    """Split the sparse rows into 1x1 blocks; return their entries, each >= 1.
+
+    ``rows`` and ``cols`` are as :func:`_eliminate_unit_pivots` returns
+    them, and are consumed.  One pass visits the columns in index order and
+    revisits each until it is empty.  In the pivot column the least
+    absolute entry is the pivot (then the shortest row, then the lowest row
+    number).  Rounded-quotient row steps leave every other row of the
+    column a remainder of at most half the pivot, and the least nonzero
+    remainder becomes the next pivot.  Once the column holds the pivot row
+    alone, column steps reduce that row's other entries the same way; they
+    touch no other row.  The least nonzero remainder there becomes the next
+    pivot, and its column the pivot column.  A pivot alone in its row and
+    its column is a block: its absolute value is recorded, and its row
+    dropped.  The columns before the one visited stay empty, and the
+    matrix never goes dense: in m24's cyclic band with its dense row and
+    column, no band row grows past six entries.
+    """
+    diagonal = []
+    for c in range(len(cols)):
+        j = c
+        while cols[j]:
+            r = min(cols[j], key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+            pivot_row = rows[r]
+            p = pivot_row[j]
+            for i in cols[j] - {r}:
+                # the quotient x/p rounded, so the remainder is at most p/2
+                _subtract_row(rows, cols, i, (2 * rows[i][j] + p) // (2 * p),
+                              pivot_row)
+            if len(cols[j]) > 1:
+                continue
+            least = None
+            for k, x in list(pivot_row.items()):
+                if k != j:
+                    x -= (2 * x + p) // (2 * p) * p
+                    if x:
+                        pivot_row[k] = x
+                        if least is None or abs(x) < abs(pivot_row[least]):
+                            least = k
+                    else:
+                        del pivot_row[k]
+                        cols[k].discard(r)
+            if least is None:
+                diagonal.append(abs(p))
+                del rows[r]
+                cols[j].discard(r)
+                j = c
+            else:
+                j = least
+    return diagonal
 
 
 def h1(presentation):
@@ -419,23 +483,26 @@ def h1(presentation):
     H1 is Z^generators modulo the row space of the relator-by-generator
     matrix A, and only the invariant factors of A are needed.  A matrix and
     its transpose have the same Smith normal form diagonal, so A is reduced
-    as it stands.  Its rows are built sparse, and ±1 entries are eliminated
-    first by :func:`_eliminate_unit_pivots`, each one an invariant factor 1.
-    Only the small core that remains is diagonalized, by
-    :func:`_diagonalize` alone: no U or V, which nothing here reads and
-    whose entries grow far larger than the core's.  Factors equal
-    to 1 are dropped; the free rank is the generator count minus the rank of
-    A (unit pivots plus nonzero core diagonal entries).
+    as it stands, on sparse rows throughout and without U or V.  The ±1
+    entries are eliminated first by :func:`_eliminate_unit_pivots`, each
+    one an invariant factor 1; :func:`_sparse_diagonal` then splits what is
+    left into a diagonal.  Pairwise gcd and lcm steps turn the diagonal into
+    the divisibility chain, and factors equal to 1 are dropped.  The free
+    rank is the generator count minus the rank of A: the unit pivots plus
+    the diagonal's length.
 
     >>> from . import Presentation, Word
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
     'Z3'
     """
+    rows = _exponent_rows(presentation)
     num_gens = len(presentation.generators)
-    pivots, core = _eliminate_unit_pivots(_exponent_rows(presentation), num_gens)
-    num_cols = len(core[0]) if core else 0
-    _diagonalize(core, num_cols)
-    nonzero = [core[i][i] for i in range(min(len(core), num_cols))
-               if core[i][i]]
-    factors = tuple(x for x in nonzero if x >= 2)
-    return AbelianGroup(num_gens - pivots - len(nonzero), factors)
+    pivots, rows, cols = _eliminate_unit_pivots(rows, num_gens)
+    diagonal = _sparse_diagonal(rows, cols)
+    factors = [x for x in diagonal if x != 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return AbelianGroup(num_gens - pivots - len(diagonal),
+                        tuple(x for x in factors if x != 1))

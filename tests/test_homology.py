@@ -9,8 +9,12 @@ family matrices, while U and V need only meet the contract, and on dense
 20x20 matrices be smaller than the reference's.  ``h1`` is checked against
 the dense path it replaced (``reference_h1``), for square matrices against
 the determinant, and for both families against the closed form of its order
-(``closed_form_order``, up to n = 2000).  The cores that the unit-pivot
-sweep leaves for ``_diagonalize`` are bounded in size.
+(``closed_form_order``: m25 up to n = 2000 and m24 up to n = 1000).  The
+rows that the unit-pivot sweep leaves for the sparse diagonal pass are
+bounded in number, and that pass is checked against the dense Smith normal
+form on matrices the sweep cannot touch: cyclic bands with a dense border
+row and column, like m24's, and sparse rectangular matrices without a ±1
+entry.
 """
 
 import functools
@@ -79,6 +83,13 @@ def test_non_integer_entries_are_refused_not_truncated():
     for bad in (5, [5], [[1], 5]):
         with pytest.raises(DomainError, match="not a sequence"):
             IntegerMatrix(bad)
+    # a plain list is not a matrix, and an identity size is a count
+    with pytest.raises(DomainError, match=r"matrix is not an IntegerMatrix: \[\[1, 2\]\]"):
+        smith_normal_form([[1, 2]])
+    for bad in (2.5, -1, True, "2"):
+        with pytest.raises(DomainError, match=f"identity size {bad!r} is not"):
+            IntegerMatrix.identity(bad)
+    assert IntegerMatrix.identity(0).rows == ()
     # an int subclass is stored as a plain int
     class Count(int):
         pass
@@ -237,6 +248,10 @@ def test_h1_edge_cases():
     assert str(h1(Presentation(["a", "b"], []))) == "Z^2"
     assert str(h1(Presentation(["c"], [Word.parse("c c c")]))) == "Z3"
     assert str(h1(Presentation(["c"], [Word(())]))) == "Z^1"
+    for bad in (5, None, [["c"], []]):
+        for function in (h1, abelianization_matrix):
+            with pytest.raises(DomainError, match="presentation is not a Presentation"):
+                function(bad)
 
 
 def test_h1_golden_m24():
@@ -422,7 +437,8 @@ def closed_form_order(family, n):
 
 def test_h1_order_matches_closed_form():
     members = [(family, n) for family in ("m24", "m25") for n in range(1, 41)]
-    members += [("m24", 300), ("m25", 1000), ("m25", 2000)]
+    members += [("m24", 300), ("m24", 600), ("m24", 1000), ("m25", 1000),
+                ("m25", 2000)]
     for family, n in members:
         group = h1(presentation_from_pairings(build_family(family, n)))
         assert group.rank == 0
@@ -430,11 +446,12 @@ def test_h1_order_matches_closed_form():
 
 
 def test_unit_pivot_sweep_leaves_small_cores():
-    # the shortest-row rule keeps the core small: at most 4x3 for m25 at
-    # any n, and at most n//2 + 1 square for m24, on both routes
+    # the shortest-row rule leaves few sparse rows and columns: at most 4x3
+    # for m25 at any n, and at most n//2 + 1 each for m24, on both routes
     def core_shape(p):
-        _, core = _eliminate_unit_pivots(_exponent_rows(p), len(p.generators))
-        return len(core), len(core[0]) if core else 0
+        _, rows, cols = _eliminate_unit_pivots(_exponent_rows(p), len(p.generators))
+        assert sum(map(len, cols)) == sum(map(len, rows.values()))
+        return len(rows), sum(1 for column in cols if column)
 
     for n in range(1, 61):
         for family, bound in (("m25", (4, 3)), ("m24", (n // 2 + 1,) * 2)):
@@ -444,6 +461,58 @@ def test_unit_pivot_sweep_leaves_small_cores():
                 assert rows <= bound[0] and cols <= bound[1], (family, n, rows, cols)
     rows, cols = core_shape(presentation_from_pairings(build_m25(1000)))
     assert rows <= 4 and cols <= 3, (rows, cols)
+
+
+def matrix_presentation(rows):
+    """A presentation whose abelianization matrix is ``rows``."""
+    generators = [f"g{k}" for k in range(len(rows[0]))]
+    return Presentation(generators, [
+        Word([(g, 1 if x > 0 else -1) for g, x in zip(generators, row)
+              for _ in range(abs(x))]) for row in rows])
+
+
+def band_with_border(rng, k):
+    """A cyclic tridiagonal k x k band, wrap-around corners included, plus a
+    dense last row and column, as m24's core is after the unit sweep; no
+    entry is ±1.  The band is circulant (as m24's 4, 7, 4) or random."""
+    values = [x for x in range(-9, 10) if abs(x) > 1]
+    circulant = [rng.choice(values) for _ in range(3)]
+    rows = [[0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k):
+        for offset, x in zip((-1, 0, 1), circulant):
+            rows[i][(i + offset) % k] = (x if rng.random() < 0.5
+                                         else rng.choice(values))
+        rows[i][k] = rng.choice(values)
+    border = rng.choice(values)
+    rows[k] = [border if rng.random() < 0.7 else rng.choice(values)
+               for _ in range(k + 1)]
+    return rows
+
+
+def test_sparse_diagonal_matches_the_dense_route():
+    """``h1`` against the diagonal of ``smith_normal_form`` and against
+    ``reference_h1``, on matrices without a ±1 entry, so the sparse diagonal
+    pass does all the work.  A pass that records a pivot without coming
+    back to the column it started in gets m24(8) and many bands wrong."""
+    rng = random.Random(0xBA2D)
+    cases = [band_with_border(rng, k) for k in rng.choices(range(2, 31), k=40)]
+    for _ in range(300):
+        rows_n, cols_n = rng.randint(1, 9), rng.randint(1, 9)
+        cases.append([[rng.choice((-6, -4, -3, -2, 2, 3, 4, 6, 9))
+                       if rng.random() < 0.3 else 0 for _ in range(cols_n)]
+                      for _ in range(rows_n)])
+    torsion = 0
+    for rows in cases:
+        p = matrix_presentation(rows)
+        d, _, _ = smith_normal_form(IntegerMatrix(rows))
+        diagonal = [x for x in (d.rows[i][i] for i in range(min(d.num_rows, d.num_cols)))
+                    if x]
+        dense = AbelianGroup(len(rows[0]) - len(diagonal),
+                             tuple(x for x in diagonal if x >= 2))
+        assert h1(p) == dense == reference_h1(p), rows
+        torsion += len(dense.invariant_factors) >= 2
+    assert torsion >= 50, torsion
+    assert str(h1(presentation_from_pairings(build_m24(8)))) == "Z21 + Z168"
 
 
 # ------------------------------- smith_normal_form vs its previous version
