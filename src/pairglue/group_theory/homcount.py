@@ -13,8 +13,10 @@ three parts, each prepared as rarely as it can be:
   tables are kept;
 * per presentation, once: the presentation keeps its first homology for
   abelian targets, and its :func:`auto_simplify` result for nonabelian
-  ones; that result keeps its relators compiled to runs ``(generator,
-  exponent)``, each relator checked at the depth of its last generator;
+  ones; that result keeps its relators compiled into layers
+  (:func:`_compile`): each relator is checked at the depth of its last
+  generator d as a product of its runs of d and of shared segments over
+  earlier generators, each segment built the same way one layer down;
 * per count: the closed form below for an abelian target, and for a
   nonabelian one the power of every candidate image for every run, and the
   search.
@@ -26,13 +28,15 @@ order divides d_i.  This needs no simplification and no search, and holds
 at any size.
 
 Only nonabelian targets are searched.  The search enumerates generator
-images depth first and evaluates a relator with one table lookup per run as
-soon as all its generators have images, rejecting the branch when the value
-is not the identity.  Images are enumerated only up to the automorphism
-group of the target: each depth tries one image per orbit of the
-automorphisms that fix the images already chosen, weighted by the orbit's
-size.  It raises CapacityError when more than six generators survive
-simplification, or when simplification outgrows its bound.
+images depth first and evaluates a relator as soon as all its generators
+have images, rejecting the branch when the value is not the identity.  A
+segment's value is computed once per node of its depth, when that node's
+checks pass, so the deeper checks take one table lookup per run of their
+own generator and per segment, not per run.  Images are enumerated only up
+to the automorphism group of the target: each depth tries one image per
+orbit of the automorphisms that fix the images already chosen, weighted by
+the orbit's size.  It raises CapacityError when more than six generators
+survive simplification, or when simplification outgrows its bound.
 """
 
 from functools import lru_cache
@@ -227,34 +231,73 @@ _target = lru_cache(maxsize=64)(_Target)
 
 
 def _compile(presentation):
-    """The relators of a presentation, compiled for the search.
+    """The relators of a presentation, compiled into layers for the search.
 
-    Returns ``(runs, slots_by_depth, checks_by_depth)``.  Every distinct
-    run ``(generator index, exponent)`` gets an integer slot, its position
-    in ``runs``, which holds the image's power under the current
-    assignment.  ``slots_by_depth[d]`` lists the slots of generator d, and
-    ``checks_by_depth[d]`` the relators, as tuples of slots, whose last
-    generator is d, shortest first, since a short relator rejects a branch
-    sooner.  Relators that cancel hold vacuously and are dropped.
+    Returns ``(runs, slots_by_depth, checks_by_depth, segments_by_depth)``
+    over integer symbols, each of which holds one value under the current
+    assignment.  Every distinct run ``(generator index, exponent)`` gets a
+    symbol, its position in ``runs``, whose value is the image's power, and
+    ``slots_by_depth[d]`` lists the run symbols of generator d.
+
+    A word whose last generator is d is read as its children: its runs of
+    d, and its maximal segments over earlier generators.  Each such segment
+    of two or more runs is read the same way one layer down, and gets a
+    symbol whose value is the product of its children's values; a segment
+    of one run is that run's symbol.  Equal segments share one symbol,
+    since a segment is keyed by its tuple of children.
+    ``segments_by_depth[d]`` lists ``(symbol, children)`` for the segments
+    whose last generator is d, and ``checks_by_depth[d]`` the children of
+    each relator whose last generator is d, those with fewest children
+    first, since a short check rejects a branch sooner.  Relators that
+    cancel hold vacuously and are dropped.
     """
     index_of = {g: i for i, g in enumerate(presentation.generators)}
-    slot_of = {}
+    words = [word for word in (_runs(relator, index_of)
+                               for relator in presentation.relators) if word]
+    run_symbol = {}
+    for word in words:
+        for run in word:
+            run_symbol.setdefault(run, len(run_symbol))
+    segment_symbol = {}
     slots_by_depth = [[] for _ in presentation.generators]
     checks_by_depth = [[] for _ in presentation.generators]
-    for relator in presentation.relators:
-        runs = _runs(relator, index_of)
-        if not runs:
-            continue
-        for run in runs:
-            if run not in slot_of:
-                slots_by_depth[run[0]].append(len(slot_of))
-                slot_of[run] = len(slot_of)
-        depth = max(gen_index for gen_index, _ in runs)
-        checks_by_depth[depth].append(tuple(slot_of[run] for run in runs))
+    segments_by_depth = [[] for _ in presentation.generators]
+    for run, symbol in run_symbol.items():
+        slots_by_depth[run[0]].append(symbol)
+
+    def layer(word):
+        """``(last generator, children)`` of a word of runs."""
+        depth = max(gen_index for gen_index, _ in word)
+        children = []
+        start = 0
+        for end, run in enumerate(word):
+            if run[0] == depth:
+                if start < end:
+                    children.append(symbol(word[start:end]))
+                children.append(run_symbol[run])
+                start = end + 1
+        if start < len(word):
+            children.append(symbol(word[start:]))
+        return depth, tuple(children)
+
+    def symbol(segment):
+        if len(segment) == 1:
+            return run_symbol[segment[0]]
+        depth, children = layer(segment)
+        if children not in segment_symbol:
+            segment_symbol[children] = len(run_symbol) + len(segment_symbol)
+            segments_by_depth[depth].append(
+                (segment_symbol[children], children))
+        return segment_symbol[children]
+
+    for word in words:
+        depth, children = layer(word)
+        checks_by_depth[depth].append(children)
     for checks in checks_by_depth:
         checks.sort(key=len)
-    return (tuple(slot_of), tuple(map(tuple, slots_by_depth)),
-            tuple(map(tuple, checks_by_depth)))
+    return (tuple(run_symbol), tuple(map(tuple, slots_by_depth)),
+            tuple(map(tuple, checks_by_depth)),
+            tuple(map(tuple, segments_by_depth)))
 
 
 def count_homomorphisms(presentation, table):
@@ -327,6 +370,15 @@ def _search(presentation, target):
     weights its count by the orbit's size and recurses with the stabiliser
     of that image too, read from the target's stabiliser chain; once only
     the identity map is left every element is its own orbit, of weight 1.
+
+    The relators are read in the layers of :func:`_compile`.  At depth d
+    each candidate image sets the values of the runs of generator d, and
+    the relators whose last generator is d are checked as products of
+    their children, those with fewest children first, stopping at the
+    first that is not the identity.  When all pass, the segments whose
+    last generator is d are multiplied out from their children, whose
+    values are already set along the current branch, and the search goes
+    one depth down.
     """
     reduced = auto_simplify(presentation)
     generators = reduced.generators
@@ -338,14 +390,14 @@ def _search(presentation, target):
     if compiled is None:
         compiled = _compile(reduced)
         object.__setattr__(reduced, "_compiled", compiled)
-    runs, slots_by_depth, checks_by_depth = compiled
+    runs, slots_by_depth, checks_by_depth, segments_by_depth = compiled
     target.prepare_search()
 
     # ``powers[slot][x]`` is the power of image x that the slot's run takes
     table = target.table
     powers = [tuple(cycle[exponent % len(cycle)] for cycle in target.cycles)
               for _, exponent in runs]
-    current = [0] * len(runs)
+    current = [0] * (len(runs) + sum(map(len, segments_by_depth)))
     orbits = target.orbits
 
     def search(depth, stabiliser):
@@ -353,17 +405,23 @@ def _search(presentation, target):
             return 1
         slots = slots_by_depth[depth]
         checks = checks_by_depth[depth]
+        segments = segments_by_depth[depth]
         total = 0
         for candidate, weight, stabilised in orbits(stabiliser):
             for slot in slots:
                 current[slot] = powers[slot][candidate]
-            for relator in checks:
+            for factors in checks:
                 value = 0
-                for slot in relator:
-                    value = table[value][current[slot]]
+                for symbol in factors:
+                    value = table[value][current[symbol]]
                 if value:
                     break
             else:
+                for symbol, factors in segments:
+                    value = 0
+                    for factor in factors:
+                        value = table[value][current[factor]]
+                    current[symbol] = value
                 total += weight * search(depth + 1, stabilised)
         return total
 

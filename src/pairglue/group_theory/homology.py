@@ -83,6 +83,8 @@ class IntegerMatrix(_Immutable):
         return f"IntegerMatrix({[list(r) for r in self.rows]!r})"
 
     def __mul__(self, other):
+        if not isinstance(other, IntegerMatrix):
+            return NotImplemented
         if self.num_cols != other.num_rows:
             raise DomainError("matrix shapes do not compose")
         cols = other.num_cols

@@ -19,7 +19,8 @@ from ..complex_core import (_hashable, _Immutable, _join, _orbit_data,
                             edge_orbits, vertex_orbits)
 from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labels, build_family
-from .words import Word, _inverse_letters, _word, cyclic_reduce, free_reduce
+from .words import (Word, _cyclic_core, _inverse_letters, _word, cyclic_reduce,
+                    free_reduce)
 
 __all__ = ["Presentation", "auto_simplify", "family_elimination_order",
            "preset_presentation", "presentation_from_cw",
@@ -76,6 +77,17 @@ class Presentation(_Immutable):
         gens = " ".join(self.generators)
         rels = ", ".join(str(r) for r in self.relators)
         return f"<Presentation <{gens} | {rels}>>"
+
+
+def _presentation(generators, relators):
+    """A presentation on a tuple of generator names and a tuple of words
+    already known to be over them."""
+    presentation = object.__new__(Presentation)
+    for name, value in (("generators", generators), ("relators", relators),
+                        ("_simplified", None), ("_compiled", None),
+                        ("_h1", None)):
+        object.__setattr__(presentation, name, value)
+    return presentation
 
 
 def presentation_from_pairings(complex_):
@@ -179,24 +191,110 @@ def presentation_from_cw(complex_):
     return Presentation(generators, relators)
 
 
-def _definitions(presentation):
-    """Every defining relator of every generator, from one pass.
+class _Relators:
+    """The relators of a presentation under Tietze elimination, each read
+    once and read again only when an elimination rewrites it.
+
+    ``words`` maps each relator's key, its position in the given
+    presentation, to its word, in relator order.  ``entries`` maps the key
+    to the relator's cyclic reduction, the generators that reduction holds
+    exactly once and the generators the word holds.  ``defines[g]`` maps the
+    key of each relator whose cyclic reduction holds g once to that
+    reduction's length, and ``holders[g]`` is the set of keys whose word
+    holds g; every ranking breaks ties by key, which keeps relator order.
+    ``size`` is the number of letters in all the words.
 
     A relator defines g exactly when its cyclic reduction holds g once:
     rotated to start at that letter (and inverted first when the letter is
-    ``g^-1``) it reads ``g * w^-1`` with ``w`` free of g, so a relator defines
-    g at most once.  Returns ``{g: [(length, relator index, letters), ...]}``
-    in relator order, where ``letters`` is the cyclic reduction and
-    ``length`` its length; :func:`_defining_word` gives ``w``.
+    ``g^-1``) it reads ``g * w^-1`` with ``w`` free of g, so a relator
+    defines g at most once; :func:`_defining_word` gives ``w``.
     """
-    definitions = {}
-    for index, relator in enumerate(presentation.relators):
-        letters = cyclic_reduce(relator).letters
-        for name, count in Counter(name for name, _ in letters).items():
-            if count == 1:
-                definitions.setdefault(name, []).append(
-                    (len(letters), index, letters))
-    return definitions
+
+    __slots__ = ("generators", "words", "entries", "defines", "holders",
+                 "size", "freely_reduced")
+
+    def __init__(self, presentation):
+        self.generators = list(presentation.generators)
+        self.words = dict(enumerate(presentation.relators))
+        self.entries = {}
+        self.defines = {g: {} for g in self.generators}
+        self.holders = {g: set() for g in self.generators}
+        self.size = 0
+        # the given relators may not be freely reduced
+        self.freely_reduced = False
+        for key in self.words:
+            self._read(key)
+
+    def _read(self, key):
+        word = self.words[key]
+        if self.freely_reduced:
+            cyclic = _cyclic_core(word.letters).letters
+        else:
+            cyclic = cyclic_reduce(word).letters
+        counts = Counter(name for name, _ in cyclic)
+        defined = [name for name, count in counts.items() if count == 1]
+        if len(cyclic) == len(word):
+            held = counts.keys()
+        else:
+            held = {name for name, _ in word.letters}
+        self.entries[key] = (cyclic, defined, held)
+        for name in defined:
+            self.defines[name][key] = len(cyclic)
+        for name in held:
+            self.holders[name].add(key)
+        self.size += len(word)
+
+    def _forget(self, key):
+        _, defined, held = self.entries.pop(key)
+        for name in defined:
+            del self.defines[name][key]
+        for name in held:
+            self.holders[name].discard(key)
+        self.size -= len(self.words[key])
+
+    def replacement(self, generator, key):
+        """The word ``w`` that the relator at ``key``, which defines
+        ``generator``, puts in its place."""
+        return _defining_word(self.entries[key][0], generator)
+
+    def eliminate(self, generator, key, replacement):
+        """Drop the relator at ``key`` and replace ``generator`` by
+        ``replacement`` everywhere, freely reducing and dropping the
+        relators that become trivial.
+
+        Only the relators that hold the generator are rewritten and read
+        again, except at the first step, which freely reduces every
+        relator.
+        """
+        forward = replacement.letters
+        backward = _inverse_letters(forward)
+        keys = list(self.holders[generator] if self.freely_reduced
+                    else self.words)
+        self.freely_reduced = True
+        for index in keys:
+            self._forget(index)
+            if index == key:
+                del self.words[index]
+                continue
+            letters = []
+            for letter in self.words[index].letters:
+                if letter[0] != generator:
+                    letters.append(letter)
+                elif letter[1] == 1:
+                    letters.extend(forward)
+                else:
+                    letters.extend(backward)
+            new = free_reduce(_word(tuple(letters)))
+            if not new.letters:
+                del self.words[index]
+            else:
+                self.words[index] = new
+                self._read(index)
+        self.generators.remove(generator)
+        del self.defines[generator], self.holders[generator]
+
+    def presentation(self):
+        return _presentation(tuple(self.generators), tuple(self.words.values()))
 
 
 def _defining_word(letters, generator):
@@ -211,28 +309,6 @@ def _defining_word(letters, generator):
     return _word(rest)
 
 
-def _apply_elimination(presentation, generator, relator_index, replacement):
-    forward = replacement.letters
-    backward = _inverse_letters(forward)
-    generators = [g for g in presentation.generators if g != generator]
-    relators = []
-    for index, relator in enumerate(presentation.relators):
-        if index == relator_index:
-            continue
-        letters = []
-        for letter in relator.letters:
-            if letter[0] != generator:
-                letters.append(letter)
-            elif letter[1] == 1:
-                letters.extend(forward)
-            else:
-                letters.extend(backward)
-        new = free_reduce(_word(tuple(letters)))
-        if new.letters:
-            relators.append(new)
-    return Presentation(generators, relators)
-
-
 def tietze_eliminate(presentation, generator):
     """Eliminate one generator using a defining relator.
 
@@ -243,12 +319,13 @@ def tietze_eliminate(presentation, generator):
     """
     if generator not in presentation.generators:
         raise DomainError(f"unknown generator {generator!r}")
-    definitions = _definitions(presentation).get(generator)
-    if not definitions:
+    relators = _Relators(presentation)
+    keys = relators.defines[generator]
+    if not keys:
         raise EliminationError(f"no defining relator for {generator!r}")
-    _, index, letters = min(definitions)
-    return _apply_elimination(presentation, generator, index,
-                              _defining_word(letters, generator))
+    _, key = min((length, key) for key, length in keys.items())
+    relators.eliminate(generator, key, relators.replacement(generator, key))
+    return relators.presentation()
 
 
 def auto_simplify(presentation):
@@ -258,8 +335,13 @@ def auto_simplify(presentation):
     whose best defining relator is globally shortest wins, earliest generator
     on ties.  Stops when no generator can be eliminated, and raises
     CapacityError once an elimination leaves more than MAX_SIMPLIFY_LETTERS
-    letters in all relators.  The result, or that CapacityError, is kept on
-    the presentation, so later calls return it, or raise it, at once.
+    letters in all relators.  Each relator's cyclic reduction and the
+    generators it defines are read once and kept between steps; a step
+    rewrites and reads again only the relators that hold the eliminated
+    generator (the first step freely reduces them all), and one
+    presentation is built at the end.  The result, or that CapacityError,
+    is kept on the presentation, so later calls return it, or raise it, at
+    once.
     """
     simplified = presentation._simplified
     if simplified is None:
@@ -275,26 +357,33 @@ def auto_simplify(presentation):
 
 
 def _simplify(presentation):
-    current = presentation
+    relators = _Relators(presentation)
+    position = {g: i for i, g in enumerate(presentation.generators)}
     while True:
         # each generator's first shortest defining relator is the one
         # tietze_eliminate uses; the shortest of those wins, earliest
         # generator on ties
-        definitions = _definitions(current)
-        if not definitions:
-            # nothing is left to eliminate: the result simplifies to itself
-            object.__setattr__(current, "_simplified", current)
-            return current
-        position = {g: i for i, g in enumerate(current.generators)}
-        best = {g: min(options) for g, options in definitions.items()}
-        generator = min(best, key=lambda g: (best[g][0], position[g]))
-        _, index, letters = best[generator]
-        current = _apply_elimination(current, generator, index,
-                                     _defining_word(letters, generator))
-        size = sum(map(len, current.relators))
-        if size > MAX_SIMPLIFY_LETTERS:
-            raise CapacityError(f"simplification grew the relators to {size} "
-                                f"letters, past {MAX_SIMPLIFY_LETTERS}")
+        best = None
+        for generator, keys in relators.defines.items():
+            if keys:
+                length, key = min((length, key) for key, length in keys.items())
+                rank = (length, position[generator], key, generator)
+                if best is None or rank < best:
+                    best = rank
+        if best is None:
+            break
+        _, _, key, generator = best
+        relators.eliminate(generator, key,
+                           relators.replacement(generator, key))
+        if relators.size > MAX_SIMPLIFY_LETTERS:
+            raise CapacityError(f"simplification grew the relators to "
+                                f"{relators.size} letters, past "
+                                f"{MAX_SIMPLIFY_LETTERS}")
+    # nothing is left to eliminate: the result simplifies to itself
+    result = (relators.presentation() if relators.freely_reduced
+              else presentation)
+    object.__setattr__(result, "_simplified", result)
+    return result
 
 
 def family_elimination_order(n):
@@ -319,23 +408,23 @@ def scripted_reduction(family, n):
     survivors.  A missing defining relator is a logic failure for these
     families, hence RuntimeError rather than EliminationError.
     """
-    complex_ = build_family(family, n)
-    current = presentation_from_pairings(complex_)
+    current = presentation_from_pairings(build_family(family, n))
     yield current
+    relators = _Relators(current)
     surviving = {f"c{i}" for i in range(1, n + 1)}
     for generator in family_elimination_order(n):
         options = []
-        for length, index, letters in _definitions(current).get(generator, ()):
-            replacement = _defining_word(letters, generator)
+        for key, length in relators.defines.get(generator, {}).items():
+            replacement = relators.replacement(generator, key)
             if replacement.letters and replacement.generators() <= surviving:
                 positive = all(sign == 1 for _, sign in replacement.letters)
-                options.append((length, not positive, index, replacement))
+                options.append((length, not positive, key, replacement))
         if not options:
             raise RuntimeError(
                 f"scripted elimination of {generator!r} failed at n={n}")
-        _, _, index, replacement = min(options)
-        current = _apply_elimination(current, generator, index, replacement)
-        yield current
+        _, _, key, replacement = min(options)
+        relators.eliminate(generator, key, replacement)
+        yield relators.presentation()
 
 
 def reduced_family_presentation(family, n):

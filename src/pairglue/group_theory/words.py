@@ -115,7 +115,11 @@ def free_reduce(word):
 
 def cyclic_reduce(word):
     """Freely reduce, then strip inverse first/last pairs."""
-    letters = free_reduce(word).letters
+    return _cyclic_core(free_reduce(word).letters)
+
+
+def _cyclic_core(letters):
+    """The cyclic reduction of freely reduced ``letters``, as a word."""
     start, stop = 0, len(letters)
     while (stop - start >= 2
            and letters[start] == (letters[stop - 1][0], -letters[stop - 1][1])):

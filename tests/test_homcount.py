@@ -8,6 +8,7 @@ other by running the search on abelian targets too.
 
 import pickle
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -29,8 +30,10 @@ from pairglue.errors import CapacityError, DomainError
 from pairglue.group_theory import presentations
 from pairglue.group_theory.homcount import (
     _automorphisms,
+    _compile,
     _direct_product,
     _power_cycles,
+    _runs,
     _search,
     _target,
 )
@@ -552,6 +555,115 @@ def test_count_matches_brute_force_on_random_presentations():
         for name, table in catalog.items():
             assert count_homomorphisms(presentation, table) == \
                 brute_force_count(presentation, table), (name, presentation)
+
+
+# ------------------------------------------ layered relators in the search
+
+def expanded(compiled, check):
+    """A compiled check with its segments expanded back into runs."""
+    runs, _, _, segments_by_depth = compiled
+    children_of = {symbol: children for segments in segments_by_depth
+                   for symbol, children in segments}
+
+    def expand(symbol):
+        if symbol < len(runs):
+            return [runs[symbol]]
+        return [run for child in children_of[symbol] for run in expand(child)]
+
+    return [run for symbol in check for run in expand(symbol)]
+
+
+def assert_compiled_faithfully(presentation):
+    """The checks expand to the relators' runs, each at its last generator;
+    every segment has two or more children, none of them a segment of its own
+    depth, and lies over generators up to its depth; returns the compiled
+    layers."""
+    compiled = _compile(presentation)
+    runs, slots_by_depth, checks_by_depth, segments_by_depth = compiled
+    index_of = {g: i for i, g in enumerate(presentation.generators)}
+    words = [_runs(relator, index_of) for relator in presentation.relators]
+    expected = sorted((max(g for g, _ in word), word) for word in words if word)
+    assert sorted((depth, expanded(compiled, check))
+                  for depth, checks in enumerate(checks_by_depth)
+                  for check in checks) == expected
+    assert sorted(s for slots in slots_by_depth for s in slots) == \
+        list(range(len(runs)))
+    depth_of = {symbol: depth for depth, segments in enumerate(segments_by_depth)
+                for symbol, _ in segments}
+    for depth, segments in enumerate(segments_by_depth):
+        for _, children in segments:
+            assert len(children) >= 2
+            assert all(depth_of[c] < depth if c in depth_of
+                       else runs[c][0] <= depth for c in children)
+            assert any(c not in depth_of and runs[c][0] == depth
+                       for c in children)
+    return compiled
+
+
+def test_m25_8_first_check_has_fewer_factors_than_runs():
+    for build, n in ((build_m24, 6), (build_m25, 8)):
+        assert_compiled_faithfully(
+            auto_simplify(presentation_from_pairings(build(n))))
+    compiled = _compile(auto_simplify(presentation_from_pairings(build_m25(8))))
+    _, _, checks_by_depth, _ = compiled
+    first = checks_by_depth[-1][0]
+    assert not any(checks_by_depth[:-1])
+    # 63 factors for 114 runs
+    assert len(first) < len(expanded(compiled, first))
+
+
+def nested_presentation(rng, generators):
+    """Relators over ``generators`` with every run of length two or more, so
+    that nothing is eliminated, built from pools of shared words: a relator
+    alternates runs of the last generator with words from the pool one layer
+    down, which in turn alternate their own last generator with words from
+    the pool below them.  Half of them also have a word of that pool as a
+    relator."""
+    def run(g):
+        return [(g, rng.choice((1, -1)))] * rng.randint(2, 3)
+
+    pool = [run(generators[0]) for _ in range(2)]
+    for g in generators[1:-1]:
+        pool = [run(g) + rng.choice(pool) + run(g) + rng.choice(pool)
+                for _ in range(2)]
+    relators = []
+    for _ in range(rng.randint(1, 2)):
+        letters = []
+        for _ in range(rng.randint(2, 3)):
+            letters += run(generators[-1]) + rng.choice(pool)
+        relators.append(Word(letters))
+    if rng.random() < 0.5:
+        # a relator one layer down: a check at a depth that has segments
+        relators.append(Word(rng.choice(pool)))
+    return Presentation(generators, relators)
+
+
+def test_layered_search_matches_brute_force_on_shared_nested_segments():
+    catalog = small_groups()
+    rng = random.Random(0x5E6)
+    shared = nested = 0
+    for generators, targets, repeats in (
+            (["a", "b", "c", "d"], ("D3", "Q8", "D4"), 8),
+            (["a", "b", "c"], NONABELIAN_TARGETS, 8)):
+        for _ in range(repeats):
+            presentation = nested_presentation(rng, generators)
+            assert auto_simplify(presentation) is presentation
+            _, _, checks_by_depth, segments_by_depth = \
+                assert_compiled_faithfully(presentation)
+            uses = Counter(symbol for checks in checks_by_depth
+                           for check in checks for symbol in check)
+            uses.update(child for segments in segments_by_depth
+                        for _, children in segments for child in children)
+            symbols = {symbol for segments in segments_by_depth
+                       for symbol, _ in segments}
+            shared += any(uses[symbol] > 1 for symbol in symbols)
+            nested += any(child in symbols for segments in segments_by_depth
+                          for _, children in segments for child in children)
+            for name in targets:
+                table = catalog[name]
+                assert count_homomorphisms(presentation, table) == \
+                    brute_force_count(presentation, table), (name, presentation)
+    assert shared >= 12 and nested >= 6
 
 
 # ---------------------------------------- automorphisms used by the search

@@ -118,6 +118,17 @@ def test_matrix_multiplication_and_identity():
         IntegerMatrix([[1, 2]]) * IntegerMatrix([[1, 2]])
 
 
+@pytest.mark.parametrize("other", [5, 2.0, None, [[1]], ((1,),)])
+def test_matrix_times_a_non_matrix_is_a_type_error(other):
+    # __mul__ returns NotImplemented, so Python raises TypeError for both
+    # operand orders instead of reading attributes the operand lacks
+    assert IntegerMatrix([[1]]).__mul__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        IntegerMatrix([[1]]) * other
+    with pytest.raises(TypeError):
+        other * IntegerMatrix([[1]])
+
+
 def test_matrix_determinant_against_cofactor_oracle():
     rng = random.Random(0xDE7)
     for _ in range(60):

@@ -2,7 +2,9 @@
 
 import copy
 import pickle
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -31,8 +33,10 @@ from pairglue import (
     tietze_eliminate,
     vertex_orbits,
 )
-from pairglue.errors import DomainError, EliminationError, StructureError
-from pairglue.group_theory.presentations import _defining_word, _definitions
+from pairglue.errors import (CapacityError, DomainError, EliminationError,
+                             StructureError)
+from pairglue.group_theory import presentations
+from pairglue.group_theory.presentations import _defining_word, _Relators
 
 
 def idx(i, n):
@@ -487,9 +491,9 @@ def family_presentations(n):
 def definitions_and_rotation_search(presentation, generator):
     """``(length, index, replacement)`` of each defining relator of the
     generator, from the one-pass scan and from the rotation search."""
-    scanned = [(length, index, _defining_word(letters, generator))
-               for length, index, letters
-               in _definitions(presentation).get(generator, [])]
+    relators = _Relators(presentation)
+    scanned = [(length, key, relators.replacement(generator, key))
+               for key, length in relators.defines[generator].items()]
     searched = [(key[0], index, replacement)
                 for key, index, replacement
                 in rotation_candidates(presentation, generator)]
@@ -545,6 +549,183 @@ def test_auto_simplify_fingerprints():
         s = auto_simplify(presentation_from_pairings(build(n)))
         assert len(s.generators) == generators
         assert sum(len(r) for r in s.relators) == letters
+
+
+# ------------------------------ incremental steps vs the full rewrite
+
+def full_rewrite_definitions(presentation):
+    """Reference: every defining relator of every generator, rescanning every
+    relator, as ``{g: [(length, relator index, cyclic letters), ...]}``."""
+    definitions = {}
+    for index, relator in enumerate(presentation.relators):
+        letters = cyclic_reduce(relator).letters
+        for name, count in Counter(name for name, _ in letters).items():
+            if count == 1:
+                definitions.setdefault(name, []).append(
+                    (len(letters), index, letters))
+    return definitions
+
+
+def full_rewrite_step(presentation, generator, relator_index, replacement):
+    """Reference: one elimination that rewrites and freely reduces every
+    relator and builds a new presentation."""
+    relators = []
+    for index, relator in enumerate(presentation.relators):
+        if index == relator_index:
+            continue
+        letters = []
+        for name, sign in relator:
+            if name != generator:
+                letters.append((name, sign))
+            else:
+                word = replacement if sign == 1 else replacement.inverse()
+                letters.extend(word.letters)
+        new = free_reduce(Word(letters))
+        if new.letters:
+            relators.append(new)
+    return Presentation([g for g in presentation.generators if g != generator],
+                        relators)
+
+
+def full_rewrite_simplify(presentation):
+    """Reference: the previous auto_simplify schedule, which rewrote and
+    rescanned every relator at every step."""
+    current = presentation
+    while True:
+        definitions = full_rewrite_definitions(current)
+        if not definitions:
+            return current
+        position = {g: i for i, g in enumerate(current.generators)}
+        best = {g: min(options) for g, options in definitions.items()}
+        generator = min(best, key=lambda g: (best[g][0], position[g]))
+        _, index, letters = best[generator]
+        current = full_rewrite_step(current, generator, index,
+                                    _defining_word(letters, generator))
+        size = sum(map(len, current.relators))
+        if size > presentations.MAX_SIMPLIFY_LETTERS:
+            raise CapacityError(
+                f"simplification grew the relators to {size} letters, "
+                f"past {presentations.MAX_SIMPLIFY_LETTERS}")
+
+
+def full_rewrite_scripted_reduction(family, n):
+    """Reference: the previous scripted reduction, one full rewrite a step."""
+    current = presentation_from_pairings(
+        build_m24(n) if family == "m24" else build_m25(n))
+    yield current
+    surviving = {f"c{i}" for i in range(1, n + 1)}
+    for generator in family_elimination_order(n):
+        options = []
+        for length, index, letters in full_rewrite_definitions(current).get(
+                generator, ()):
+            replacement = _defining_word(letters, generator)
+            if replacement.letters and replacement.generators() <= surviving:
+                positive = all(sign == 1 for _, sign in replacement.letters)
+                options.append((length, not positive, index, replacement))
+        _, _, index, replacement = min(options)
+        current = full_rewrite_step(current, generator, index, replacement)
+        yield current
+
+
+def simplified_afresh(presentation):
+    """auto_simplify on an equal presentation that has kept nothing yet."""
+    return auto_simplify(Presentation(presentation.generators,
+                                      presentation.relators))
+
+
+def simplify_outcome(simplify, presentation):
+    """The simplified presentation, or the CapacityError message."""
+    try:
+        return simplify(presentation)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def test_scripted_reduction_matches_the_full_rewrite():
+    for n in range(1, 13):
+        for family in ("m24", "m25"):
+            steps = list(scripted_reduction(family, n))
+            assert steps == list(full_rewrite_scripted_reduction(family, n)), \
+                (family, n)
+            # each intermediate is a fresh presentation that keeps nothing
+            assert all(step._simplified is None for step in steps)
+            assert steps[-1] == reduced_family_presentation(family, n)
+
+
+def test_auto_simplify_matches_the_full_rewrite_on_families():
+    for n in range(1, 13):
+        for family, build in (("m24", build_m24), ("m25", build_m25)):
+            complex_ = build(n)
+            for presentation in (presentation_from_pairings(complex_),
+                                 presentation_from_cw(complex_),
+                                 reduced_family_presentation(family, n)):
+                simplified = simplified_afresh(presentation)
+                assert simplified == full_rewrite_simplify(presentation), \
+                    (family, n, presentation.generators[:3])
+                assert simplified._simplified is simplified
+
+
+def random_relator(rng, generators):
+    """A word that is often not freely or cyclically reduced: random letters,
+    a conjugate, a power, or a word times its inverse."""
+    letters = [(rng.choice(generators), rng.choice((1, -1)))
+               for _ in range(rng.randint(0, 6))]
+    shape = rng.randrange(4)
+    if shape == 1 and letters:
+        conjugator = [(rng.choice(generators), rng.choice((1, -1)))]
+        return Word(conjugator) * Word(letters) * Word(conjugator).inverse()
+    if shape == 2:
+        return Word(letters * rng.randint(2, 3))
+    if shape == 3 and rng.random() < 0.3:
+        return Word(letters) * Word(letters).inverse()
+    return Word(letters)
+
+
+def test_random_presentations_eliminate_as_the_full_rewrite():
+    rng = random.Random(0x71E7)
+    eliminated = 0
+    for _ in range(400):
+        generators = ["a", "b", "c", "d", "e"][:rng.randint(1, 5)]
+        presentation = Presentation(generators, [
+            random_relator(rng, generators) for _ in range(rng.randint(0, 6))])
+        simplified = simplified_afresh(presentation)
+        assert simplified == full_rewrite_simplify(presentation), presentation
+        assert simplified._simplified is simplified
+        for generator in generators:
+            options = full_rewrite_definitions(presentation).get(generator)
+            if not options:
+                with pytest.raises(EliminationError):
+                    tietze_eliminate(presentation, generator)
+                continue
+            eliminated += 1
+            _, index, letters = min(options)
+            assert tietze_eliminate(presentation, generator) == \
+                full_rewrite_step(presentation, generator, index,
+                                  _defining_word(letters, generator))
+    assert eliminated > 300
+
+
+@pytest.mark.parametrize("bound", [60, 200, 1000, 5000])
+def test_capacity_error_at_the_same_step_as_the_full_rewrite(monkeypatch, bound):
+    monkeypatch.setattr(presentations, "MAX_SIMPLIFY_LETTERS", bound)
+    rng = random.Random(bound)
+    cases = [presentation_from_pairings(build(n))
+             for build in (build_m24, build_m25) for n in (4, 6, 8, 10)]
+    cases += [presentation_from_cw(build_m25(7))]
+    for _ in range(40):
+        generators = ["a", "b", "c", "d"]
+        cases.append(Presentation(generators, [
+            Word(random_relator(rng, generators).letters * 4)
+            for _ in range(4)]))
+    raised = 0
+    for presentation in cases:
+        outcome = simplify_outcome(simplified_afresh, presentation)
+        # the message names the letter count, so equal messages mean the
+        # same step raised
+        assert outcome == simplify_outcome(full_rewrite_simplify,
+                                           presentation), presentation
+        raised += isinstance(outcome, str)
+    assert raised
 
 
 # ------------------------------------------- immutability, simplify once
