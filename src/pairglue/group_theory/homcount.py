@@ -3,20 +3,25 @@
 A finite group is passed around as a plain multiplication table: a square
 tuple of tuples of element indices with the identity at index 0, so
 ``table[i][j]`` is the product of elements ``i`` and ``j``.  A count has
-three parts, each prepared as rarely as it can be:
+four parts, each prepared as rarely as it can be:
 
 * per target, once per process: the table is validated, its power cycles
   are read off and it is checked for commutativity; for a nonabelian table
   the search also needs its full automorphism group (computed from the
-  table by trying generator images of matching orders, on first use) and a
-  stabiliser chain, filled on demand.  The 64 most recently used distinct
-  tables are kept;
+  table by trying generator images of matching orders, on first use), its
+  abelianization T/[T, T] with the coset of each element
+  (:func:`_abelianization`, on first use too) and a stabiliser chain,
+  filled on demand.  The 64 most recently used distinct tables are kept;
 * per presentation, once: the presentation keeps its first homology for
   abelian targets, and its :func:`auto_simplify` result for nonabelian
   ones; that result keeps its relators compiled into layers
   (:func:`_compile`): each relator is checked at the depth of its last
   generator d as a product of its runs of d and of shared segments over
   earlier generators, each segment built the same way one layer down;
+* per simplified presentation and abelian quotient, once: Hom(G, T/[T, T])
+  as a prefix trie in generator order (:func:`_quotient_trie`), read off
+  the relators' exponent sums and kept with the compiled layers, so
+  targets with equal quotient tables share it;
 * per count: the closed form below for an abelian target, and for a
   nonabelian one the power of every candidate image for every run, and the
   search.
@@ -35,7 +40,9 @@ checks pass, so the deeper checks take one table lookup per run of their
 own generator and per segment, not per run.  Images are enumerated only up
 to the automorphism group of the target: each depth tries one image per
 orbit of the automorphisms that fix the images already chosen, weighted by
-the orbit's size.  It raises CapacityError when more than six generators
+the orbit's size, and a candidate is tried only when its coset in
+T/[T, T] extends the images' cosets chosen so far to a homomorphism into
+the abelianization.  It raises CapacityError when more than six generators
 survive simplification, or when simplification outgrows its bound.
 """
 
@@ -43,7 +50,7 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from ..errors import CapacityError, DomainError
-from .homology import _sequence, h1
+from .homology import _exponent_rows, _sequence, h1
 from .presentations import auto_simplify
 
 __all__ = ["count_homomorphisms", "small_groups", "validate_table"]
@@ -136,6 +143,11 @@ def _power_cycles(table):
     return cycles
 
 
+def _powers(cycles, exponent):
+    """The exponent-th power of every element, from its power cycle."""
+    return tuple(cycle[exponent % len(cycle)] for cycle in cycles)
+
+
 def _runs(relator, index_of):
     """The relator as runs ``(generator index, exponent)``, empty runs dropped."""
     runs = []
@@ -178,6 +190,37 @@ def _automorphisms(table, cycles):
     return sorted(maps)
 
 
+def _abelianization(table):
+    """``(proj, quotient)`` for the table group T, from the table alone.
+
+    ``proj[x]`` is the number of the coset of x modulo the commutator
+    subgroup [T, T], the cosets numbered in order of their least element
+    (so the identity's coset is 0), and ``quotient`` is the multiplication
+    table of T/[T, T] on those numbers.  [T, T] is grown from the set of
+    commutators x y x^-1 y^-1 by multiplying with them until it is closed,
+    which in a finite group is the subgroup they generate.
+    """
+    order = len(table)
+    inverse = [row.index(0) for row in table]
+    commutators = {table[table[x][y]][table[inverse[x]][inverse[y]]]
+                   for x in range(order) for y in range(order)}
+    subgroup = commutators  # holds the identity, [x, x]
+    while True:
+        grown = {table[k][c] for k in subgroup for c in commutators}
+        if grown == subgroup:
+            break
+        subgroup = grown
+    proj = [None] * order
+    representatives = []
+    for x in range(order):
+        if proj[x] is None:
+            for k in subgroup:
+                proj[table[x][k]] = len(representatives)
+            representatives.append(x)
+    return tuple(proj), tuple(tuple(proj[table[a][b]] for b in representatives)
+                              for a in representatives)
+
+
 class _Target:
     """A validated target group with the data every count into it reads.
 
@@ -186,15 +229,16 @@ class _Target:
     It holds the table (a tuple of tuples) and its order,
     :func:`_power_cycles`, and whether the table is commutative.  Only the
     search reads the rest, so it is computed on the search's first call:
-    Aut(T) from :func:`_automorphisms` and a stabiliser chain filled on
-    demand.  A stabiliser is keyed by itself, as the ascending tuple of its
-    maps' positions in Aut(T); the search starts from all of them.  The
+    Aut(T) from :func:`_automorphisms`, ``proj`` and the ``quotient`` table
+    of T/[T, T] from :func:`_abelianization`, and a stabiliser chain filled
+    on demand.  A stabiliser is keyed by itself, as the ascending tuple of
+    its maps' positions in Aut(T); the search starts from all of them.  The
     chain maps a stabiliser to ``[(orbit representative, orbit size, key of
     the representative's stabiliser within it)]``, one entry per orbit.
     """
 
     __slots__ = ("table", "order", "cycles", "abelian", "automorphisms",
-                 "chain")
+                 "proj", "quotient", "chain")
 
     def __init__(self, table):
         validate_table(table)
@@ -205,9 +249,10 @@ class _Target:
         self.automorphisms = None
 
     def prepare_search(self):
-        """Compute Aut(T) and an empty chain, once."""
+        """Compute Aut(T), T/[T, T] and an empty chain, once."""
         if self.automorphisms is None:
             self.automorphisms = _automorphisms(self.table, self.cycles)
+            self.proj, self.quotient = _abelianization(self.table)
             self.chain = {}
 
     def orbits(self, stabiliser):
@@ -300,6 +345,56 @@ def _compile(presentation):
             tuple(map(tuple, segments_by_depth)))
 
 
+def _quotient_trie(presentation, quotient):
+    """Hom(G, Q) into the abelian table group Q, as a prefix trie.
+
+    A node at depth d maps each image in Q of generator d that extends the
+    node's prefix to some homomorphism to the node one depth down; the
+    nodes one depth past the last generator are empty dicts, one per
+    homomorphism.  Each relator is read as its exponent sums
+    (:func:`homology._exponent_rows`), which determine its value in an
+    abelian group, and is checked at the depth of the last generator with
+    a nonzero sum, as :func:`_compile` layers the relators.  A prefix that
+    passes its checks but has no completion gets no node.
+    """
+    width = len(presentation.generators)
+    cycles = _power_cycles(quotient)
+    checks_by_depth = [[] for _ in range(width)]
+    for row in _exponent_rows(presentation):
+        if row:
+            depth = max(row)
+            last = _powers(cycles, row.pop(depth))
+            checks_by_depth[depth].append((tuple(
+                (gen_index, _powers(cycles, exponent))
+                for gen_index, exponent in row.items()), last))
+    images = [0] * width
+
+    def node(depth):
+        # each check is the value of its prefix times a power of image d
+        checks = []
+        for earlier, last in checks_by_depth[depth]:
+            value = 0
+            for gen_index, power in earlier:
+                value = quotient[value][power[images[gen_index]]]
+            checks.append((quotient[value], last))
+        children = {}
+        for x in range(len(quotient)):
+            for row, last in checks:
+                if row[last[x]]:
+                    break
+            else:
+                images[depth] = x
+                if depth + 1 == width:
+                    children[x] = {}
+                else:
+                    child = node(depth + 1)
+                    if child:
+                        children[x] = child
+        return children
+
+    return node(0) if width else {}
+
+
 def count_homomorphisms(presentation, table):
     """Number of homomorphisms from the presented group into the table group.
 
@@ -371,6 +466,20 @@ def _search(presentation, target):
     of that image too, read from the target's stabiliser chain; once only
     the identity map is left every element is its own orbit, of weight 1.
 
+    The search is also pruned by the abelianization pi: T -> T/[T, T].
+    Every homomorphism into T composed with pi is one into T/[T, T], so a
+    partial assignment whose cosets are no prefix of the trie of
+    :func:`_quotient_trie` has no completion, and the search walks the
+    trie alongside: a candidate whose coset has no child in the current
+    node is skipped.  This stays exact under the orbit reduction.  Every
+    automorphism alpha of T preserves [T, T], so it induces an
+    automorphism of T/[T, T], and post-composing with that carries
+    Hom(G, T/[T, T]) onto itself.  When alpha fixes the images already
+    chosen, it fixes their cosets, so it carries the homomorphisms that
+    extend those cosets onto themselves, and the children of the current
+    node onto themselves: a whole orbit of the stabiliser is kept or
+    skipped.
+
     The relators are read in the layers of :func:`_compile`.  At depth d
     each candidate image sets the values of the runs of generator d, and
     the relators whose last generator is d are checked as products of
@@ -388,19 +497,23 @@ def _search(presentation, target):
             f"the search handles at most {MAX_SEARCH_GENERATORS}")
     compiled = reduced._compiled
     if compiled is None:
-        compiled = _compile(reduced)
+        compiled = (_compile(reduced), {})
         object.__setattr__(reduced, "_compiled", compiled)
-    runs, slots_by_depth, checks_by_depth, segments_by_depth = compiled
+    layers, tries = compiled
+    runs, slots_by_depth, checks_by_depth, segments_by_depth = layers
     target.prepare_search()
+    quotient = target.quotient
+    if quotient not in tries:
+        tries[quotient] = _quotient_trie(reduced, quotient)
 
     # ``powers[slot][x]`` is the power of image x that the slot's run takes
     table = target.table
-    powers = [tuple(cycle[exponent % len(cycle)] for cycle in target.cycles)
-              for _, exponent in runs]
+    powers = [_powers(target.cycles, exponent) for _, exponent in runs]
     current = [0] * (len(runs) + sum(map(len, segments_by_depth)))
     orbits = target.orbits
+    proj = target.proj
 
-    def search(depth, stabiliser):
+    def search(depth, stabiliser, node):
         if depth == len(generators):
             return 1
         slots = slots_by_depth[depth]
@@ -408,6 +521,9 @@ def _search(presentation, target):
         segments = segments_by_depth[depth]
         total = 0
         for candidate, weight, stabilised in orbits(stabiliser):
+            child = node.get(proj[candidate])
+            if child is None:
+                continue
             for slot in slots:
                 current[slot] = powers[slot][candidate]
             for factors in checks:
@@ -422,10 +538,11 @@ def _search(presentation, target):
                     for factor in factors:
                         value = table[value][current[factor]]
                     current[symbol] = value
-                total += weight * search(depth + 1, stabilised)
+                total += weight * search(depth + 1, stabilised, child)
         return total
 
-    return search(0, tuple(range(len(target.automorphisms))))
+    return search(0, tuple(range(len(target.automorphisms))),
+                  tries[quotient])
 
 
 def _table(elements, multiply):

@@ -19,8 +19,8 @@ from ..complex_core import (_hashable, _Immutable, _join, _orbit_data,
                             edge_orbits, vertex_orbits)
 from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labels, build_family
-from .words import (Word, _cyclic_core, _inverse_letters, _word, cyclic_reduce,
-                    free_reduce)
+from .words import (Word, _cyclic_core, _free_reduction, _inverse_letters,
+                    _word, cyclic_reduce)
 
 __all__ = ["Presentation", "auto_simplify", "family_elimination_order",
            "preset_presentation", "presentation_from_cw",
@@ -35,18 +35,24 @@ MAX_SIMPLIFY_LETTERS = 2 ** 20
 class Presentation(_Immutable):
     """An ordered generator list plus a list of relator words.
 
+    Generator names are str; any other name raises DomainError, as does a
+    repeated name or a relator letter that names no generator.
     Presentations are immutable: assigning to an attribute raises
     AttributeError.  The result of :func:`auto_simplify` (or its CapacityError)
     is kept on the instance, so a presentation is simplified once however
     many times it is counted or reduced; the simplified presentation keeps its
-    relators as compiled by the homomorphism counter the same way, and the
+    relators as compiled by the homomorphism counter the same way, with its
+    homomorphisms into each abelian quotient the counter prunes by, and the
     counter keeps the first homology it reads for abelian targets.
     """
 
     __slots__ = ("generators", "relators", "_simplified", "_compiled", "_h1")
 
     def __init__(self, generators, relators):
-        generators = tuple(str(g) for g in generators)
+        generators = tuple(generators)
+        for g in generators:
+            if not isinstance(g, str):
+                raise DomainError(f"generator name is not a str: {g!r}")
         if len(set(generators)) != len(generators):
             raise DomainError("duplicate generator name in presentation")
         known = set(generators)
@@ -264,7 +270,7 @@ class _Relators:
 
         Only the relators that hold the generator are rewritten and read
         again, except at the first step, which freely reduces every
-        relator.
+        relator.  Each is substituted and freely reduced in one pass.
         """
         forward = replacement.letters
         backward = _inverse_letters(forward)
@@ -276,25 +282,30 @@ class _Relators:
             if index == key:
                 del self.words[index]
                 continue
-            letters = []
-            for letter in self.words[index].letters:
-                if letter[0] != generator:
-                    letters.append(letter)
-                elif letter[1] == 1:
-                    letters.extend(forward)
-                else:
-                    letters.extend(backward)
-            new = free_reduce(_word(tuple(letters)))
-            if not new.letters:
+            letters = _free_reduction(_substituted(
+                self.words[index].letters, generator, forward, backward))
+            if not letters:
                 del self.words[index]
             else:
-                self.words[index] = new
+                self.words[index] = _word(letters)
                 self._read(index)
         self.generators.remove(generator)
         del self.defines[generator], self.holders[generator]
 
     def presentation(self):
         return _presentation(tuple(self.generators), tuple(self.words.values()))
+
+
+def _substituted(letters, generator, forward, backward):
+    """``letters`` with each letter ``(generator, 1)`` replaced by the
+    letters ``forward`` and each ``(generator, -1)`` by ``backward``."""
+    for letter in letters:
+        if letter[0] != generator:
+            yield letter
+        elif letter[1] == 1:
+            yield from forward
+        else:
+            yield from backward
 
 
 def _defining_word(letters, generator):

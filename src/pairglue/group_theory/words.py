@@ -1,9 +1,10 @@
 """Words in a free group over named generators.
 
 A word is a flat sequence of signed letters ``(name, +1|-1)``; no run-length
-compression is applied at the data level.  Words are immutable: assigning to
-an attribute raises AttributeError.  The text form used throughout the
-package writes an inverse letter with a ``-`` prefix:
+compression is applied at the data level; a letter that is not such a pair,
+with an int sign (a bool is refused), raises DomainError.  Words are
+immutable: assigning to an attribute raises AttributeError.  The text form
+used throughout the package writes an inverse letter with a ``-`` prefix:
 
 >>> w = Word.parse("a1 b3 -d")
 >>> str(w)
@@ -23,9 +24,15 @@ class Word(_Immutable):
 
     def __init__(self, letters=()):
         normalized = []
-        for name, sign in letters:
+        for letter in letters:
+            try:
+                name, sign = letter
+            except (TypeError, ValueError):
+                raise DomainError(f"a letter is a (name, sign) pair, "
+                                  f"got {letter!r}") from None
             if not _is_int(sign) or sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+                raise DomainError(
+                    f"letter sign must be +1 or -1, got {sign!r}")
             normalized.append((str(name), int(sign)))
         object.__setattr__(self, "letters", tuple(normalized))
 
@@ -104,13 +111,20 @@ def free_reduce(word):
     >>> str(free_reduce(Word.parse("a -b b a -a")))
     'a'
     """
+    return _word(_free_reduction(word.letters))
+
+
+def _free_reduction(letters):
+    """The free reduction of an iterable of ``(str, +1|-1)`` letters, as a
+    tuple, in one pass: each letter cancels the last one kept when it is
+    its inverse."""
     stack = []
-    for name, sign in word.letters:
-        if stack and stack[-1] == (name, -sign):
+    for letter in letters:
+        if stack and stack[-1][1] != letter[1] and stack[-1][0] == letter[0]:
             stack.pop()
         else:
-            stack.append((name, sign))
-    return _word(tuple(stack))
+            stack.append(letter)
+    return tuple(stack)
 
 
 def cyclic_reduce(word):

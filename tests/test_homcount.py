@@ -3,7 +3,9 @@
 The library counts into an abelian target through H1 and into a nonabelian
 one by a search up to automorphisms.  Both routes are held against a
 search over every tuple of images (``brute_force_count``), and against each
-other by running the search on abelian targets too.
+other by running the search on abelian targets too.  The search's pruning
+by the target's abelianization is held against the same search without it
+(``unpruned_search``).
 """
 
 import pickle
@@ -20,6 +22,7 @@ from pairglue import (
     build_m24,
     build_m25,
     count_homomorphisms,
+    h1,
     presentation_from_pairings,
     reduced_family_presentation,
     scripted_reduction,
@@ -29,10 +32,12 @@ from pairglue import (
 from pairglue.errors import CapacityError, DomainError
 from pairglue.group_theory import presentations
 from pairglue.group_theory.homcount import (
+    _abelianization,
     _automorphisms,
     _compile,
     _direct_product,
     _power_cycles,
+    _quotient_trie,
     _runs,
     _search,
     _target,
@@ -388,13 +393,14 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
     from pairglue.group_theory import homcount
 
     calls = {"validate_table": [], "_automorphisms": [], "_compile": [],
-             "h1": [], "_runs": 0}
+             "h1": [], "_abelianization": [], "_quotient_trie": [],
+             "_runs": 0}
 
     def counted(name):
         original = getattr(homcount, name)
 
         def wrapper(first, *rest):
-            calls[name].append(first)
+            calls[name].append((first, *rest) if rest else first)
             return original(first, *rest)
 
         monkeypatch.setattr(homcount, name, wrapper)
@@ -406,7 +412,8 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
         return runs(relator, index_of)
 
     catalog = small_groups()
-    for name in ("validate_table", "_automorphisms", "_compile", "h1"):
+    for name in ("validate_table", "_automorphisms", "_compile", "h1",
+                 "_abelianization", "_quotient_trie"):
         counted(name)
     monkeypatch.setattr(homcount, "_runs", counted_runs)
     homcount._target.cache_clear()
@@ -425,8 +432,18 @@ def test_targets_and_presentations_are_prepared_once(monkeypatch):
     tables = list(catalog.values())
     assert calls["validate_table"] == tables
     # only the search reads Aut(T), and only nonabelian targets are searched
-    assert calls["_automorphisms"] == [catalog[name]
-                                       for name in NONABELIAN_TARGETS]
+    assert [table for table, _ in calls["_automorphisms"]] == \
+        [catalog[name] for name in NONABELIAN_TARGETS]
+    assert calls["_abelianization"] == [catalog[name]
+                                        for name in NONABELIAN_TARGETS]
+    # one trie per simplified presentation and distinct quotient table: Z2
+    # (D3, D5), Z2xZ2 (D4, Q8, D6), Z3 (A4) and Z4 (Dic3)
+    quotients = list(dict.fromkeys(_target(catalog[name]).quotient
+                                   for name in NONABELIAN_TARGETS))
+    assert [len(q) for q in quotients] == [2, 4, 3, 4]
+    assert calls["_quotient_trie"] == [(auto_simplify(p), q)
+                                       for p in presentations
+                                       for q in quotients]
     assert calls["h1"] == presentations
     assert calls["_compile"] == [auto_simplify(p) for p in presentations]
     assert calls["_runs"] == sum(len(auto_simplify(p).relators)
@@ -733,3 +750,180 @@ def test_counts_survive_relabelling_the_target():
         for presentation in cases:
             assert count_homomorphisms(presentation, twin) == \
                 count_homomorphisms(presentation, table), (name, presentation)
+
+
+# --------------------------------------- pruning by the abelianization
+
+def unpruned_search(presentation, target):
+    """The search as it was before the abelianization pruned it: each depth
+    tries one image per orbit of the stabiliser and recurses whenever the
+    relators checked there hold."""
+    reduced = auto_simplify(presentation)
+    runs, slots_by_depth, checks_by_depth, segments_by_depth = \
+        _compile(reduced)
+    target.prepare_search()
+    table = target.table
+    powers = [tuple(cycle[exponent % len(cycle)] for cycle in target.cycles)
+              for _, exponent in runs]
+    current = [0] * (len(runs) + sum(map(len, segments_by_depth)))
+
+    def search(depth, stabiliser):
+        if depth == len(reduced.generators):
+            return 1
+        total = 0
+        for candidate, weight, stabilised in target.orbits(stabiliser):
+            for slot in slots_by_depth[depth]:
+                current[slot] = powers[slot][candidate]
+            for factors in checks_by_depth[depth]:
+                value = 0
+                for symbol in factors:
+                    value = table[value][current[symbol]]
+                if value:
+                    break
+            else:
+                for symbol, factors in segments_by_depth[depth]:
+                    value = 0
+                    for factor in factors:
+                        value = table[value][current[factor]]
+                    current[symbol] = value
+                total += weight * search(depth + 1, stabilised)
+        return total
+
+    return search(0, tuple(range(len(target.automorphisms))))
+
+
+def generated_subgroup(table, elements):
+    """The subgroup generated by ``elements``, breadth first from the
+    identity."""
+    found = [0]
+    for x in found:
+        for g in elements:
+            if table[x][g] not in found:
+                found.append(table[x][g])
+    return set(found)
+
+
+# |T/[T, T]| of the nonabelian catalog groups: Z2 for the odd dihedral
+# groups, Z2xZ2 for D4, Q8 and D6, Z3 for A4 and Z4 for Dic3
+ABELIANIZATION_ORDERS = {"D3": 2, "D4": 4, "Q8": 4, "D5": 2, "D6": 4,
+                         "A4": 3, "Dic3": 4}
+
+
+def test_abelianization_is_the_quotient_by_the_commutator_subgroup():
+    catalog = small_groups()
+    rng = random.Random(0xAB1)
+    for name, table in catalog.items():
+        for twin in (table, relabelled(table, rng)):
+            order = len(twin)
+            proj, quotient = _abelianization(twin)
+            validate_table(quotient)
+            assert quotient == tuple(zip(*quotient)), name
+            assert sorted(set(proj)) == list(range(len(quotient))), name
+            assert all(proj[twin[x][y]] == quotient[proj[x]][proj[y]]
+                       for x in range(order) for y in range(order)), name
+            inverse = [row.index(0) for row in twin]
+            commutator_subgroup = generated_subgroup(twin, [
+                twin[twin[x][y]][twin[inverse[x]][inverse[y]]]
+                for x in range(order) for y in range(order)])
+            assert {x for x in range(order) if proj[x] == 0} == \
+                commutator_subgroup, name
+            # cosets are numbered in order of their least element
+            assert [proj.index(c) for c in range(len(quotient))] == \
+                sorted(proj.index(c) for c in range(len(quotient))), name
+        expected = ABELIANIZATION_ORDERS.get(name, len(table))
+        assert len(_abelianization(table)[1]) == expected, name
+    dic3 = _target(catalog["Dic3"])
+    dic3.prepare_search()
+    assert max(map(len, _power_cycles(dic3.quotient))) == 4  # Z4, not Z2xZ2
+
+
+def trie_leaves(node, depth, width):
+    """The number of leaves under a trie node at ``depth``; every inner node
+    on the way must have a child, and only the last depth holds leaves."""
+    if depth == width:
+        assert node == {}
+        return 1
+    assert node
+    return sum(trie_leaves(child, depth + 1, width) for child in node.values())
+
+
+def torsion_presentation(rng):
+    """Two to four generators and up to five relators, each a random word of
+    up to four letters raised to a power from 1 to 6, so that H1 often has
+    2- and 3-torsion."""
+    generators = ["a", "b", "c", "d"][:rng.randint(2, 4)]
+    relators = []
+    for _ in range(rng.randint(1, len(generators) + 1)):
+        letters = [(rng.choice(generators), rng.choice((1, -1)))
+                   for _ in range(rng.randint(1, 4))]
+        relators.append(Word(letters * rng.choice((1, 2, 3, 4, 6))))
+    return Presentation(generators, relators)
+
+
+def torsion_presentations(count, seed):
+    """``count`` seeded presentations whose H1 has 2- or 3-torsion."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        presentation = torsion_presentation(rng)
+        factors = h1(presentation).invariant_factors
+        if any(d % 2 == 0 or d % 3 == 0 for d in factors):
+            found.append(presentation)
+    return found
+
+
+def family_presentations(top):
+    """Raw and scripted m24(n) and m25(n) for n = 1..top."""
+    return [presentation
+            for family, build in (("m24", build_m24), ("m25", build_m25))
+            for n in range(1, top + 1)
+            for presentation in (presentation_from_pairings(build(n)),
+                                 reduced_family_presentation(family, n))]
+
+
+def test_quotient_trie_counts_homomorphisms_into_the_quotient():
+    catalog = small_groups()
+    quotients = {_abelianization(catalog[name])[1]
+                 for name in NONABELIAN_TARGETS}
+    quotients |= {catalog[name] for name in ("Z6", "Z3xZ3", "Z2xZ2xZ2")}
+    cases = family_presentations(8) + torsion_presentations(40, 0x7E1)
+    pruning = 0
+    for presentation in cases:
+        reduced = auto_simplify(presentation)
+        width = len(reduced.generators)
+        for quotient in quotients:
+            trie = _quotient_trie(reduced, quotient)
+            assert trie_leaves(trie, 0, width) == \
+                count_homomorphisms(presentation, quotient), presentation
+            # a prefix is dropped above the last depth
+            nodes = [trie]
+            for _ in range(width - 1):
+                pruning += any(len(node) < len(quotient) for node in nodes)
+                nodes = [child for node in nodes for child in node.values()]
+    assert pruning >= 100
+
+
+@pytest.mark.parametrize("family", ["m24", "m25"])
+def test_pruned_search_matches_unpruned_on_families(family):
+    catalog = small_groups()
+    build = build_m24 if family == "m24" else build_m25
+    for n in range(1, 11):
+        for presentation in (presentation_from_pairings(build(n)),
+                             reduced_family_presentation(family, n)):
+            for name in NONABELIAN_TARGETS:
+                target = _target(catalog[name])
+                assert _search(presentation, target) == \
+                    unpruned_search(presentation, target), (family, n, name)
+
+
+def test_pruned_search_matches_unpruned_on_random_torsion_presentations():
+    catalog = small_groups()
+    cases = torsion_presentations(120, 0x2A3)
+    factors = [h1(p).invariant_factors for p in cases]
+    assert sum(any(d % 2 == 0 for d in f) for f in factors) >= 40
+    assert sum(any(d % 3 == 0 for d in f) for f in factors) >= 40
+    for presentation in cases:
+        for name in NONABELIAN_TARGETS:
+            target = _target(catalog[name])
+            assert _search(presentation, target) == \
+                unpruned_search(presentation, target), (name, presentation)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pairglue import Word, cyclic_normal_form, cyclic_reduce, free_reduce
+from pairglue import (Presentation, Word, cyclic_normal_form, cyclic_reduce,
+                      free_reduce)
 from pairglue.errors import DomainError
 
 
@@ -23,14 +24,30 @@ def test_word_equality_and_hash():
 
 
 def test_word_rejects_bad_signs():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="sign"):
         Word([("a", 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="sign"):
         Word([("a", 0)])
     # a bool or float sign is refused, not stored as given
-    for sign in (True, 1.0, -1.0):
-        with pytest.raises(ValueError):
+    for sign in (True, 1.0, -1.0, "1", None):
+        with pytest.raises(DomainError, match="sign"):
             Word([("a", sign)])
+
+
+def test_word_rejects_letters_that_are_not_pairs():
+    for letter in (("a",), ("a", 1, 1), (), 5, None, "a"):
+        with pytest.raises(DomainError, match="pair"):
+            Word([("b", 1), letter])
+    # a two-character string unpacks to a name and a sign that is no int
+    with pytest.raises(DomainError, match="sign"):
+        Word(["ab"])
+
+
+def test_presentation_refuses_generator_names_that_are_not_str():
+    for name in (None, 1, ("a",), b"a"):
+        with pytest.raises(DomainError, match="not a str"):
+            Presentation(["a", name], [])
+    assert Presentation(["a", "b"], []).generators == ("a", "b")
 
 
 def test_parse_rejects_bare_minus():
