@@ -2,9 +2,10 @@
 
 A word is a flat sequence of signed letters ``(name, +1|-1)``; no run-length
 compression is applied at the data level; a letter that is not such a pair,
-with an int sign (a bool is refused), raises DomainError.  Words are
-immutable: assigning to an attribute raises AttributeError.  The text form
-used throughout the package writes an inverse letter with a ``-`` prefix:
+with a str name and an int sign (a bool is refused), raises DomainError.
+Words are immutable: assigning to an attribute raises AttributeError.  The
+text form used throughout the package writes an inverse letter with a ``-``
+prefix:
 
 >>> w = Word.parse("a1 b3 -d")
 >>> str(w)
@@ -30,10 +31,12 @@ class Word(_Immutable):
             except (TypeError, ValueError):
                 raise DomainError(f"a letter is a (name, sign) pair, "
                                   f"got {letter!r}") from None
+            if not isinstance(name, str):
+                raise DomainError(f"letter name is not a str: {name!r}")
             if not _is_int(sign) or sign not in (1, -1):
                 raise DomainError(
                     f"letter sign must be +1 or -1, got {sign!r}")
-            normalized.append((str(name), int(sign)))
+            normalized.append((name, int(sign)))
         object.__setattr__(self, "letters", tuple(normalized))
 
     def __reduce__(self):

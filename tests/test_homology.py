@@ -2,19 +2,20 @@
 
 The Smith normal form fuzz suite checks the full reconstruction law
 U*m*V = D with unimodular transforms, using a test-local cofactor
-determinant as the independent oracle.  ``smith_normal_form`` is checked
-against its previous one-pass implementation (``reference_smith_normal_form``):
-D must be the same, on random, sparse, rectangular, rank-deficient and
-family matrices, while U and V need only meet the contract, and on dense
-20x20 matrices be smaller than the reference's.  ``h1`` is checked against
-the dense path it replaced (``reference_h1``), for square matrices against
-the determinant, and for both families against the closed form of its order
-(``closed_form_order``: m25 up to n = 2000 and m24 up to n = 1000).  The
-rows that the unit-pivot sweep leaves for the sparse diagonal pass are
-bounded in number, and that pass is checked against the dense Smith normal
-form on matrices the sweep cannot touch: cyclic bands with a dense border
-row and column, like m24's, and sparse rectangular matrices without a ±1
-entry.
+determinant as the independent oracle.  ``smith_normal_form`` and ``h1``
+run the same sparse passes, so both are checked against a dense one-pass
+Smith normal form kept here (``reference_smith_normal_form``), never
+against each other.  ``smith_normal_form`` must give the reference's D, on
+random, sparse, rectangular, rank-deficient and family matrices, while U
+and V need only meet the contract, and on dense 20x20 matrices be smaller
+than the reference's.  ``h1`` is checked against the reference's diagonal
+(``reference_h1``), for square matrices against the determinant, and for
+both families against the closed form of its order (``closed_form_order``:
+m25 up to n = 2000 and m24 up to n = 1000).  The rows that the unit-pivot
+sweep leaves for the sparse diagonal pass are bounded in number, and that
+pass is checked against the reference on matrices the sweep cannot touch:
+cyclic bands with a dense border row and column, like m24's, and sparse
+rectangular matrices without a ±1 entry.
 """
 
 import functools
@@ -232,6 +233,12 @@ def test_snf_frozen_examples():
     assert snf_properties([[2, 4], [6, 8]]) == [2, 4]
     assert snf_properties([[3]]) == [3]
     assert snf_properties([[0, 0], [0, 0]]) == [0, 0]
+    # blocks that need a gcd/lcm step, or a sign moved into U
+    assert snf_properties([[2, 0], [0, 3]]) == [1, 6]
+    assert snf_properties([[4, 0], [0, 6]]) == [2, 12]
+    assert snf_properties([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == [1, 30, 30]
+    assert snf_properties([[-2]]) == [2]
+    assert snf_properties([[0, -3], [5, 0]]) == [1, 15]
 
 
 def test_snf_random_fuzz():
@@ -299,7 +306,7 @@ def test_h1_lens_pillow_oracle():
         assert str(h1(presentation_from_pairings(c))) == f"Z{p}"
 
 
-# ------------------------------------- sparse h1 vs the replaced dense path
+# ------------------------------------------- sparse h1 vs a dense reference
 
 def cell_matrix(presentation):
     """The abelianization matrix, one ``exponent_sum`` per cell."""
@@ -308,15 +315,16 @@ def cell_matrix(presentation):
 
 
 def reference_h1(presentation):
-    """Reference: the dense path the sparse elimination replaced.
-
-    Full Smith normal form of the transposed relator-by-generator matrix.
+    """Reference: the diagonal of ``reference_smith_normal_form``, a dense
+    elimination independent of the sparse passes that ``h1`` and
+    ``smith_normal_form`` share, on the transposed relator-by-generator
+    matrix.
     """
     generators = presentation.generators
     if not presentation.relators:
         return AbelianGroup(len(generators), ())
     matrix = IntegerMatrix(cell_matrix(presentation)).transpose()
-    d, _, _ = smith_normal_form(matrix)
+    d, _, _ = reference_smith_normal_form(matrix)
     diagonal = [d.rows[i][i] for i in range(min(matrix.num_rows, matrix.num_cols))]
     nonzero = [x for x in diagonal if x]
     return AbelianGroup(len(generators) - len(nonzero),
@@ -501,10 +509,11 @@ def band_with_border(rng, k):
 
 
 def test_sparse_diagonal_matches_the_dense_route():
-    """``h1`` against the diagonal of ``smith_normal_form`` and against
-    ``reference_h1``, on matrices without a ±1 entry, so the sparse diagonal
-    pass does all the work.  A pass that records a pivot without coming
-    back to the column it started in gets m24(8) and many bands wrong."""
+    """``h1`` against the diagonal of ``reference_smith_normal_form`` on the
+    matrix and against ``reference_h1`` on its transpose, on matrices
+    without a ±1 entry, so the sparse diagonal pass does all the work.  A
+    pass that records a pivot without coming back to the column it started
+    in gets m24(8) and many bands wrong."""
     rng = random.Random(0xBA2D)
     cases = [band_with_border(rng, k) for k in rng.choices(range(2, 31), k=40)]
     for _ in range(300):
@@ -515,7 +524,7 @@ def test_sparse_diagonal_matches_the_dense_route():
     torsion = 0
     for rows in cases:
         p = matrix_presentation(rows)
-        d, _, _ = smith_normal_form(IntegerMatrix(rows))
+        d, _, _ = reference_smith_normal_form(IntegerMatrix(rows))
         diagonal = [x for x in (d.rows[i][i] for i in range(min(d.num_rows, d.num_cols)))
                     if x]
         dense = AbelianGroup(len(rows[0]) - len(diagonal),
@@ -526,10 +535,11 @@ def test_sparse_diagonal_matches_the_dense_route():
     assert str(h1(presentation_from_pairings(build_m24(8)))) == "Z21 + Z168"
 
 
-# ------------------------------- smith_normal_form vs its previous version
+# ----------------------------- smith_normal_form vs a dense one-pass reference
 
 def reference_smith_normal_form(matrix):
-    """Reference: the previous implementation, column operations row by row."""
+    """Reference: an earlier dense implementation, one pass with the row and
+    column Euclid steps interleaved, column operations row by row."""
     num_rows = matrix.num_rows
     num_cols = matrix.num_cols
     a = [list(row) for row in matrix.rows]

@@ -43,6 +43,14 @@ def test_word_rejects_letters_that_are_not_pairs():
         Word(["ab"])
 
 
+def test_word_refuses_letter_names_that_are_not_str():
+    # a name was once turned into a str, so None became the letter "None"
+    for name in (None, 1, ("a",), b"a"):
+        with pytest.raises(DomainError, match="not a str"):
+            Word([("a", 1), (name, -1)])
+    assert Word([("a", 1), ("b", -1)]).letters == (("a", 1), ("b", -1))
+
+
 def test_presentation_refuses_generator_names_that_are_not_str():
     for name in (None, 1, ("a",), b"a"):
         with pytest.raises(DomainError, match="not a str"):
