@@ -597,16 +597,16 @@ def _dicyclic(m):
 def small_groups():
     """All groups of order at most twelve, keyed by conventional name.
 
-    The tables are built and validated once per process, on the first call,
-    so a typo in a construction fails loudly here rather than corrupting a
-    count.  Each call returns a new dict of the same immutable tables.
+    The tables are built once per process, on the first call; a typo in a
+    construction fails when a count first prepares (validates) its table.
+    Each call returns a new dict of the same immutable tables.
     """
     return dict(_small_group_tables())
 
 
 @lru_cache(maxsize=None)
 def _small_group_tables():
-    catalog = {
+    return {
         "Z1": _cyclic(1),
         "Z2": _cyclic(2),
         "Z3": _cyclic(3),
@@ -633,6 +633,3 @@ def _small_group_tables():
         "A4": _alternating4(),
         "Dic3": _dicyclic(3),
     }
-    for table in catalog.values():
-        validate_table(table)
-    return catalog

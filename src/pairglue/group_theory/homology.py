@@ -42,44 +42,55 @@ class IntegerMatrix(_Immutable):
     """An immutable rows-of-tuples integer matrix.
 
     Every entry must be an int; anything else, and rows that cannot be read
-    as sequences, raises DomainError.
+    as sequences, raises DomainError.  The column count is read off the
+    rows; a matrix with no rows takes it from ``num_cols`` (0 when it is
+    not given), so a 0x2 matrix is not a 0x3 one.  A ``num_cols`` that is
+    not a non-negative int, or that the rows do not have, raises
+    DomainError.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "num_cols")
 
-    def __init__(self, rows):
+    def __init__(self, rows, num_cols=None):
         normalized = tuple(_integers(row, "matrix entry")
                            for row in _sequence(rows, "matrix"))
         widths = {len(row) for row in normalized}
         if len(widths) > 1:
             raise DomainError("ragged matrix rows")
+        if num_cols is None:
+            num_cols = widths.pop() if widths else 0
+        elif not _is_int(num_cols) or num_cols < 0:
+            raise DomainError(
+                f"column count {num_cols!r} is not a non-negative integer")
+        elif widths and widths != {num_cols}:
+            raise DomainError(f"matrix rows do not have {num_cols} columns")
         object.__setattr__(self, "rows", normalized)
+        object.__setattr__(self, "num_cols", int(num_cols))
 
     def __reduce__(self):
-        return (IntegerMatrix, (self.rows,))
+        return (IntegerMatrix, (self.rows, self.num_cols))
 
     @classmethod
     def identity(cls, k):
         if not _is_int(k) or k < 0:
             raise DomainError(f"identity size {k!r} is not a non-negative integer")
         return cls(tuple(tuple(1 if i == j else 0 for j in range(k))
-                         for i in range(k)))
+                         for i in range(k)), k)
 
     @property
     def num_rows(self):
         return len(self.rows)
 
-    @property
-    def num_cols(self):
-        return len(self.rows[0]) if self.rows else 0
-
     def __eq__(self, other):
-        return isinstance(other, IntegerMatrix) and self.rows == other.rows
+        return (isinstance(other, IntegerMatrix) and self.rows == other.rows
+                and self.num_cols == other.num_cols)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.rows, self.num_cols))
 
     def __repr__(self):
+        if not self.rows:
+            return f"IntegerMatrix([], num_cols={self.num_cols})"
         return f"IntegerMatrix({[list(r) for r in self.rows]!r})"
 
     def __mul__(self, other):
@@ -92,10 +103,11 @@ class IntegerMatrix(_Immutable):
             tuple(tuple(sum(self.rows[i][k] * other.rows[k][j]
                             for k in range(self.num_cols))
                         for j in range(cols))
-                  for i in range(self.num_rows)))
+                  for i in range(self.num_rows)), cols)
 
     def transpose(self):
-        return IntegerMatrix(tuple(zip(*self.rows))) if self.rows else IntegerMatrix(())
+        columns = tuple(zip(*self.rows)) if self.rows else ((),) * self.num_cols
+        return IntegerMatrix(columns, self.num_rows)
 
     def determinant(self):
         """Exact determinant (fraction-free Gaussian elimination)."""
@@ -195,9 +207,9 @@ def _exponent_rows(presentation):
 def abelianization_matrix(presentation):
     """Relator-by-generator matrix of net exponent sums."""
     rows = _exponent_rows(presentation)
-    width = range(len(presentation.generators))
-    return IntegerMatrix(tuple(tuple(row.get(k, 0) for k in width)
-                               for row in rows))
+    width = len(presentation.generators)
+    return IntegerMatrix(tuple(tuple(row.get(k, 0) for k in range(width))
+                               for row in rows), width)
 
 
 def smith_normal_form(matrix):
@@ -244,7 +256,8 @@ def smith_normal_form(matrix):
     d = [[0] * num_cols for _ in range(num_rows)]
     for i, x in enumerate(diagonal):
         d[i][i] = x
-    return (IntegerMatrix(d), IntegerMatrix(u), IntegerMatrix(zip(*vt)))
+    return (IntegerMatrix(d, num_cols), IntegerMatrix(u, num_rows),
+            IntegerMatrix(zip(*vt), num_cols))
 
 
 def _subtract_row(rows, cols, i, f, pivot_row):

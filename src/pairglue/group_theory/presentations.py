@@ -20,7 +20,7 @@ from ..complex_core import (_hashable, _Immutable, _join, _orbit_data,
 from ..errors import CapacityError, DomainError, EliminationError
 from ..families import _check_n, _labels, build_family
 from .words import (Word, _cyclic_core, _free_reduction, _inverse_letters,
-                    _word, cyclic_reduce)
+                    _word)
 
 __all__ = ["Presentation", "auto_simplify", "family_elimination_order",
            "preset_presentation", "presentation_from_cw",
@@ -97,7 +97,13 @@ def _presentation(generators, relators):
 
 
 def presentation_from_pairings(complex_):
-    """Generators = pairing names, relators = edge-class cycle words."""
+    """Generators = pairing names, relators = edge-class cycle words.
+
+    This presents pi1 of the glued space minus its vertex classes, the
+    group of the dual 2-complex.  :func:`presentation_from_cw` presents pi1
+    of the glued space itself; the two agree when every vertex link is a
+    sphere, so on a valid complex that is not a manifold they may differ.
+    """
     generators = [p.name for p in complex_.pairings]
     return Presentation(generators, [o.cycle_word for o in edge_orbits(complex_)])
 
@@ -138,6 +144,10 @@ def _spanning_tree(orbit_edges, vertex_class, generators, preferred):
 
 def presentation_from_cw(complex_):
     """Edge-class generators, face-pair boundary relators, tree relators.
+
+    This presents pi1 of the glued space itself, also on a valid complex
+    that is not a manifold, where :func:`presentation_from_pairings`
+    presents the complement of the vertex classes instead.
 
     The spanning tree is the complex's ``preferred_tree`` when it has one
     (which must span on its own), else one grown greedily in generator order.
@@ -202,13 +212,13 @@ class _Relators:
     once and read again only when an elimination rewrites it.
 
     ``words`` maps each relator's key, its position in the given
-    presentation, to its word, in relator order.  ``entries`` maps the key
-    to the relator's cyclic reduction, the generators that reduction holds
-    exactly once and the generators the word holds.  ``defines[g]`` maps the
-    key of each relator whose cyclic reduction holds g once to that
-    reduction's length, and ``holders[g]`` is the set of keys whose word
-    holds g; every ranking breaks ties by key, which keeps relator order.
-    ``size`` is the number of letters in all the words.
+    presentation, to its free reduction, in relator order; an empty one is
+    dropped.  ``entries`` maps the key to the relator's cyclic reduction,
+    the generators that reduction holds exactly once and the generators the
+    word holds.  ``defines[g]`` maps the key of each relator whose cyclic
+    reduction holds g once to that reduction's length, and ``holders[g]`` is
+    the set of keys whose word holds g; every ranking breaks ties by key,
+    which keeps relator order.  ``size`` counts the letters of all words.
 
     A relator defines g exactly when its cyclic reduction holds g once:
     rotated to start at that letter (and inverted first when the letter is
@@ -217,26 +227,23 @@ class _Relators:
     """
 
     __slots__ = ("generators", "words", "entries", "defines", "holders",
-                 "size", "freely_reduced")
+                 "size")
 
     def __init__(self, presentation):
         self.generators = list(presentation.generators)
-        self.words = dict(enumerate(presentation.relators))
+        reduced = (_free_reduction(r.letters) for r in presentation.relators)
+        self.words = {key: _word(letters)
+                      for key, letters in enumerate(reduced) if letters}
         self.entries = {}
         self.defines = {g: {} for g in self.generators}
         self.holders = {g: set() for g in self.generators}
         self.size = 0
-        # the given relators may not be freely reduced
-        self.freely_reduced = False
         for key in self.words:
             self._read(key)
 
     def _read(self, key):
         word = self.words[key]
-        if self.freely_reduced:
-            cyclic = _cyclic_core(word.letters).letters
-        else:
-            cyclic = cyclic_reduce(word).letters
+        cyclic = _cyclic_core(word.letters).letters
         counts = Counter(name for name, _ in cyclic)
         defined = [name for name, count in counts.items() if count == 1]
         if len(cyclic) == len(word):
@@ -258,6 +265,11 @@ class _Relators:
             self.holders[name].discard(key)
         self.size -= len(self.words[key])
 
+    def shortest(self, generator):
+        """(length, key) of its first shortest defining relator, or None."""
+        keys = self.defines[generator]
+        return min((length, key) for key, length in keys.items()) if keys else None
+
     def replacement(self, generator, key):
         """The word ``w`` that the relator at ``key``, which defines
         ``generator``, puts in its place."""
@@ -269,15 +281,12 @@ class _Relators:
         relators that become trivial.
 
         Only the relators that hold the generator are rewritten and read
-        again, except at the first step, which freely reduces every
-        relator.  Each is substituted and freely reduced in one pass.
+        again, the first step included, as the words are freely reduced.
+        Each is substituted and freely reduced in one pass.
         """
         forward = replacement.letters
         backward = _inverse_letters(forward)
-        keys = list(self.holders[generator] if self.freely_reduced
-                    else self.words)
-        self.freely_reduced = True
-        for index in keys:
+        for index in list(self.holders[generator]):
             self._forget(index)
             if index == key:
                 del self.words[index]
@@ -331,10 +340,10 @@ def tietze_eliminate(presentation, generator):
     if generator not in presentation.generators:
         raise DomainError(f"unknown generator {generator!r}")
     relators = _Relators(presentation)
-    keys = relators.defines[generator]
-    if not keys:
+    shortest = relators.shortest(generator)
+    if shortest is None:
         raise EliminationError(f"no defining relator for {generator!r}")
-    _, key = min((length, key) for key, length in keys.items())
+    _, key = shortest
     relators.eliminate(generator, key, relators.replacement(generator, key))
     return relators.presentation()
 
@@ -346,13 +355,13 @@ def auto_simplify(presentation):
     whose best defining relator is globally shortest wins, earliest generator
     on ties.  Stops when no generator can be eliminated, and raises
     CapacityError once an elimination leaves more than MAX_SIMPLIFY_LETTERS
-    letters in all relators.  Each relator's cyclic reduction and the
-    generators it defines are read once and kept between steps; a step
-    rewrites and reads again only the relators that hold the eliminated
-    generator (the first step freely reduces them all), and one
-    presentation is built at the end.  The result, or that CapacityError,
-    is kept on the presentation, so later calls return it, or raise it, at
-    once.
+    letters in all relators.  Each relator is freely reduced once, and its
+    cyclic reduction and the generators it defines are read once and kept
+    between steps; every step rewrites and reads again only the relators
+    that hold the eliminated generator, and one presentation is built at
+    the end (or none, when no generator is eliminated: the given one is the
+    result).  The result, or that CapacityError, is kept on the
+    presentation, so later calls return it, or raise it, at once.
     """
     simplified = presentation._simplified
     if simplified is None:
@@ -375,9 +384,10 @@ def _simplify(presentation):
         # tietze_eliminate uses; the shortest of those wins, earliest
         # generator on ties
         best = None
-        for generator, keys in relators.defines.items():
-            if keys:
-                length, key = min((length, key) for key, length in keys.items())
+        for generator in relators.generators:
+            shortest = relators.shortest(generator)
+            if shortest is not None:
+                length, key = shortest
                 rank = (length, position[generator], key, generator)
                 if best is None or rank < best:
                     best = rank
@@ -391,10 +401,10 @@ def _simplify(presentation):
                                 f"{relators.size} letters, past "
                                 f"{MAX_SIMPLIFY_LETTERS}")
     # nothing is left to eliminate: the result simplifies to itself
-    result = (relators.presentation() if relators.freely_reduced
-              else presentation)
-    object.__setattr__(result, "_simplified", result)
-    return result
+    if len(relators.generators) < len(presentation.generators):
+        presentation = relators.presentation()
+    object.__setattr__(presentation, "_simplified", presentation)
+    return presentation
 
 
 def family_elimination_order(n):

@@ -2,7 +2,8 @@
 
 A word is a flat sequence of signed letters ``(name, +1|-1)``; no run-length
 compression is applied at the data level; a letter that is not such a pair,
-with a str name and an int sign (a bool is refused), raises DomainError.
+with a str name and an int sign (a bool is refused), raises DomainError, and
+so do letters that cannot be read as a sequence.
 Words are immutable: assigning to an attribute raises AttributeError.  The
 text form used throughout the package writes an inverse letter with a ``-``
 prefix:
@@ -24,6 +25,11 @@ class Word(_Immutable):
     __slots__ = ("letters",)
 
     def __init__(self, letters=()):
+        try:
+            letters = iter(letters)
+        except TypeError:
+            raise DomainError(f"a word is a sequence of letters, "
+                              f"got {letters!r}") from None
         normalized = []
         for letter in letters:
             try:

@@ -9,6 +9,7 @@ import copy
 import pickle
 import random
 import re
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
@@ -985,6 +986,33 @@ def test_analysis_matches_reference_on_mutated_documents():
         outcomes.append(bool(validate(complex_)))
     # both kinds occur: complexes that fail validation and ones that pass
     assert outcomes.count(True) > 500 and outcomes.count(False) > 50
+
+
+def test_routes_on_valid_complexes_that_are_not_manifolds():
+    # the pairing route presents pi1 of the glued space minus its vertex
+    # classes (the group of the dual 2-complex), the CW route pi1 of the
+    # glued space; on the valid non-manifolds among these documents, each
+    # with one vertex class, the two H1 have the same torsion and the
+    # pairing route's has chi more free generators
+    seen = Counter()
+    for text in mutated_documents(seed=16, count=2000):
+        try:
+            complex_ = parse_complex(text)
+        except ParseError:
+            continue
+        if validate(complex_):
+            continue
+        manifold, chi = is_manifold(complex_)
+        if manifold:
+            continue
+        assert cell_counts(complex_).sigma0 == 1
+        pairing = h1(presentation_from_pairings(complex_))
+        cw = h1(presentation_from_cw(complex_))
+        assert pairing.invariant_factors == cw.invariant_factors
+        assert (pairing.rank, cw.rank) == (chi, 0)
+        seen[chi, str(pairing), str(cw)] += 1
+    assert seen == {(1, "Z3 + Z^1", "Z3"): 6, (2, "Z3 + Z^2", "Z3"): 4,
+                    (2, "Z2 + Z^2", "Z2"): 1}
 
 
 def test_mutated_documents_round_trip():

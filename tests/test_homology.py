@@ -19,6 +19,7 @@ rectangular matrices without a ±1 entry.
 """
 
 import functools
+import pickle
 import random
 import time
 
@@ -117,6 +118,34 @@ def test_matrix_multiplication_and_identity():
     assert (IntegerMatrix([[1, 2]]) * IntegerMatrix([[3], [4]])).rows == ((11,),)
     with pytest.raises(DomainError):
         IntegerMatrix([[1, 2]]) * IntegerMatrix([[1, 2]])
+
+
+def test_a_matrix_with_no_rows_keeps_its_width():
+    # a presentation with no relators has a 0 x (generators) matrix, and its
+    # Smith normal form keeps V square on the generators
+    m = abelianization_matrix(Presentation(["a", "b"], []))
+    assert (m.num_rows, m.num_cols) == (0, 2)
+    d, u, v = smith_normal_form(m)
+    assert (d.num_rows, d.num_cols) == (0, 2)
+    assert u == IntegerMatrix.identity(0) and v == IntegerMatrix.identity(2)
+    assert u * m * v == d
+    # a 3 x 0 matrix transposes to 0 x 3, and back
+    tall = IntegerMatrix([[], [], []])
+    wide = tall.transpose()
+    assert (wide.num_rows, wide.num_cols) == (0, 3)
+    assert wide.transpose() == tall
+    assert (tall * IntegerMatrix([], 2)).rows == ((0, 0),) * 3
+    # the width is part of the value: 0 x 2 is not 0 x 3
+    narrow = IntegerMatrix([], num_cols=2)
+    assert narrow == m and narrow != wide and hash(narrow) != hash(wide)
+    assert repr(wide) == "IntegerMatrix([], num_cols=3)"
+    assert pickle.loads(pickle.dumps(wide)) == wide
+    assert IntegerMatrix([[1, 2]], 2).num_cols == 2
+    with pytest.raises(DomainError, match="do not have 3 columns"):
+        IntegerMatrix([[1, 2]], 3)
+    for bad in (-1, 2.0, True, "2"):
+        with pytest.raises(DomainError, match="column count"):
+            IntegerMatrix([], bad)
 
 
 @pytest.mark.parametrize("other", [5, 2.0, None, [[1]], ((1,),)])

@@ -1,12 +1,18 @@
 """Free-group words: reduction, cyclic reduction, canonical forms."""
 
 import random
+import signal
 
 import pytest
 
-from pairglue import (Presentation, Word, cyclic_normal_form, cyclic_reduce,
-                      free_reduce)
-from pairglue.errors import DomainError
+from pairglue import (AbelianGroup, IntegerMatrix, Presentation, Word,
+                      abelianization_matrix, auto_simplify, build_m24,
+                      build_m25, count_homomorphisms, cyclic_normal_form,
+                      cyclic_reduce, free_reduce, h1, parse_presentation,
+                      presentation_from_cw, presentation_from_pairings,
+                      serialize_presentation, small_groups, smith_normal_form,
+                      validate_table)
+from pairglue.errors import DomainError, PairglueError
 
 
 def test_parse_and_str_round_trip():
@@ -49,6 +55,13 @@ def test_word_refuses_letter_names_that_are_not_str():
         with pytest.raises(DomainError, match="not a str"):
             Word([("a", 1), (name, -1)])
     assert Word([("a", 1), ("b", -1)]).letters == (("a", 1), ("b", -1))
+
+
+def test_presentation_refuses_relators_that_are_not_sequences():
+    # a relator is a field of the relator list, so it is in the domain
+    for relator in (5, None, 1.5):
+        with pytest.raises(DomainError, match="sequence of letters"):
+            Presentation(["a"], [relator])
 
 
 def test_presentation_refuses_generator_names_that_are_not_str():
@@ -146,3 +159,159 @@ def test_cyclic_normal_form_invariance_fuzz():
         conjugator = _random_word(rng, names, max_len=4)
         conjugated = conjugator * w * conjugator.inverse()
         assert cyclic_normal_form(conjugated) == base
+
+
+# ------------------------------------------------ object-level fuzz
+
+FUZZ_VALUES = ("", "a b", "-a", "a", "b", "z", -1, 0, 1, 2, 1.0, True, None,
+               ("a",), ("a", 1), ("b", -1), ("a", 1, 0), [], [1, 2], 5)
+
+
+def corrupted_presentation(rng):
+    """A small presentation's arguments with one field inside them
+    replaced (a generator name, a whole relator, a letter, or a letter's
+    name or sign), and the run through everything that reads a
+    presentation.  Half the values are junk, and half are names, signs,
+    letters or relators of the presentation's own kind, which often leave
+    it valid."""
+    generators, relators = rng.choice(FUZZ_PRESENTATIONS)
+    generators = list(generators)
+    relators = [[list(letter) for letter in relator] for relator in relators]
+    site = rng.choice(["generator", "relator", "letter", "name", "sign"])
+    name = rng.choice(generators)
+    value = rng.choice(FUZZ_VALUES if rng.random() < 0.5 else {
+        "generator": (name, name + "2"), "relator": ([], [(name, 1)] * 2),
+        "letter": ((name, 1), (name, -1)), "name": (name,),
+        "sign": (1, -1)}[site])
+    if site == "generator":
+        generators[rng.randrange(len(generators))] = value
+    elif site == "relator":
+        relators[rng.randrange(len(relators))] = value
+    else:
+        relator = rng.choice([r for r in relators if r])
+        i = rng.randrange(len(relator))
+        if site == "letter":
+            relator[i] = value
+        else:
+            relator[i][site == "sign"] = value
+
+    def run():
+        presentation = Presentation(generators, relators)
+        h1(presentation)
+        matrix = abelianization_matrix(presentation)
+        d, u, v = smith_normal_form(matrix)
+        assert u * matrix * v == d
+        auto_simplify(presentation)
+        for table in FUZZ_TABLES[:2]:  # D3 and Z2
+            count_homomorphisms(presentation, table)
+        text = serialize_presentation(presentation)
+        assert parse_presentation(text) == presentation
+
+    return site, value, run
+
+
+def corrupted_matrix(rng):
+    """A small random matrix's rows with one entry or one row replaced, and
+    the run through the Smith normal form and a double transpose."""
+    rows = [[rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]]
+    rows += [[rng.randint(-4, 4) for _ in rows[0]]
+             for _ in range(rng.randint(0, 3))]
+    i = rng.randrange(len(rows))
+    site, value = rng.choice(["entry", "row"]), rng.choice(FUZZ_VALUES)
+    if site == "row":
+        rows[i] = value
+    else:
+        rows[i][rng.randrange(len(rows[i]))] = value
+
+    def run():
+        matrix = IntegerMatrix(rows)
+        d, u, v = smith_normal_form(matrix)
+        assert u * matrix * v == d
+        assert matrix.transpose().transpose() == matrix
+
+    return site, value, run
+
+
+def corrupted_abelian_group(rng):
+    """An abelian group's rank or one of its factors replaced, and the run
+    through its string form and order."""
+    rank, factors = rng.choice(((0, [3]), (1, [2, 4]), (2, [])))
+    site, value = rng.choice(["rank", "factor"]), rng.choice(FUZZ_VALUES)
+    if site == "factor" and factors:
+        factors[rng.randrange(len(factors))] = value
+    else:
+        rank = value
+
+    def run():
+        group = AbelianGroup(rank, factors)
+        str(group), group.order()
+
+    return site, value, run
+
+
+def corrupted_table(rng):
+    """A small group table, as lists, with one entry or one row replaced,
+    and the run through validation and a count into it."""
+    table = [list(row) for row in rng.choice(FUZZ_TABLES)]
+    i = rng.randrange(len(table))
+    site, value = rng.choice(["entry", "row"]), rng.choice(FUZZ_VALUES)
+    if site == "row":
+        table[i] = value
+    else:
+        table[i][rng.randrange(len(table))] = value
+
+    def run():
+        validate_table(table)
+        count_homomorphisms(
+            Presentation(["a", "b"], [Word.parse("a a b b")]), table)
+
+    return site, value, run
+
+
+FUZZ_TABLES = tuple(small_groups()[name] for name in ("D3", "Z2", "Z2xZ2"))
+FUZZ_PRESENTATIONS = tuple(
+    (p.generators, p.relators) for p in (
+        presentation_from_pairings(build_m24(1)),
+        presentation_from_pairings(build_m24(2)),
+        presentation_from_pairings(build_m25(2)),
+        presentation_from_cw(build_m25(2)))) + (
+    (("a", "b"), (Word.parse("a a b"), Word.parse("a b -a -b"))),
+    (("a", "b", "c"), (Word.parse("a b c"), Word.parse("a a"),
+                       Word.parse("b -c b c"))),
+    (("x", "y"), (Word.parse("x x x"), Word.parse("y y"),
+                  Word.parse("x y x y"))),
+)
+
+
+def test_group_theory_fuzz_ends_in_a_result_or_a_pairglue_error():
+    # corrupted fields inside the arguments of Word, Presentation,
+    # IntegerMatrix and AbelianGroup, and inside multiplication tables, each
+    # run under an alarm; every case ends in a result or a PairglueError,
+    # and nothing hangs
+    def timed_out(signum, frame):
+        raise AssertionError("fuzz case did not finish in 5 s")
+
+    rng = random.Random(29)
+    kinds = (corrupted_presentation, corrupted_matrix,
+             corrupted_abelian_group, corrupted_table)
+    outcomes = {(kind.__name__, outcome): 0 for kind in kinds
+                for outcome in ("refused", "result")}
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    try:
+        for case in range(20000):
+            kind = kinds[case % len(kinds)]
+            site, value, run = kind(rng)
+            signal.alarm(5)
+            try:
+                run()
+                outcomes[kind.__name__, "result"] += 1
+            except PairglueError:
+                outcomes[kind.__name__, "refused"] += 1
+            except Exception as exc:  # the error contract allows no other
+                raise AssertionError(f"{kind.__name__}: {site} {value!r}") \
+                    from exc
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert min(outcomes.values()) >= 50, outcomes
