@@ -19,7 +19,7 @@ from its ``k``-th boundary vertex to the next one, addressed as
 in natural order, then ``k``), so slot ``k`` of face ``f`` has number
 ``start[f] + k``; it checks them and walks the orientation by face number,
 over lists indexed by those numbers.  The edge traversal reads the same
-lists, and the vertex classes are found over vertex numbers.  The slot
+lists; its pass over the pairings joins the vertex classes too.  The slot
 number is the only per-slot key the analysis keeps: each face's first slot
 number, and each slot's face number, mate, alignment, traversal sign and
 edge class, which :func:`_orbit_data`, the CW route to π1 and
@@ -293,8 +293,8 @@ VertexOrbit = namedtuple("VertexOrbit", ["representative", "member_vertices"])
 
 
 # The validation violations and, for a valid complex, what _traverse_edges
-# returns (the edge classes, and each slot's sign and class by slot number),
-# the vertex classes, and the slot numbering: each face label's first slot
+# returns (the edge classes, each slot's sign and class by slot number, and
+# the vertex classes), and the slot numbering: each face label's first slot
 # number, and each slot's face number, mate and alignment.
 _Analysis = namedtuple("_Analysis", ["violations", "edge_classes", "sign",
                                      "orbit_of", "vertex_classes", "start",
@@ -313,7 +313,7 @@ def _analyse(complex_):
             scan, start, face_of, mates, aligned = numbering
             analysis = _Analysis(
                 (), *_traverse_edges(complex_, scan, start, mates, aligned),
-                _vertex_classes(complex_), start, face_of, mates, aligned)
+                start, face_of, mates, aligned)
         object.__setattr__(complex_, "_analysis", analysis)
     return analysis
 
@@ -530,26 +530,36 @@ def _traverse_edges(complex_, scan, start, mates, aligned):
     pairing letter per step until the starting edge reappears.  It walks the
     slot numbering that validation built (see :func:`_violations`): crossing
     the involution from slot ``i`` reaches ``mates[i]`` and keeps the sense
-    when ``aligned[i]``.  Each slot's pairing step is listed beforehand.
+    when ``aligned[i]``.  Each slot's pairing step is listed beforehand, in
+    one pass over the pairings that also joins each source vertex to its
+    image in a union-find over vertex numbers (positions in natural order).
     ``scan`` names the numbered slots in the classes.  Returns the tuple of
-    edge classes and the tuples ``sign`` and ``orbit_of``.
+    edge classes, the tuples ``sign`` and ``orbit_of``, and the tuple of
+    vertex classes.
     """
     from .group_theory.words import _word
 
     c = complex_
     total = len(scan)
+    number = dict(zip(c.vertex_order, range(len(c.vertex_order))))
+    parent = list(range(len(c.vertex_order)))
     # the pairing of slot i's face (its inverse on a target face) carries it
     # to image[i], multiplies the sense by flip[i] and reads letter[i]
     image, flip, letter = [0] * total, [0] * total, [None] * total
     for p in c.pairings:
         source, target = start[p.source], start[p.target]
-        length = len(c.faces[p.source])
+        cycle, partner = c.faces[p.source], c.faces[p.target]
+        length, offset, direction = len(cycle), p.offset, p.direction
+        back = direction == -1
         pair_letters = (str(p.name), 1), (str(p.name), -1)
         for k in range(length):
-            j = target + (p.offset + k if p.direction == 1
-                          else p.offset - k - 1) % length
+            # vertex k goes to vertex j: slot k runs along slot j, or
+            # backwards along slot j - 1
+            j = (offset + direction * k) % length
+            _join(parent, number[cycle[k]], number[partner[j]])
+            j = target + (j - back) % length
             image[source + k], image[j] = j, source + k
-            flip[source + k] = flip[j] = p.direction
+            flip[source + k] = flip[j] = direction
             letter[source + k], letter[j] = pair_letters
 
     orbits, sign, orbit_of = [], [0] * total, [-1] * total
@@ -582,7 +592,14 @@ def _traverse_edges(complex_, scan, start, mates, aligned):
         members.sort()
         orbits.append(EdgeOrbit(scan[rep], tuple([scan[i] for i in members]),
                                 _word(tuple(letters))))
-    return tuple(orbits), tuple(sign), tuple(orbit_of)
+
+    # walking the vertices in natural order lists each class, and the
+    # classes, by their natural-least member
+    classes = {}
+    for v in c.vertex_order:
+        classes.setdefault(_find(parent, number[v]), []).append(v)
+    return tuple(orbits), tuple(sign), tuple(orbit_of), tuple(
+        VertexOrbit(members[0], tuple(members)) for members in classes.values())
 
 
 def edge_orbits(complex_):
@@ -597,32 +614,6 @@ def edge_orbits(complex_):
 def vertex_orbits(complex_):
     """Vertex classes of the glued complex (pairings generate the relation)."""
     return list(_require_valid(complex_).vertex_classes)
-
-
-def _vertex_classes(complex_):
-    """Compute the vertex classes of a valid complex by union-find over
-    vertex numbers (positions in natural order)."""
-    c = complex_
-    number = dict(zip(c.vertex_order, range(len(c.vertex_order))))
-    parent = list(range(len(c.vertex_order)))
-    # vertex j of a source is joined to (offset + direction*j) mod L of its target
-    sources, images = [], []
-    for p in c.pairings:
-        target, offset = c.faces[p.target], p.offset
-        sources += c.faces[p.source]
-        images += (target[offset:] + target[:offset] if p.direction == 1
-                   else target[offset::-1] + target[:offset:-1])
-    for a, b in zip(map(number.__getitem__, sources),
-                    map(number.__getitem__, images)):
-        _join(parent, a, b)
-
-    # walking the vertices in natural order lists each class, and the
-    # classes, by their natural-least member
-    classes = {}
-    for v in c.vertex_order:
-        classes.setdefault(_find(parent, number[v]), []).append(v)
-    return tuple(VertexOrbit(members[0], tuple(members))
-                 for members in classes.values())
 
 
 def cell_counts(complex_):

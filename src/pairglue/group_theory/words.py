@@ -84,7 +84,9 @@ class Word(_Immutable):
                         for name, sign in self.letters)
 
     def __repr__(self):
-        return f"Word.parse({str(self)!r})"
+        if all(_reads_back(name) for name, _ in self.letters):
+            return f"Word.parse({str(self)!r})"
+        return f"Word({list(self.letters)!r})"
 
     def inverse(self):
         return _word(_inverse_letters(self.letters))
@@ -100,6 +102,12 @@ class Word(_Immutable):
         3
         """
         return sum(sign for name, sign in self.letters if name == generator)
+
+
+def _reads_back(name):
+    """Whether a generator name reads back as itself from the text form: it
+    is not empty, holds no whitespace and does not start with ``-``."""
+    return name.split() == [name] and not name.startswith("-")
 
 
 def _word(letters):

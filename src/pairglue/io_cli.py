@@ -35,6 +35,7 @@ from .group_theory.presentations import (
     presentation_from_cw,
     presentation_from_pairings,
 )
+from .group_theory.words import _reads_back
 from .symmetry import singularity_report, strongly_cyclic
 
 __all__ = ["parse_complex", "parse_presentation", "serialize_complex",
@@ -163,6 +164,7 @@ def parse_complex(text):
     pairings = []
     image_counts = []
     paired_faces = set()
+    single_lines = set()
     header_seen = False
 
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -176,6 +178,10 @@ def parse_complex(text):
             continue
         fields = line.split()
         keyword = fields[0]
+        if keyword in ("name", "n", "vertices"):
+            if keyword in single_lines:
+                raise ParseError(number, f"duplicate {keyword} line")
+            single_lines.add(keyword)
         if keyword == "name":
             if len(fields) != 2:
                 raise ParseError(number, "name takes exactly one value")
@@ -186,8 +192,6 @@ def parse_complex(text):
             n = _parse_int(fields[1], number, "n takes one integer",
                            signed=True)
         elif keyword == "vertices":
-            if vertices is not None:
-                raise ParseError(number, "duplicate vertices line")
             vertices = fields[1:]
         elif keyword == "face":
             if len(fields) < 2:
@@ -219,18 +223,19 @@ def parse_complex(text):
             images = [_parse_int(t, number,
                                  "pairing image list must be integers")
                       for t in fields[5:]]
-            direction = 1 if sign == "+" else -1
-            offset = images[0] if images else 0
+            pairing = Pairing(pname, source, target,
+                              images[0] if images else 0,
+                              1 if sign == "+" else -1)
             length = len(images)
-            for j, image in enumerate(images):
-                if image != (offset + direction * j) % length:
-                    raise ParseError(number, f"pairing {pname} image list does "
-                                     "not match its sign")
+            if images != [pairing.vertex_image(j, length)
+                          for j in range(length)]:
+                raise ParseError(number, f"pairing {pname} image list does "
+                                 "not match its sign")
             for face in (source, target):
                 if face in paired_faces:
                     raise ParseError(number, f"face {face} doubly paired")
                 paired_faces.add(face)
-            pairings.append(Pairing(pname, source, target, offset, direction))
+            pairings.append(pairing)
             image_counts.append((number, pname, source, length))
         else:
             raise ParseError(number, f"unknown directive {keyword!r}")
@@ -285,7 +290,7 @@ def serialize_presentation(presentation):
     would read back as other letters, so it raises DomainError.
     """
     for name in presentation.generators:
-        if name.split() != [name] or name.startswith("-"):
+        if not _reads_back(name):
             raise DomainError(
                 f"generator name {name!r} cannot be written in a document")
     lines = [" ".join(["gens:", *presentation.generators]).rstrip()]

@@ -12,8 +12,10 @@ Quotients fold each cell orbit to a single cell.  A face fixed setwise by
 part of the group folds to a shorter polygon (its length divided by the
 rotation the stabilizer induces), which is how an n-gon lid descends to the
 lid of the smaller family member.  Identifications that fail to descend
-raise :class:`pairglue.errors.UnsupportedQuotientError`; a verified
-automorphism never produces one, but the quotient refuses to guess.
+raise :class:`pairglue.errors.UnsupportedQuotientError`, and so does a
+verified automorphism whose quotient is no paired complex: one that reverses
+an edge would fold it onto itself (a half-turn of a tetrahedron does).  The
+quotient refuses to guess.
 
 :func:`singular_components` derives the collapsed edge classes of a quotient
 from the cells of any automorphism and its base complex.

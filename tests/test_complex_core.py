@@ -618,7 +618,7 @@ def test_returned_analysis_cannot_be_corrupted():
 def count_analysis(monkeypatch):
     """Record the complex each analysis body runs on, by body name."""
     calls = {}
-    for name in ("_violations", "_traverse_edges", "_vertex_classes"):
+    for name in ("_violations", "_traverse_edges"):
         def counted(complex_, *args, _name=name,
                     _body=getattr(complex_core, name)):
             calls.setdefault(_name, []).append(complex_)
@@ -638,8 +638,7 @@ def test_each_complex_is_analysed_once(monkeypatch):
         vertex_orbits(complex_)
         presentation_from_pairings(complex_)
         presentation_from_cw(complex_)
-    assert calls == {"_violations": [c, d], "_traverse_edges": [c, d],
-                     "_vertex_classes": [c, d]}
+    assert calls == {"_violations": [c, d], "_traverse_edges": [c, d]}
 
     calls.clear()
     broken = PairedComplex(c.vertex_labels, c.faces, c.involution, [])
@@ -874,7 +873,7 @@ def reference_vertex_classes(complex_):
                  for members in classes.values())
 
 
-def analysis(violations, traverse, classes, complex_):
+def analysis(violations, traverse, complex_):
     """The violations; for a valid complex, the orbit data and vertex
     classes instead; or the message of the StructureError raised.
 
@@ -884,8 +883,8 @@ def analysis(violations, traverse, classes, complex_):
         found, numbering = violations(complex_)
         if found:
             return list(found)
-        orbits, slot_sign, orbit_index = traverse(complex_, *numbering)
-        return orbits, dict(slot_sign), dict(orbit_index), classes(complex_)
+        orbits, slot_sign, orbit_index, classes = traverse(complex_, *numbering)
+        return orbits, dict(slot_sign), dict(orbit_index), classes
     except StructureError as exc:
         return str(exc)
 
@@ -894,10 +893,10 @@ def traverse_edges_by_slot(complex_, scan, start, face_of, mates, aligned):
     """``_traverse_edges`` with its per-slot tuples keyed by slot, in the
     numbering ``all_slots()`` lists, as the reference returns them; the face
     numbers are the analysis's, not its."""
-    orbits, sign, orbit_of = complex_core._traverse_edges(
+    orbits, sign, orbit_of, classes = complex_core._traverse_edges(
         complex_, scan, start, mates, aligned)
     slots = complex_.all_slots()
-    return orbits, dict(zip(slots, sign)), dict(zip(slots, orbit_of))
+    return orbits, dict(zip(slots, sign)), dict(zip(slots, orbit_of)), classes
 
 
 def public_analysis(complex_):
@@ -924,10 +923,11 @@ def public_analysis(complex_):
 
 def assert_analysis_matches_reference(complex_):
     expected = analysis(lambda c: (reference_violations(c), ()),
-                        reference_traverse_edges, reference_vertex_classes,
+                        lambda c: (*reference_traverse_edges(c),
+                                   reference_vertex_classes(c)),
                         complex_)
     assert analysis(complex_core._violations, traverse_edges_by_slot,
-                    complex_core._vertex_classes, complex_) == expected
+                    complex_) == expected
     assert public_analysis(complex_) == expected
 
 

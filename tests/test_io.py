@@ -110,6 +110,8 @@ def test_parse_complex_errors_carry_line_numbers():
         ("pgv1 complex\npairing f F G + 0 1\npairing g F H + 0 1\n", 3,
          "face F doubly paired"),
         ("pgv1 complex\nvertices a\nvertices b\n", 3, "duplicate vertices"),
+        ("pgv1 complex\nname a\nname b\n", 3, "duplicate name line"),
+        ("pgv1 complex\nn 1\nvertices a\nn 1\n", 4, "duplicate n line"),
         ("pgv1 complex\nn lots\n", 2, "one integer"),
         ("pgv1 complex\nn --5\n", 2, "one integer"),
         ("pgv1 complex\nn \u00b2\n", 2, "one integer"),

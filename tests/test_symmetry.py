@@ -16,7 +16,9 @@ from pairglue import (
     build_family,
     build_m24,
     build_m25,
+    cell_counts,
     h1,
+    is_manifold,
     parse_complex,
     presentation_from_pairings,
     quotient_complex,
@@ -327,6 +329,39 @@ def test_quotient_base_homology_is_z3():
         auto = rotation(family, n, step)
         quotient = quotient_complex(auto.domain, auto)
         assert str(h1(presentation_from_pairings(quotient))) == "Z3"
+
+
+TETRA = """pgv1 complex
+name tetra
+vertices a b c d
+face F1 a c b
+face F2 a b d
+face T1 a d c
+face T2 b c d
+pairing p F1 T1 - 0 2 1
+pairing q F2 T2 - 1 0 2
+"""
+
+
+def test_a_verified_automorphism_can_have_no_quotient():
+    # a half-turn of the tetrahedron that swaps a with b and c with d is an
+    # automorphism of this closed manifold, but it reverses edge ab, so its
+    # quotient would fold that edge onto itself
+    complex_ = parse_complex(TETRA)
+    assert validate(complex_) == []
+    assert cell_counts(complex_) == (2, 3, 2, 1)
+    assert is_manifold(complex_) == (True, 0)
+    half_turn = {"a": "b", "b": "a", "c": "d", "d": "c"}
+    assert verify_automorphism(complex_, half_turn) == (True, 2, "")
+    auto = ComplexAutomorphism(complex_, half_turn)
+    message = ("quotient is not a valid paired complex: involution has a "
+               "fixed point at F1.2; involution has a fixed point at T1.1")
+    for refused in (lambda: quotient_complex(complex_, half_turn),
+                    lambda: quotient_complex(complex_, auto),
+                    lambda: singular_components(auto, complex_)):
+        with pytest.raises(UnsupportedQuotientError) as exc:
+            refused()
+        assert str(exc.value) == message
 
 
 # ----------------------------------------------------- singularity report

@@ -22,6 +22,19 @@ def test_parse_and_str_round_trip():
     assert Word.parse(str(w)) == w
 
 
+@pytest.mark.parametrize("letters", [
+    [("-a", 1)], [("a b", 1)], [("", 1)], [("a", 1), ("\tb", -1)],
+    [("a", 1), ("b", -1), ("a1", 1)], [("x-y", -1)], [],
+])
+def test_repr_evaluates_back_to_the_word(letters):
+    word = Word(letters)
+    assert eval(repr(word)) == word
+    # only words whose names all read back are written through parse
+    readable = all(name.split() == [name] and not name.startswith("-")
+                   for name, _ in letters)
+    assert repr(word).startswith("Word.parse(") == readable
+
+
 def test_word_equality_and_hash():
     assert Word.parse("a b") == Word.parse("a b")
     assert Word.parse("a b") != Word.parse("b a")
