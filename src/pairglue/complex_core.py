@@ -30,7 +30,7 @@ labels play no role in identification; they may repeat along a single face
 
 import functools
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from types import MappingProxyType
 
 from .errors import DomainError, StructureError
@@ -345,6 +345,11 @@ def _hashable(value):
     return True
 
 
+def _repeats(labels):
+    """The labels that occur more than once, in order of first occurrence."""
+    return [label for label, count in Counter(labels).items() if count > 1]
+
+
 def _violations(complex_):
     """The body of :func:`validate`: every violation, in a fixed order, and
     for a valid complex (else None) the slot numbering ``(scan, start,
@@ -356,6 +361,7 @@ def _violations(complex_):
     violations = [] if complex_.faces else ["boundary has no faces"]
     c = complex_
     known_vertices = set(c.vertex_labels)
+    violations.extend(f"duplicate vertex label {v}" for v in _repeats(c.vertex_labels))
 
     unknown = set()  # faces with an entry that is not a vertex label
     for label, cycle in c.faces.items():

@@ -18,7 +18,7 @@ from collections import Counter
 from ..complex_core import (_hashable, _Immutable, _join, _orbit_data,
                             edge_orbits, vertex_orbits)
 from ..errors import CapacityError, DomainError, EliminationError
-from ..families import _check_n, _labels, build_family
+from ..families import _check_n, _index_labels, _rotated, build_family
 from .words import (Word, _cyclic_core, _free_reduction, _inverse_letters,
                     _word)
 
@@ -410,9 +410,8 @@ def _simplify(presentation):
 def family_elimination_order(n):
     """The scripted elimination schedule: b_1..b_n, a_1..a_n, d."""
     _check_n(n)
-    return ([f"b{i}" for i in range(1, n + 1)]
-            + [f"a{i}" for i in range(1, n + 1)]
-            + ["d"])
+    b, a = _index_labels("ba", n).values()
+    return [*b, *a, "d"]
 
 
 def scripted_reduction(family, n):
@@ -432,7 +431,7 @@ def scripted_reduction(family, n):
     current = presentation_from_pairings(build_family(family, n))
     yield current
     relators = _Relators(current)
-    surviving = {f"c{i}" for i in range(1, n + 1)}
+    surviving = set(_index_labels("c", n)["c"])
     for generator in family_elimination_order(n):
         options = []
         for key, length in relators.defines.get(generator, {}).items():
@@ -488,34 +487,26 @@ def preset_presentation(preset, n=1):
         return Presentation(gens, rels)
 
     _check_n(n)
-    x, y, z = _labels("xyz", n)
-    span = range(1, n + 1)
-    gens = ([x[i % n] for i in span] + [y[i % n] for i in span]
-            + [z[i % n] for i in span] + ["u"])
-    surface = Word([(x[i % n], 1) for i in span])
+    x, y, z = _index_labels("xyz", n).values()
+    gens = [*x, *y, *z, "u"]
+    rels = [Word([(a, 1) for a in x])]
 
     if tag == "DUAL24":
-        rels = [surface]
-        rels += [Word([(x[i % n], 1), ("u", 1), (y[i % n], -1)]) for i in span]
-        rels += [Word([(x[i % n], 1), (y[(i + 2) % n], 1), (z[(i + 2) % n], -1)])
-                 for i in span]
-        rels += [Word([(z[i % n], 1), (z[i % n], 1), (y[i - 1], 1)]) for i in span]
+        rels += [Word([(a, 1), ("u", 1), (b, -1)]) for a, b in zip(x, y)]
+        rels += [Word([(a, 1), (b, 1), (c, -1)])
+                 for a, b, c in zip(x, _rotated(y, 2), _rotated(z, 2))]
+        rels += [Word([(c, 1), (c, 1), (b, 1)]) for b, c in zip(_rotated(y, -1), z)]
         return Presentation(gens, rels)
 
-    if tag == "G25":
-        rels = [surface]
-        rels += [Word([(x[i % n], 1), (y[i % n], 1), ("u", -1)]) for i in span]
-        rels += [Word([(y[i % n], 1), (z[i % n], 1), (x[i - 1], -1)]) for i in span]
-        rels += [Word([(z[i - 1], 1), (z[i % n], 1), (y[i - 1], -1)]) for i in span]
-        return Presentation(gens, rels)
-
-    # H25: even parameter only; the odd-indexed face words share u while the
-    # even-indexed ones close on their own (their shared letter bounds a disk).
-    if n % 2 != 0:
+    if tag == "H25" and n % 2 != 0:
         raise DomainError("preset H25 requires an even parameter")
-    rels = [surface]
-    rels += [Word([(y[i % n], 1), (z[i % n], 1), (x[i - 1], -1)]) for i in span]
-    rels += [Word([(z[i - 1], 1), (z[i % n], 1), (y[i - 1], -1)]) for i in span]
-    rels += [Word([(x[i % n], 1), (y[i % n], 1), ("u", -1)]) for i in span[::2]]
-    rels += [Word([(x[i % n], 1), (y[i % n], 1)]) for i in span[1::2]]
+    if tag == "G25":
+        rels += [Word([(a, 1), (b, 1), ("u", -1)]) for a, b in zip(x, y)]
+    rels += [Word([(b, 1), (c, 1), (a, -1)]) for a, b, c in zip(_rotated(x, -1), y, z)]
+    rels += [Word([(c, 1), (d, 1), (b, -1)])
+             for b, c, d in zip(_rotated(y, -1), _rotated(z, -1), z)]
+    if tag == "H25":
+        # odd face words share u; even ones close, their shared letter bounding a disk
+        rels += [Word([(a, 1), (b, 1), ("u", -1)]) for a, b in zip(x[::2], y[::2])]
+        rels += [Word([(a, 1), (b, 1)]) for a, b in zip(x[1::2], y[1::2])]
     return Presentation(gens, rels)

@@ -20,6 +20,7 @@ from .complex_core import (
     Pairing,
     _hashable,
     _is_int,
+    _repeats,
     cell_counts,
     edge_orbits,
     format_slot,
@@ -67,8 +68,8 @@ def serialize_complex(complex_):
     (label, int k >= 0) pair, ``n`` None or an int, a pairing's direction
     the int 1 or -1 and its offset an int in ``range(len(source face))``
     (0 when the source face is missing).  The involution must be symmetric,
-    as each edge line stands for both of its slots' entries, and no face
-    may be in two pairings or paired with itself: the parser refuses both.
+    as each edge line stands for both of its slots' entries; the parser
+    refuses a repeated vertex label and a face doubly or self paired.
     """
     c = complex_
     # every slot is checked before any edge line is written
@@ -94,6 +95,9 @@ def serialize_complex(complex_):
               [face for p in c.pairings for face in (p.source, p.target)])]
     for kind, values in named:
         _check_tokens(kind, values)
+    repeats = _repeats(c.vertex_labels)
+    if repeats:
+        raise DomainError(f"duplicate vertex label {repeats[0]} cannot be written")
     lines = [COMPLEX_HEADER, f"name {c.name}"]
     if c.n is not None:
         if not _is_int(c.n):
@@ -151,9 +155,9 @@ def parse_complex(text):
 
     Parsing is structural only: a document that parses may still fail
     :func:`pairglue.complex_core.validate`.  Errors that make the text
-    itself unusable (bad directives, conflicting lines, a face in two
-    pairings, an image list whose length is not that of the pairing's
-    declared source face) raise ParseError with the offending line number.
+    itself unusable (bad directives, conflicting lines, a repeated vertex
+    label, a face in two pairings, an image list whose length is not that of
+    the pairing's source face) raise ParseError with the offending line number.
     """
     name = "complex"
     n = None
@@ -193,6 +197,9 @@ def parse_complex(text):
                            signed=True)
         elif keyword == "vertices":
             vertices = fields[1:]
+            repeats = _repeats(vertices)
+            if repeats:
+                raise ParseError(number, f"duplicate vertex label {repeats[0]}")
         elif keyword == "face":
             if len(fields) < 2:
                 raise ParseError(number, "face line needs a label")

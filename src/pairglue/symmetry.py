@@ -41,7 +41,7 @@ from .complex_core import (
     validate,
 )
 from .errors import DomainError, StructureError, UnsupportedQuotientError
-from .families import _check_n, _labels, build_family
+from .families import _check_n, _index_shift, build_family
 
 __all__ = ["AutomorphismCheck", "ComplexAutomorphism", "SingularComponent",
            "SingularityReport", "quotient_complex", "rotation",
@@ -309,10 +309,7 @@ def rotation(family, n, step=1):
         raise DomainError(f"rotation step must be 1 or 2, got {step!r}")
     if step == 2 and n % 2:
         raise DomainError("rotation step 2 requires even n")
-    complex_ = build_family(family, n)
-    vertex_map = {X[i % n]: X[(i + step) % n]
-                  for X in _labels("PQRS", n) for i in range(1, n + 1)}
-    auto = ComplexAutomorphism(complex_, vertex_map)
+    auto = ComplexAutomorphism(build_family(family, n), _index_shift(n, step))
     expected = n // gcd(n, step)
     if auto.order != expected:
         raise StructureError(

@@ -288,6 +288,8 @@ def broken_tetra(vertices=None, faces=(), involution=(), pairings=None):
     (broken_tetra(pairings=[Pairing("f", "F", [])]),
      ["pairing f references unknown face []", "unpaired face F",
       "unpaired face G"]),
+    (broken_tetra(vertices=["p", "q", "r", "q", "p", "q"]),
+     ["duplicate vertex label p", "duplicate vertex label q"]),
 ], ids=["faceless face", "unknown vertex", "duplicate pairing name",
         "unknown face", "self-pairing", "offset out of range", "bad direction",
         "missing involution entry", "involution fixed point",
@@ -296,7 +298,7 @@ def broken_tetra(vertices=None, faces=(), involution=(), pairings=None):
         "short involution key", "long involution mate",
         "unhashable involution mate", "unhashable face entry",
         "pairing name not str", "unhashable pairing name",
-        "unhashable pairing face"])
+        "unhashable pairing face", "duplicate vertex label"])
 def test_validator_messages(broken, expected):
     assert validate(broken) == expected
 

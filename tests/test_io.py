@@ -22,6 +22,7 @@ from pairglue import (
     reduced_family_presentation,
     serialize_complex,
     serialize_presentation,
+    validate,
 )
 from pairglue import families
 from pairglue.errors import DomainError, ParseError
@@ -110,6 +111,7 @@ def test_parse_complex_errors_carry_line_numbers():
         ("pgv1 complex\npairing f F G + 0 1\npairing g F H + 0 1\n", 3,
          "face F doubly paired"),
         ("pgv1 complex\nvertices a\nvertices b\n", 3, "duplicate vertices"),
+        ("pgv1 complex\nvertices a b a\n", 2, "duplicate vertex label a"),
         ("pgv1 complex\nname a\nname b\n", 3, "duplicate name line"),
         ("pgv1 complex\nn 1\nvertices a\nn 1\n", 4, "duplicate n line"),
         ("pgv1 complex\nn lots\n", 2, "one integer"),
@@ -185,6 +187,16 @@ def test_serialize_complex_rejects_inexpressible_names(kind, name, change):
     message = re.escape(f"{kind} {name!r} cannot be written in a document")
     with pytest.raises(DomainError, match=message):
         serialize_complex(PairedComplex(**fields))
+
+
+def test_serialize_complex_rejects_a_repeated_vertex_label():
+    # the parser refuses a vertices line that repeats a label
+    c = build_m24(1)
+    broken = PairedComplex([*c.vertex_labels, "Q1"], c.faces, c.involution,
+                           c.pairings)
+    assert validate(broken) == ["duplicate vertex label Q1"]
+    with pytest.raises(DomainError, match="duplicate vertex label Q1"):
+        serialize_complex(broken)
 
 
 @pytest.mark.parametrize("offset, direction", [

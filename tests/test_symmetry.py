@@ -54,15 +54,21 @@ def shift_map(n, step):
 # -------------------------------------------------------------- rotation
 
 def test_rotation_orders_step_one():
+    # the family label rule read back: X_i goes to X_{i+1}
     for family in ("m24", "m25"):
-        for n in (1, 2, 5, 12, 20):
-            assert rotation(family, n).order == n
+        for n in (*range(1, 13), 20):
+            auto = rotation(family, n)
+            assert auto.vertex_map == shift_map(n, 1), (family, n)
+            assert auto.order == n
 
 
 def test_rotation_orders_step_two():
-    for k in (1, 2, 7, 10):
-        assert rotation("m25", 2 * k, step=2).order == k
-        assert rotation("m24", 2 * k, step=2).order == k
+    # X_i goes to X_{i+2}, of order n / gcd(n, 2) = n / 2
+    for k in (*range(1, 7), 7, 10):
+        for family in ("m25", "m24"):
+            auto = rotation(family, 2 * k, step=2)
+            assert auto.vertex_map == shift_map(2 * k, 2), (family, 2 * k)
+            assert auto.order == k
 
 
 def test_rotation_step_errors():
