@@ -223,9 +223,15 @@ def smith_normal_form(matrix):
     1x1 blocks.  The blocks are moved onto the diagonal, units first, with
     their signs moved into U, and :func:`_divisibility_chain` makes the
     chain by unimodular 2x2 gcd/lcm steps.  D is unique, so it does not
-    depend on the route.  On 20 seeded dense 20x20 matrices with entries in
-    [-20, 20], U has entries of about 100 to 190 bits and V of about 600
-    (medians).  DomainError when ``matrix`` is not an IntegerMatrix.
+    depend on the route.  On dense input the Bezout step of
+    :func:`_sparse_diagonal` makes most pivots 1 (it is tried in columns of
+    at least three rows, with a mate whose entry is prime to the pivot and
+    whose support lies inside the pivot row's), and one exact sweep then
+    clears the column.  On 20 seeded dense 20x20 matrices with entries in
+    [-20, 20] that takes about 232 row steps per matrix, where rounded
+    Euclid sweeps alone took 849.  U has entries of about 100 to 190 bits
+    and V of about 900 to 925 (medians).  DomainError when ``matrix`` is
+    not an IntegerMatrix.
 
     >>> m = IntegerMatrix([[2, 4], [6, 8]])
     >>> d, u, v = smith_normal_form(m)
@@ -346,24 +352,33 @@ def _sparse_diagonal(rows, cols, u=None, vt=None):
     row step and column step.  One pass visits the columns in index order
     and revisits each until it is empty.  In the pivot column the least
     absolute entry is the pivot (then the shortest row, then the lowest row
-    number).  Rounded-quotient row steps leave every other row of the
-    column a remainder of at most half the pivot, and the least nonzero
-    remainder becomes the next pivot.  Once the column holds the pivot row
-    alone, column steps reduce that row's other entries the same way; they
-    touch no other row.  The least nonzero remainder there becomes the next
-    pivot, and its column the pivot column.  A pivot alone in its row and
-    its column is a block, and its row is dropped.  The columns before the
-    one visited stay empty, and the matrix never goes dense: in m24's
-    cyclic band with its dense row and column, no band row grows past six
-    entries.
+    number).  When the pivot is not ±1 and the column holds at least three
+    rows, :func:`_bezout_pivot` first tries to make it 1 by one unimodular
+    2x2 gcd step with a mate: another row of the column whose entry is
+    prime to the pivot and whose support lies inside the pivot row's.  The
+    support condition keeps the step from filling the rows; without it one
+    h1 of m24(2000) took over 100 times as long.  Columns of two rows are
+    left to the sweep.  After the step every quotient below is exact and
+    one sweep clears the column.  Otherwise rounded-quotient row
+    steps leave every other row of the column a remainder of at most half
+    the pivot, and the least nonzero remainder becomes the next pivot.
+    Once the column holds the pivot row alone, column steps reduce that
+    row's other entries the same way; they touch no other row.  The least
+    nonzero remainder there becomes the next pivot, and its column the
+    pivot column.  A pivot alone in its row and its column is a block, and
+    its row is dropped.  The columns before the one visited stay empty,
+    and the matrix never goes dense: in m24's cyclic band with its dense
+    row and column, no band row grows past six entries.
     """
     blocks = []
     for c in range(len(cols)):
         j = c
         while cols[j]:
             r = min(cols[j], key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+            p = rows[r][j]
+            if p not in (1, -1) and len(cols[j]) > 2:
+                p = _bezout_pivot(rows, cols, r, j, u)
             pivot_row = rows[r]
-            p = pivot_row[j]
             for i in cols[j] - {r}:
                 # the quotient x/p rounded, so the remainder is at most p/2
                 q = (2 * rows[i][j] + p) // (2 * p)
@@ -396,6 +411,60 @@ def _sparse_diagonal(rows, cols, u=None, vt=None):
     return blocks
 
 
+def _bezout_pivot(rows, cols, r, j, u):
+    """Make the pivot of row ``r`` in column ``j`` a 1 by one Bezout step,
+    if a mate allows it; return the pivot.
+
+    The mate is another row of the column whose entry b is prime to the
+    pivot p and whose support lies inside row ``r``'s, so the step fills no
+    new column (the least |b|, then the shortest row, then the lowest row
+    number).  With s*p + t*b = 1, rows ``r`` and mate take the unimodular
+    gcd step of Kannan and Bachem, [[s, t], [-b, p]], which leaves 1 in row
+    ``r`` and 0 in the mate; ``u``, when given, takes the same step.
+    Without a mate p is returned and nothing changes.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[j]
+    mates = [i for i in cols[j] if i != r and gcd(rows[i][j], p) == 1
+             and rows[i].keys() <= pivot_row.keys()]
+    if not mates:
+        return p
+    i = min(mates, key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+    b = rows[i][j]
+    _, s, t = _bezout(p, b)
+    _mix_rows(rows, cols, r, i, s, t, -b, p)
+    if u is not None:
+        _mix(u, r, i, s, t, -b, p)
+    return 1
+
+
+def _mix_rows(rows, cols, i, j, a, b, c, d):
+    """The sparse rows ``i`` and ``j`` (as in :func:`_subtract_row`) become
+    a*ri + b*rj and c*ri + d*rj; ``cols`` is kept in step, and a row left
+    empty is dropped from ``rows``."""
+    ri, rj = rows[i], rows[j]
+    for n, e, f in ((i, a, b), (j, c, d)):
+        row = {}
+        for k in ri.keys() | rj.keys():
+            y = e * ri.get(k, 0) + f * rj.get(k, 0)
+            if y:
+                row[k] = y
+                cols[k].add(n)
+            else:
+                cols[k].discard(n)
+        if row:
+            rows[n] = row
+        else:
+            del rows[n]
+
+
+def _bezout(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for nonzero a and b."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, abs(b // g))
+    return g, s, (g - s * a) // b
+
+
 def _mix(vectors, i, j, a, b, c, d):
     """The lists ``vectors[i]`` and ``vectors[j]`` become a*vi + b*vj and
     c*vi + d*vj."""
@@ -418,11 +487,9 @@ def _divisibility_chain(diagonal, u=None, vt=None):
         for j in range(i + 1, len(diagonal)):
             a, b = diagonal[i], diagonal[j]
             if b % a:
-                g = gcd(a, b)
+                g, s, t = _bezout(a, b)
                 diagonal[i], diagonal[j] = g, a // g * b
                 if u is not None:
-                    s = pow(a // g, -1, b // g)
-                    t = (g - s * a) // b
                     _mix(u, i, j, s, t, -(b // g), a // g)
                     _mix(vt, i, j, 1, 1, -(t * b // g), s * a // g)
 

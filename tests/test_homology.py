@@ -42,6 +42,7 @@ from pairglue import (
     smith_normal_form,
 )
 from pairglue.errors import DomainError
+from pairglue.group_theory import homology
 from pairglue.group_theory.homology import _eliminate_unit_pivots, _exponent_rows
 
 
@@ -694,3 +695,111 @@ def test_snf_of_rank_deficient_products_matches_reference():
         if rank < min(rows_n, cols_n):
             seen["deficient square" if rows_n == cols_n else "deficient rectangular"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# ------------------------------------------ the Bezout step of the sparse pass
+
+def seed_one_dense_matrices():
+    """The 20 dense 20x20 matrices with entries in [-20, 20] that the
+    benchmark and CI draw with seed 1."""
+    rng = random.Random(1)
+    return [IntegerMatrix([[rng.randint(-20, 20) for _ in range(20)]
+                           for _ in range(20)]) for _ in range(20)]
+
+
+def test_dense_snf_stays_within_its_row_step_budget(monkeypatch):
+    """A Bezout step makes the pivot of most dense columns a 1, so one
+    exact sweep clears the column: about 232 row steps per matrix, where
+    the rounded Euclid sweeps alone took 849."""
+    steps = []
+    subtract = homology._subtract_row
+
+    def counted(*args):
+        steps.append(None)
+        subtract(*args)
+
+    monkeypatch.setattr(homology, "_subtract_row", counted)
+    matrices = seed_one_dense_matrices()
+    for m in matrices:
+        d, u, v = smith_normal_form(m)
+        assert d == reference_smith_normal_form(m)[0], m
+        assert_snf_contract(m, d, u, v)
+    assert len(steps) <= 300 * len(matrices), len(steps) / len(matrices)
+
+
+def test_h1_entries_stay_small_on_family_members(monkeypatch):
+    """The Bezout step only takes a mate whose support lies inside the pivot
+    row's; without that condition m24's dense border row spreads into the
+    band and the entries reach about 100n bits.  With it they stay near 2n
+    (m24) and 1.4n (m25)."""
+    n = 400
+    bits = []
+    subtract = homology._subtract_row
+
+    def measured(rows, cols, i, f, pivot_row):
+        subtract(rows, cols, i, f, pivot_row)
+        bits.append(max(abs(x).bit_length()
+                        for x in (*rows.get(i, {}).values(), *pivot_row.values())))
+
+    monkeypatch.setattr(homology, "_subtract_row", measured)
+    for family, first in (("m24", 25), ("m25", 75)):
+        bits.clear()
+        group = h1(presentation_from_pairings(build_family(family, n)))
+        assert group.rank == 0 and group.order() == closed_form_order(family, n)
+        assert group.invariant_factors[0] == first
+        assert len(group.invariant_factors) == 3, group
+        assert max(bits) < 4 * n, (family, max(bits))
+
+
+def spy_bezout(monkeypatch):
+    """Record each Bezout attempt as (pivot before, pivot after)."""
+    calls = []
+    step = homology._bezout_pivot
+
+    def spied(rows, cols, r, j, u):
+        before = rows[r][j]
+        calls.append((before, step(rows, cols, r, j, u)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(homology, "_bezout_pivot", spied)
+    return calls
+
+
+@pytest.mark.parametrize("rows, first", [
+    # pivot -2, mate -3 inside its support: the step fires
+    ([[-2, 4, 6], [-3, 6, 0], [4, 0, 2]], (-2, 1)),
+    # 3 is prime to the pivot 2, but its row reaches column 1 and the
+    # pivot row does not: refused
+    ([[2, 0, 0], [3, 5, 0], [4, 0, 7]], (2, 2)),
+    # no entry of column 0 is prime to 2: the rounded sweep runs
+    ([[2, 4, 6], [4, 6, 2], [6, 2, 4]], (2, 2)),
+    # rank 1, four rows by three columns: the step fires
+    ([[2, 4, 6], [3, 6, 9], [5, 10, 15], [7, 14, 21]], (2, 1)),
+    # a column of two rows is left to the rounded sweep: never tried
+    ([[2, 4], [3, 5]], None),
+])
+def test_bezout_step_branches(monkeypatch, rows, first):
+    calls = spy_bezout(monkeypatch)
+    m = IntegerMatrix(rows)
+    d, u, v = smith_normal_form(m)
+    assert (calls[0] if calls else None) == first
+    assert d == reference_smith_normal_form(m)[0]
+    assert_snf_contract(m, d, u, v)
+    p = matrix_presentation(rows)
+    assert h1(p) == reference_h1(p)
+
+
+def test_bezout_step_with_a_unit_mate():
+    """A mate b = -1 gives s = 0 and t = b: the pivot row becomes -(mate)
+    and the mate row p + 3*mate.  The sparse pass never meets this case, as
+    its pivot is the least entry of the column, so the step is driven
+    directly; the least |b| wins over the mate 2."""
+    rows = {0: {0: 3, 1: 2}, 1: {0: -1, 1: 5}, 2: {0: 2}}
+    cols = [{0, 1, 2}, {0, 1}]
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert homology._bezout_pivot(rows, cols, 0, 0, u) == 1
+    assert rows == {0: {0: 1, 1: -5}, 1: {1: 17}, 2: {0: 2}}
+    assert cols == [{0, 2}, {0, 1}]
+    assert u == [[0, -1, 0], [1, 3, 0], [0, 0, 1]]
+    assert IntegerMatrix(u) * IntegerMatrix([[3, 2], [-1, 5], [2, 0]]) == \
+        IntegerMatrix([[1, -5], [0, 17], [2, 0]])
