@@ -42,14 +42,12 @@ __all__ = ["CellCounts", "EdgeOrbit", "PairedComplex", "Pairing",
 _DIGIT_RUN = re.compile(r"(\d+)")
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.cache
 def natural_key(label):
     """Sort key that orders embedded integers numerically.
 
     Keys are immutable tuples and members share most of their labels, so
-    they are cached (``re`` imports ``functools`` anyway).  The bound is
-    above the 10,002 labels of m25(1000): a complex with more labels than
-    the cache holds misses on every one when it sorts them.
+    they are cached (``re`` imports ``functools`` anyway).
 
     >>> sorted(["P10", "P2", "Q1"], key=natural_key)
     ['P2', 'P10', 'Q1']

@@ -228,7 +228,7 @@ class _Target:
     recently used; a table that fails validation raises and is never kept.
     It holds the table (a tuple of tuples) and its order,
     :func:`_power_cycles`, and whether the table is commutative.  Only the
-    search reads the rest, so it is computed on the search's first call:
+    search reads the rest, so only a nonabelian table gets it, at once:
     Aut(T) from :func:`_automorphisms`, ``proj`` and the ``quotient`` table
     of T/[T, T] from :func:`_abelianization`, and a stabiliser chain filled
     on demand.  A stabiliser is keyed by itself, as the ascending tuple of
@@ -246,13 +246,9 @@ class _Target:
         self.order = len(table)
         self.cycles = _power_cycles(table)
         self.abelian = table == tuple(zip(*table))
-        self.automorphisms = None
-
-    def prepare_search(self):
-        """Compute Aut(T), T/[T, T] and an empty chain, once."""
-        if self.automorphisms is None:
-            self.automorphisms = _automorphisms(self.table, self.cycles)
-            self.proj, self.quotient = _abelianization(self.table)
+        if not self.abelian:
+            self.automorphisms = _automorphisms(table, self.cycles)
+            self.proj, self.quotient = _abelianization(table)
             self.chain = {}
 
     def orbits(self, stabiliser):
@@ -452,8 +448,8 @@ def _abelian_count(presentation, target):
 def _search(presentation, target):
     """The count by depth-first search on ``auto_simplify(presentation)``.
 
-    Any target can be searched, but :func:`count_homomorphisms` searches
-    only nonabelian ones.  The search chooses each generator's image only
+    Only a nonabelian :class:`_Target` holds what the search reads, and
+    only those are searched.  The search chooses each generator's image only
     up to the group A of all automorphisms of the target
     (:func:`_automorphisms`).  This is exact for any group of automorphisms:
     post-composing with any alpha in A is a bijection of Hom(G, target),
@@ -501,7 +497,6 @@ def _search(presentation, target):
         object.__setattr__(reduced, "_compiled", compiled)
     layers, tries = compiled
     runs, slots_by_depth, checks_by_depth, segments_by_depth = layers
-    target.prepare_search()
     quotient = target.quotient
     if quotient not in tries:
         tries[quotient] = _quotient_trie(reduced, quotient)

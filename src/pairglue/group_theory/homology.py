@@ -216,22 +216,15 @@ def smith_normal_form(matrix):
     """Diagonalize over the integers: returns (D, U, V) with U*matrix*V = D.
 
     U and V are unimodular, and the diagonal of D is nonnegative with each
-    entry dividing the next.  The matrix is reduced on sparse rows by the
-    two passes of :func:`h1`, which here also record every row step in U
-    and every column step in V: :func:`_eliminate_unit_pivots` splits off
-    the ±1 entries, and :func:`_sparse_diagonal` splits what is left into
-    1x1 blocks.  The blocks are moved onto the diagonal, units first, with
-    their signs moved into U, and :func:`_divisibility_chain` makes the
-    chain by unimodular 2x2 gcd/lcm steps.  D is unique, so it does not
-    depend on the route.  On dense input the Bezout step of
-    :func:`_sparse_diagonal` makes most pivots 1 (it is tried in columns of
-    at least three rows, with a mate whose entry is prime to the pivot and
-    whose support lies inside the pivot row's), and one exact sweep then
-    clears the column.  On 20 seeded dense 20x20 matrices with entries in
-    [-20, 20] that takes about 232 row steps per matrix, where rounded
-    Euclid sweeps alone took 849.  U has entries of about 100 to 190 bits
-    and V of about 900 to 925 (medians).  DomainError when ``matrix`` is
-    not an IntegerMatrix.
+    entry dividing the next.  The matrix is split into 1x1 blocks on sparse
+    rows by :func:`_sparse_diagonal`, the routine :func:`h1` runs, which
+    here also records every row step in U and every column step in V.  Its
+    first sweep clears the ±1 entries; its second splits what is left, and
+    its Bezout step makes most pivots 1 on dense input.  The blocks are
+    moved onto the diagonal, units first, with their signs moved into U,
+    and :func:`_divisibility_chain` makes the chain by unimodular 2x2
+    gcd/lcm steps.  D is unique, so it does not depend on the route.
+    DomainError when ``matrix`` is not an IntegerMatrix.
 
     >>> m = IntegerMatrix([[2, 4], [6, 8]])
     >>> d, u, v = smith_normal_form(m)
@@ -246,8 +239,7 @@ def smith_normal_form(matrix):
     u = [[int(i == j) for j in range(num_rows)] for i in range(num_rows)]
     vt = [[int(i == j) for j in range(num_cols)] for i in range(num_cols)]
     rows = [{k: x for k, x in enumerate(row) if x} for row in matrix.rows]
-    blocks, rows, cols = _eliminate_unit_pivots(rows, num_cols, u, vt)
-    blocks += _sparse_diagonal(rows, cols, u, vt)
+    blocks = _sparse_diagonal(rows, num_cols, u, vt)
     # the blocks go first, in U by their rows and in V by their columns
     block_rows = [r for r, _, _ in blocks]
     block_cols = [c for _, c, _ in blocks]
@@ -295,89 +287,60 @@ def _subtract_vector(vectors, i, f, j):
     vectors[i] = [x - f * y for x, y in zip(vectors[i], vectors[j])]
 
 
-def _eliminate_unit_pivots(rows, num_cols, u=None, vt=None):
-    """Eliminate ±1 entries of a sparse integer matrix.
+def _sparse_diagonal(rows, num_cols, u=None, vt=None):
+    """Split a sparse integer matrix into 1x1 blocks; return them as
+    ``(row, column, pivot)``, the pivot signed, in the order they are found.
 
     ``rows`` are ``{column: nonzero entry}`` dicts, which are consumed;
-    empty ones are skipped.  One pass visits the columns in index order.
-    In a column that holds a ±1 entry, the shortest row holding one (the
-    lowest index on ties) clears the column with row operations, and then
-    its row and column are dropped: over the integers that splits off an
-    invariant factor 1.  A later step can make a ±1 entry in a column the
-    pass has already visited; that entry stays for :func:`_sparse_diagonal`.
+    empty ones are skipped.  ``u`` and ``vt``, when given, are U and V
+    transposed as lists of rows, changed in place: U takes every row step
+    and V every column step.
 
-    ``u`` and ``vt``, when given, are U and V transposed as lists of rows,
-    changed in place.  Each row step is applied to U.  Once a pivot is
-    alone in its column, column steps clear the rest of its row in V; they
-    touch no other row of the matrix, so the rows left are the same.
-    Returns (blocks, rows, cols): the pivots as ``(row, column, ±1)``, the
-    rows left as a ``{row number: row}`` dict, and each column's set of row
-    numbers.
+    Two sweeps visit the columns in index order.  The first acts only on a
+    column that holds a ±1 entry, and its pivot is the shortest row holding
+    one (the lowest row number on ties), which leaves few and short rows.
+    The second visits every column and revisits it until it is empty.  Its
+    pivot is the least absolute entry of the column (:func:`_least_row`).
+    When that pivot is not ±1 and the column holds at least three rows,
+    :func:`_bezout_pivot` first tries to make it 1 by one unimodular 2x2
+    gcd step with a mate: another row of the column whose entry is prime
+    to the pivot and whose support lies inside the pivot row's, so the step
+    fills no row.  Columns of two rows are left to the sweep.
+
+    Every ±1 pivot, from either sweep, takes one exact step in
+    :func:`_clear_unit` and is a block.  Any other pivot p takes
+    rounded-quotient row steps, which leave every other row of the column a
+    remainder of at most |p|/2, and the least nonzero remainder becomes the
+    next pivot.  Once the column holds the pivot row alone, column steps
+    reduce that row's other entries the same way; they touch no other row.
+    The least nonzero remainder there becomes the next pivot, and its column
+    the pivot column.  A pivot alone in its row and its column is a block,
+    and its row is dropped.  The columns before the one visited stay empty,
+    and the matrix never goes dense: in m24's cyclic band with its dense row
+    and column, no band row grows past six entries.
     """
-    live = {r: row for r, row in enumerate(rows) if row}
+    rows = {r: row for r, row in enumerate(rows) if row}
     cols = [set() for _ in range(num_cols)]
-    for r, row in live.items():
+    for r, row in rows.items():
         for c in row:
             cols[c].add(r)
     blocks = []
     for c in range(num_cols):
-        units = [(len(live[r]), r) for r in cols[c] if live[r][c] in (1, -1)]
-        if not units:
-            continue
-        r = min(units)[1]
-        pivot_row = live.pop(r)
-        e = pivot_row[c]
-        for k in pivot_row:
-            cols[k].discard(r)
-        targets, cols[c] = cols[c], set()
-        for i in targets:
-            f = live[i][c] * e
-            _subtract_row(live, cols, i, f, pivot_row)
-            if u is not None:
-                _subtract_vector(u, i, f, r)
-        if vt is not None:
-            for k, x in pivot_row.items():
-                if k != c:
-                    _subtract_vector(vt, k, x * e, c)
-        blocks.append((r, c, e))
-    return blocks, live, cols
-
-
-def _sparse_diagonal(rows, cols, u=None, vt=None):
-    """Split the sparse rows into 1x1 blocks; return them as
-    ``(row, column, pivot)``, the pivot signed.
-
-    ``rows`` and ``cols`` are as :func:`_eliminate_unit_pivots` returns
-    them, and are consumed; ``u`` and ``vt`` are as there, and take every
-    row step and column step.  One pass visits the columns in index order
-    and revisits each until it is empty.  In the pivot column the least
-    absolute entry is the pivot (then the shortest row, then the lowest row
-    number).  When the pivot is not ±1 and the column holds at least three
-    rows, :func:`_bezout_pivot` first tries to make it 1 by one unimodular
-    2x2 gcd step with a mate: another row of the column whose entry is
-    prime to the pivot and whose support lies inside the pivot row's.  The
-    support condition keeps the step from filling the rows; without it one
-    h1 of m24(2000) took over 100 times as long.  Columns of two rows are
-    left to the sweep.  After the step every quotient below is exact and
-    one sweep clears the column.  Otherwise rounded-quotient row
-    steps leave every other row of the column a remainder of at most half
-    the pivot, and the least nonzero remainder becomes the next pivot.
-    Once the column holds the pivot row alone, column steps reduce that
-    row's other entries the same way; they touch no other row.  The least
-    nonzero remainder there becomes the next pivot, and its column the
-    pivot column.  A pivot alone in its row and its column is a block, and
-    its row is dropped.  The columns before the one visited stay empty,
-    and the matrix never goes dense: in m24's cyclic band with its dense
-    row and column, no band row grows past six entries.
-    """
-    blocks = []
-    for c in range(len(cols)):
+        units = [(len(rows[r]), r) for r in cols[c] if rows[r][c] in (1, -1)]
+        if units:
+            r = min(units)[1]
+            blocks.append((r, c, _clear_unit(rows, cols, r, c, u, vt)))
+    for c in range(num_cols):
         j = c
         while cols[j]:
-            r = min(cols[j], key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+            r = _least_row(rows, cols[j], j)
             p = rows[r][j]
             if p not in (1, -1) and len(cols[j]) > 2:
                 p = _bezout_pivot(rows, cols, r, j, u)
+            if p in (1, -1):
+                blocks.append((r, j, _clear_unit(rows, cols, r, j, u, vt)))
+                j = c
+                continue
             pivot_row = rows[r]
             for i in cols[j] - {r}:
                 # the quotient x/p rounded, so the remainder is at most p/2
@@ -411,6 +374,38 @@ def _sparse_diagonal(rows, cols, u=None, vt=None):
     return blocks
 
 
+def _least_row(rows, candidates, j):
+    """The row of ``candidates`` with the least absolute entry in column
+    ``j``, then the shortest, then the lowest row number."""
+    return min(candidates, key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+
+
+def _clear_unit(rows, cols, r, c, u, vt):
+    """Clear column ``c`` with the ±1 pivot of row ``r``, drop the row and
+    return the pivot: over the integers that splits off a factor 1.
+
+    ``rows``, ``cols``, ``u`` and ``vt`` are as in :func:`_sparse_diagonal`.
+    Exact row steps clear the column, and U takes each.  The pivot is then
+    alone in its column, so column steps clear the rest of its row in V;
+    they touch no other row of the matrix, so the rows left are the same.
+    """
+    pivot_row = rows.pop(r)
+    e = pivot_row[c]
+    for k in pivot_row:
+        cols[k].discard(r)
+    targets, cols[c] = cols[c], set()
+    for i in targets:
+        f = rows[i][c] * e
+        _subtract_row(rows, cols, i, f, pivot_row)
+        if u is not None:
+            _subtract_vector(u, i, f, r)
+    if vt is not None:
+        for k, x in pivot_row.items():
+            if k != c:
+                _subtract_vector(vt, k, x * e, c)
+    return e
+
+
 def _bezout_pivot(rows, cols, r, j, u):
     """Make the pivot of row ``r`` in column ``j`` a 1 by one Bezout step,
     if a mate allows it; return the pivot.
@@ -429,7 +424,7 @@ def _bezout_pivot(rows, cols, r, j, u):
              and rows[i].keys() <= pivot_row.keys()]
     if not mates:
         return p
-    i = min(mates, key=lambda i: (abs(rows[i][j]), len(rows[i]), i))
+    i = _least_row(rows, mates, j)
     b = rows[i][j]
     _, s, t = _bezout(p, b)
     _mix_rows(rows, cols, r, i, s, t, -b, p)
@@ -477,7 +472,7 @@ def _divisibility_chain(diagonal, u=None, vt=None):
     """Make the positive ``diagonal`` (changed in place) a divisibility
     chain by pairwise gcd and lcm steps, skipping a pair a, b when a | b.
 
-    With ``u`` and ``vt`` (as in :func:`_eliminate_unit_pivots`, their
+    With ``u`` and ``vt`` (as in :func:`_sparse_diagonal`, their
     first rows matching the diagonal), each step is unimodular: with
     g = s*a + t*b, rows i and j of U take [[s, t], [-b/g, a/g]], and
     columns i and j of V take [[1, -tb/g], [1, sa/g]], which turns
@@ -500,14 +495,13 @@ def h1(presentation):
     H1 is Z^generators modulo the row space of the relator-by-generator
     matrix A, and only the invariant factors of A are needed.  A matrix and
     its transpose have the same Smith normal form diagonal, so A is reduced
-    as it stands, on sparse rows throughout, by the passes that
-    :func:`smith_normal_form` runs, here without U or V.  The ±1 entries
-    are eliminated first by :func:`_eliminate_unit_pivots`, each one an
-    invariant factor 1; :func:`_sparse_diagonal` then splits what is left
-    into 1x1 blocks.  :func:`_divisibility_chain` turns the blocks' other
-    absolute values into the invariant factors, and factors equal to 1 are
-    dropped.  The free rank is the generator count minus the rank of A:
-    the number of blocks.
+    as it stands, on sparse rows throughout, by :func:`_sparse_diagonal`,
+    here without U or V.  Its first sweep clears the ±1 entries and its
+    second splits what is left into 1x1 blocks.  The ±1 blocks are
+    invariant factors 1; :func:`_divisibility_chain` turns the other
+    blocks' absolute values into the invariant factors, and factors equal
+    to 1 are dropped.  The free rank is the generator count minus the rank
+    of A: the number of blocks.
 
     >>> from . import Presentation, Word
     >>> str(h1(Presentation(["c"], [Word.parse("c c c")])))
@@ -515,9 +509,8 @@ def h1(presentation):
     """
     rows = _exponent_rows(presentation)
     num_gens = len(presentation.generators)
-    units, rows, cols = _eliminate_unit_pivots(rows, num_gens)
-    blocks = _sparse_diagonal(rows, cols)
+    blocks = _sparse_diagonal(rows, num_gens)
     factors = [abs(p) for _, _, p in blocks if p not in (1, -1)]
     _divisibility_chain(factors)
-    return AbelianGroup(num_gens - len(units) - len(blocks),
+    return AbelianGroup(num_gens - len(blocks),
                         tuple(x for x in factors if x != 1))

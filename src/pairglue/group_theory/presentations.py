@@ -60,8 +60,8 @@ class Presentation(_Immutable):
         for relator in relators:
             if not isinstance(relator, Word):
                 relator = Word(relator)
-            unknown = relator.generators() - known
-            if unknown:
+            if not known.issuperset(dict(relator.letters)):
+                unknown = relator.generators() - known
                 raise DomainError(
                     f"unknown generator {sorted(unknown)[0]!r} in relator")
             rels.append(relator)
@@ -83,17 +83,6 @@ class Presentation(_Immutable):
         gens = " ".join(self.generators)
         rels = ", ".join(str(r) for r in self.relators)
         return f"<Presentation <{gens} | {rels}>>"
-
-
-def _presentation(generators, relators):
-    """A presentation on a tuple of generator names and a tuple of words
-    already known to be over them."""
-    presentation = object.__new__(Presentation)
-    for name, value in (("generators", generators), ("relators", relators),
-                        ("_simplified", None), ("_compiled", None),
-                        ("_h1", None)):
-        object.__setattr__(presentation, name, value)
-    return presentation
 
 
 def presentation_from_pairings(complex_):
@@ -302,7 +291,7 @@ class _Relators:
         del self.defines[generator], self.holders[generator]
 
     def presentation(self):
-        return _presentation(tuple(self.generators), tuple(self.words.values()))
+        return Presentation(self.generators, self.words.values())
 
 
 def _substituted(letters, generator, forward, backward):

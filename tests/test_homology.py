@@ -3,7 +3,7 @@
 The Smith normal form fuzz suite checks the full reconstruction law
 U*m*V = D with unimodular transforms, using a test-local cofactor
 determinant as the independent oracle.  ``smith_normal_form`` and ``h1``
-run the same sparse passes, so both are checked against a dense one-pass
+run the same sparse routine, so both are checked against a dense one-pass
 Smith normal form kept here (``reference_smith_normal_form``), never
 against each other.  ``smith_normal_form`` must give the reference's D, on
 random, sparse, rectangular, rank-deficient and family matrices, while U
@@ -12,10 +12,10 @@ than the reference's.  ``h1`` is checked against the reference's diagonal
 (``reference_h1``), for square matrices against the determinant, and for
 both families against the closed form of its order (``closed_form_order``:
 m25 up to n = 2000 and m24 up to n = 1000).  The rows that the unit-pivot
-sweep leaves for the sparse diagonal pass are bounded in number, and that
-pass is checked against the reference on matrices the sweep cannot touch:
-cyclic bands with a dense border row and column, like m24's, and sparse
-rectangular matrices without a ±1 entry.
+sweep of the sparse routine leaves for its second sweep are bounded in
+number, and that sweep is checked against the reference on matrices the
+first cannot touch: cyclic bands with a dense border row and column, like
+m24's, and sparse rectangular matrices without a ±1 entry.
 """
 
 import functools
@@ -43,7 +43,6 @@ from pairglue import (
 )
 from pairglue.errors import DomainError
 from pairglue.group_theory import homology
-from pairglue.group_theory.homology import _eliminate_unit_pivots, _exponent_rows
 
 
 def cofactor_det(rows):
@@ -346,7 +345,7 @@ def cell_matrix(presentation):
 
 def reference_h1(presentation):
     """Reference: the diagonal of ``reference_smith_normal_form``, a dense
-    elimination independent of the sparse passes that ``h1`` and
+    elimination independent of the sparse routine that ``h1`` and
     ``smith_normal_form`` share, on the transposed relator-by-generator
     matrix.
     """
@@ -494,13 +493,33 @@ def test_h1_order_matches_closed_form():
         assert group.order() == closed_form_order(family, n), (family, n)
 
 
-def test_unit_pivot_sweep_leaves_small_cores():
-    # the shortest-row rule leaves few sparse rows and columns: at most 4x3
+def test_unit_pivot_sweep_leaves_small_cores(monkeypatch):
+    # the shortest-row rule of the first sweep leaves few sparse rows and
+    # columns for the second, whose first pivot choice sees them: at most 4x3
     # for m25 at any n, and at most n//2 + 1 each for m24, on both routes
+    cores, columns = [], []
+    least_row, clear_unit = homology._least_row, homology._clear_unit
+
+    def spied_clear(rows, cols, *rest):
+        columns[:] = [cols]
+        return clear_unit(rows, cols, *rest)
+
+    def spied_least(rows, candidates, j):
+        if not cores:
+            (cols,) = columns
+            assert sum(map(len, cols)) == sum(map(len, rows.values()))
+            cores.append((len(rows), sum(1 for column in cols if column)))
+        return least_row(rows, candidates, j)
+
+    monkeypatch.setattr(homology, "_clear_unit", spied_clear)
+    monkeypatch.setattr(homology, "_least_row", spied_least)
+
     def core_shape(p):
-        _, rows, cols = _eliminate_unit_pivots(_exponent_rows(p), len(p.generators))
-        assert sum(map(len, cols)) == sum(map(len, rows.values()))
-        return len(rows), sum(1 for column in cols if column)
+        cores.clear()
+        columns.clear()
+        h1(p)
+        assert cores, p
+        return cores[0]
 
     for n in range(1, 61):
         for family, bound in (("m25", (4, 3)), ("m24", (n // 2 + 1,) * 2)):
@@ -541,7 +560,7 @@ def band_with_border(rng, k):
 def test_sparse_diagonal_matches_the_dense_route():
     """``h1`` against the diagonal of ``reference_smith_normal_form`` on the
     matrix and against ``reference_h1`` on its transpose, on matrices
-    without a ±1 entry, so the sparse diagonal pass does all the work.  A
+    without a ±1 entry, so the second sweep does all the work.  A
     pass that records a pivot without coming back to the column it started
     in gets m24(8) and many bands wrong."""
     rng = random.Random(0xBA2D)
