@@ -255,25 +255,24 @@ class _Relators:
         self.size -= len(self.words[key])
 
     def shortest(self, generator):
-        """(length, key) of its first shortest defining relator, or None."""
+        """(length, key) of its first shortest defining relator (it has one)."""
         keys = self.defines[generator]
-        return min((length, key) for key, length in keys.items()) if keys else None
+        return min((length, key) for key, length in keys.items())
 
     def replacement(self, generator, key):
         """The word ``w`` that the relator at ``key``, which defines
         ``generator``, puts in its place."""
         return _defining_word(self.entries[key][0], generator)
 
-    def eliminate(self, generator, key, replacement):
-        """Drop the relator at ``key`` and replace ``generator`` by
-        ``replacement`` everywhere, freely reducing and dropping the
-        relators that become trivial.
+    def eliminate(self, generator, key):
+        """Drop the relator at ``key``, which defines ``generator``, and
+        replace ``generator`` by its :meth:`replacement` everywhere, freely
+        reducing and dropping the relators that become trivial.
 
-        Only the relators that hold the generator are rewritten and read
-        again, the first step included, as the words are freely reduced.
-        Each is substituted and freely reduced in one pass.
+        Only the relators that hold the generator are rewritten, each
+        substituted and freely reduced in one pass, and read again.
         """
-        forward = replacement.letters
+        forward = self.replacement(generator, key).letters
         backward = _inverse_letters(forward)
         for index in list(self.holders[generator]):
             self._forget(index)
@@ -329,11 +328,9 @@ def tietze_eliminate(presentation, generator):
     if generator not in presentation.generators:
         raise DomainError(f"unknown generator {generator!r}")
     relators = _Relators(presentation)
-    shortest = relators.shortest(generator)
-    if shortest is None:
+    if not relators.defines[generator]:
         raise EliminationError(f"no defining relator for {generator!r}")
-    _, key = shortest
-    relators.eliminate(generator, key, relators.replacement(generator, key))
+    relators.eliminate(generator, relators.shortest(generator)[1])
     return relators.presentation()
 
 
@@ -367,24 +364,16 @@ def auto_simplify(presentation):
 
 def _simplify(presentation):
     relators = _Relators(presentation)
-    position = {g: i for i, g in enumerate(presentation.generators)}
     while True:
         # each generator's first shortest defining relator is the one
-        # tietze_eliminate uses; the shortest of those wins, earliest
-        # generator on ties
-        best = None
-        for generator in relators.generators:
-            shortest = relators.shortest(generator)
-            if shortest is not None:
-                length, key = shortest
-                rank = (length, position[generator], key, generator)
-                if best is None or rank < best:
-                    best = rank
-        if best is None:
+        # tietze_eliminate uses; the shortest of those wins, and min keeps
+        # the earliest generator on ties
+        moves = [(relators.shortest(g), g) for g in relators.generators
+                 if relators.defines[g]]
+        if not moves:
             break
-        _, _, key, generator = best
-        relators.eliminate(generator, key,
-                           relators.replacement(generator, key))
+        (_, key), generator = min(moves, key=lambda move: move[0][0])
+        relators.eliminate(generator, key)
         if relators.size > MAX_SIMPLIFY_LETTERS:
             raise CapacityError(f"simplification grew the relators to "
                                 f"{relators.size} letters, past "
@@ -403,23 +392,10 @@ def family_elimination_order(n):
     return [*b, *a, "d"]
 
 
-def scripted_reduction(family, n):
-    """Yield the presentations along the scripted family reduction.
-
-    The first value is the raw pairing presentation; each subsequent value
-    eliminates the next generator of :func:`family_elimination_order`.  The
-    defining relator for each step must express the generator by a nonempty
-    word in the surviving c-generators alone; among those, positive
-    replacement words are preferred on relator-length ties.  The family
-    substitutions are all positive (b from the squared-letter relators, a
-    from the chain relators, d from the first lid relator), so this pins the
-    same elimination path at every n and keeps the lid relators as
-    survivors.  A missing defining relator is a logic failure for these
-    families, hence RuntimeError rather than EliminationError.
-    """
-    current = presentation_from_pairings(build_family(family, n))
-    yield current
-    relators = _Relators(current)
+def _scripted_states(presentation, n):
+    """Yield the one elimination state of ``presentation`` after each step
+    of :func:`scripted_reduction`."""
+    relators = _Relators(presentation)
     surviving = set(_index_labels("c", n)["c"])
     for generator in family_elimination_order(n):
         options = []
@@ -427,25 +403,48 @@ def scripted_reduction(family, n):
             replacement = relators.replacement(generator, key)
             if replacement.letters and replacement.generators() <= surviving:
                 positive = all(sign == 1 for _, sign in replacement.letters)
-                options.append((length, not positive, key, replacement))
+                options.append((length, not positive, key))
         if not options:
             raise RuntimeError(
                 f"scripted elimination of {generator!r} failed at n={n}")
-        _, _, key, replacement = min(options)
-        relators.eliminate(generator, key, replacement)
+        relators.eliminate(generator, min(options)[2])
+        yield relators
+
+
+def scripted_reduction(family, n):
+    """Yield the presentations along the scripted family reduction.
+
+    The first value is the raw pairing presentation; each later value is
+    built from one elimination state after it eliminates the next generator
+    of :func:`family_elimination_order`.  The defining relator for each step
+    must express the generator by a nonempty word in the surviving
+    c-generators alone; among those, positive replacement words are
+    preferred on relator-length ties.  The family substitutions are all
+    positive (b from the squared-letter relators, a from the chain
+    relators, d from the first lid relator), so this pins the same
+    elimination path at every n and keeps the lid relators as survivors.
+    A missing defining relator is a logic failure for these families,
+    hence RuntimeError rather than EliminationError.
+    """
+    raw = presentation_from_pairings(build_family(family, n))
+    yield raw
+    for relators in _scripted_states(raw, n):
         yield relators.presentation()
 
 
 def reduced_family_presentation(family, n):
     """The n-generator presentation on c_1..c_n after the scripted reduction.
 
+    Its steps run on one elimination state, which builds only the result.
+
     >>> p = reduced_family_presentation("m24", 3)
     >>> p.generators
     ('c1', 'c2', 'c3')
     """
-    for presentation in scripted_reduction(family, n):
+    raw = presentation_from_pairings(build_family(family, n))
+    for relators in _scripted_states(raw, n):
         pass
-    return presentation
+    return relators.presentation()
 
 
 _PRESETS = ("G25", "H25", "DUAL24", "SEIFERT_M24_2")

@@ -14,6 +14,7 @@ from pairglue import (
     Presentation,
     Word,
     auto_simplify,
+    build_family,
     build_m24,
     build_m25,
     count_homomorphisms,
@@ -650,6 +651,30 @@ def test_scripted_reduction_matches_the_full_rewrite():
             # each intermediate is a fresh presentation that keeps nothing
             assert all(step._simplified is None for step in steps)
             assert steps[-1] == reduced_family_presentation(family, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 12])
+@pytest.mark.parametrize("family", ["m24", "m25"])
+def test_scripted_reduction_builds_only_the_presentations_it_returns(
+        monkeypatch, family, n):
+    built = []
+    init = Presentation.__init__
+
+    def spy(self, generators, relators):
+        init(self, generators, relators)
+        built.append(self)
+
+    monkeypatch.setattr(Presentation, "__init__", spy)
+    # the raw pairing presentation and the result, not one per step
+    reduced = reduced_family_presentation(family, n)
+    assert len(built) == 2 and built[-1] is reduced
+    assert built[0].generators == tuple(
+        p.name for p in build_family(family, n).pairings)
+    # one per value yielded: the raw presentation, then one per step
+    built.clear()
+    steps = list(scripted_reduction(family, n))
+    assert len(built) == len(steps) == 2 * n + 2
+    assert all(a is b for a, b in zip(built, steps))
 
 
 def test_auto_simplify_matches_the_full_rewrite_on_families():
