@@ -540,6 +540,11 @@ def _traverse_edges(complex_, scan, start, mates, aligned):
     ``scan`` names the numbered slots in the classes.  Returns the tuple of
     edge classes, the tuples ``sign`` and ``orbit_of``, and the tuple of
     vertex classes.
+
+    On a valid complex the pairing step and the involution are both
+    fixed-point-free involutions of the slots, so each walk runs round one
+    cycle on which the two alternate: it closes exactly when a pairing step
+    reaches the mate of the starting slot, and there it stops.
     """
     from .group_theory.words import _word
 
@@ -571,23 +576,21 @@ def _traverse_edges(complex_, scan, start, mates, aligned):
         if sign[rep]:
             continue
         index = len(orbits)
-        other = mates[rep]
-        sign[rep], sign[other] = 1, 1 if aligned[rep] else -1
-        orbit_of[rep] = orbit_of[other] = index
-        # each edge is listed by its slot that comes first in scan order
-        members = [rep if rep < other else other]
+        close = mates[rep]
+        sign[rep], sign[close] = 1, 1 if aligned[rep] else -1
+        orbit_of[rep] = orbit_of[close] = index
+        # each edge is listed by its slot that comes first in scan order:
+        # rep is the first slot not yet walked, and its mate is walked with it
+        members = [rep]
         letters = []
         slot, sense = rep, 1
         while True:
             letters.append(letter[slot])
             sense *= flip[slot]
             slot = image[slot]
-            other = mates[slot]
-            if sign[slot] and orbit_of[slot] == index:
-                if (slot if slot < other else other) != members[0]:
-                    raise StructureError([f"edge class at {format_slot(scan[rep])} "
-                                          "folds onto itself"])
+            if slot == close:
                 break
+            other = mates[slot]
             sign[slot] = sense
             sense = sign[other] = sense if aligned[slot] else -sense
             orbit_of[slot] = orbit_of[other] = index

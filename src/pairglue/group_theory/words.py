@@ -77,6 +77,8 @@ class Word(_Immutable):
         return hash(self.letters)
 
     def __mul__(self, other):
+        if not isinstance(other, Word):
+            return NotImplemented
         return _word(self.letters + other.letters)
 
     def __str__(self):

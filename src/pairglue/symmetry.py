@@ -5,20 +5,24 @@ piece of structure at once: faces map to faces matching the vertex images,
 the boundary involution commutes with the induced slot map, and each pairing
 is carried onto another pairing.  Only the vertex permutation is supplied;
 the rest is forced over the connected boundary, without recursion, and checked.
-The extension and the quotient walk the slot numbers of the complex's
-analysis, and name slots as ``(face, k)`` tuples only in their results.
+The extension walks the slot numbers of the complex's analysis, and names
+slots as ``(face, k)`` tuples only in its results.
 
 Quotients fold each cell orbit to a single cell.  A face fixed setwise by
 part of the group folds to a shorter polygon (its length divided by the
 rotation the stabilizer induces), which is how an n-gon lid descends to the
-lid of the smaller family member.  Identifications that fail to descend
-raise :class:`pairglue.errors.UnsupportedQuotientError`, and so does a
-verified automorphism whose quotient is no paired complex: one that reverses
-an edge would fold it onto itself (a half-turn of a tetrahedron does).  The
-quotient refuses to guess.
+lid of the smaller family member.  A verified automorphism commutes with the
+involution and its alignment and carries pairings onto pairings, so every
+identification descends: the quotient reads each representative face's own
+slots and one member of each pairing orbit.  A quotient that is no paired
+complex raises :class:`pairglue.errors.UnsupportedQuotientError`: an
+automorphism that reverses an edge folds it onto itself (a half-turn of a
+tetrahedron does).  The quotient refuses to guess.
 
 :func:`singular_components` derives the collapsed edge classes of a quotient
-from the cells of any automorphism and its base complex.
+from the cells of any automorphism and its base complex.  It refuses a
+quotient without the structure of the base, and a covering that is not free
+off the branching locus.
 :func:`singularity_report` wraps it for a family member and its rotation,
 and appends the rotation-axis component from the construction.
 """
@@ -323,10 +327,12 @@ def quotient_complex(complex_, automorphism):
     ``automorphism`` is a ComplexAutomorphism or a bare vertex mapping; an
     instance built on ``complex_`` itself is used as it is, anything else is
     verified as ``ComplexAutomorphism(complex_, vertex_map)``.  Cell orbits
-    become single cells, setwise-fixed faces fold to shorter polygons, and
-    a pairing orbit descends to one pairing when every member gives the same
-    one.  Identifications that do not descend, and a quotient that
-    ``validate`` rejects, raise UnsupportedQuotientError.
+    become single cells and setwise-fixed faces fold to shorter polygons.
+    The verified automorphism commutes with the involution and carries
+    pairings onto pairings with transported offsets, so each representative
+    face's own slots give the quotient's involution, and each pairing orbit
+    descends from its natural-least member.  A quotient that ``validate``
+    rejects raises UnsupportedQuotientError.
     """
     auto = automorphism
     if not (isinstance(auto, ComplexAutomorphism) and auto.domain is complex_):
@@ -334,7 +340,6 @@ def quotient_complex(complex_, automorphism):
             auto.vertex_map if isinstance(auto, ComplexAutomorphism) else auto))
     c = complex_
     transport = auto.face_transport
-    analysis = _require_valid(c)
 
     # each orbit is represented by its natural-least member, so the
     # representatives taken in natural order are the quotient's labels
@@ -344,50 +349,22 @@ def quotient_complex(complex_, automorphism):
 
     faces_q = {f: tuple(vrep_of[v] for v in c.faces[f][:transport[f][2]])
                for f in c.face_order if transport[f][0] == f}
-    # the quotient's slots, numbered in its scan order, and the number of
-    # the quotient slot each slot of the complex projects to, written at
-    # the slot's own number
-    slots_q = [(f, k) for f, cycle in faces_q.items() for k in range(len(cycle))]
-    start_q = dict(zip(faces_q, accumulate(map(len, faces_q.values()),
-                                           initial=0)))
-    project = [0] * len(analysis.mates)
-    for f, first in analysis.start.items():
-        rep, rot, folded = transport[f]
-        length = len(c.faces[f])
-        project[first:first + length] = [start_q[rep] + (k - rot) % folded
-                                         for k in range(length)]
-
-    mates_q, aligned_q = [None] * len(slots_q), [None] * len(slots_q)
-    for i, (q, m, a) in enumerate(zip(
-            project, map(project.__getitem__, analysis.mates), analysis.aligned)):
-        if mates_q[q] is None:
-            mates_q[q], aligned_q[q] = m, a
-        elif mates_q[q] != m or aligned_q[q] != a:
-            raise UnsupportedQuotientError(
-                "edge identifications do not descend at "
-                + format_slot(c.all_slots()[i]))
-    involution_q = dict(zip(slots_q, zip(map(slots_q.__getitem__, mates_q),
-                                         aligned_q)))
-
-    def descend(p):
-        """``(source rep, target rep, offset, direction)`` of the quotient
-        pairing that ``p`` descends to; the offset is taken mod the folded
-        length, which divides the face length."""
-        source_rep, source_rot, length_q = transport[p.source]
-        target_rep, target_rot, _ = transport[p.target]
-        return (source_rep, target_rep,
-                (p.offset + p.direction * source_rot - target_rot) % length_q,
-                p.direction)
+    involution_q = {(f, k): (auto.project(mate), aligned)
+                    for f, cycle in faces_q.items() for k in range(len(cycle))
+                    for mate, aligned in (c.involution[f, k],)}
 
     by_name = {p.name: p for p in c.pairings}
     pairings_q = []
     for names in _cycles(auto.pairing_map, by_name):
-        rep_name = min(names, key=natural_key)
-        descended = descend(by_name[names[0]])
-        if any(descend(by_name[name]) != descended for name in names):
-            raise UnsupportedQuotientError(
-                f"pairing orbit of {rep_name} does not descend")
-        pairings_q.append(Pairing(rep_name, *descended))
+        p = by_name[min(names, key=natural_key)]
+        # the offset is taken mod the folded length, which divides the
+        # face length
+        source_rep, source_rot, length_q = transport[p.source]
+        target_rep, target_rot, _ = transport[p.target]
+        pairings_q.append(Pairing(
+            p.name, source_rep, target_rep,
+            (p.offset + p.direction * source_rot - target_rot) % length_q,
+            p.direction))
 
     quotient = PairedComplex(labels_q, faces_q, involution_q, pairings_q,
                              name=f"{c.name}/Z{auto.order}")
@@ -433,8 +410,10 @@ def singular_components(automorphism, base):
     The domain of ``automorphism`` is quotiented by the group it spans.  Each
     edge class downstairs whose upstairs classes are longer circles is a
     ``collapsed-edge-class`` component, with index equal to the length ratio.
-    UnsupportedQuotientError is raised unless the quotient has the structure
-    of ``base`` and every class is covered evenly, and freely off the
+    The group permutes the upstairs classes over a downstairs class
+    transitively, so they share one length, a multiple of the downstairs
+    one.  UnsupportedQuotientError is raised unless the quotient has the
+    structure of ``base`` and every class is covered freely off the
     branching locus.
     """
     auto, upstairs = automorphism, automorphism.domain
@@ -453,14 +432,9 @@ def singular_components(automorphism, base):
 
     components = []
     for i, down_orbit in enumerate(down_orbits):
-        preimages = over.get(i, [])
-        sizes = {len(orbit.member_edges) for orbit in preimages}
+        preimages = over[i]
         down_size = len(down_orbit.member_edges)
-        if len(sizes) != 1 or next(iter(sizes)) % down_size:
-            raise UnsupportedQuotientError(
-                f"edge class at {format_slot(down_orbit.representative)} "
-                "has an uneven preimage")
-        ratio = next(iter(sizes)) // down_size
+        ratio = len(preimages[0].member_edges) // down_size
         if ratio * len(preimages) != auto.order:
             raise UnsupportedQuotientError(
                 f"edge class at {format_slot(down_orbit.representative)} "

@@ -96,6 +96,18 @@ def test_every_public_value_type_refuses_attribute_assignment():
             delattr(value, attribute)
 
 
+def test_summary_reprs_name_the_object_and_its_size():
+    # the value types that do not print their fields print a summary
+    assert repr(pairglue.build_m24(2)) == (
+        "<PairedComplex 'm24': 8 vertices, 14 faces, 7 pairings>")
+    assert repr(pairglue.rotation("m25", 4, 2)) == (
+        "<ComplexAutomorphism of 'm25' order 2>")
+    relators = [pairglue.Word.parse("a b -a"), pairglue.Word.parse("b b")]
+    assert repr(pairglue.Presentation(["a", "b"], relators)) == (
+        "<Presentation <a b | a b -a, b b>>")
+    assert repr(pairglue.Presentation([], [])) == "<Presentation < | >>"
+
+
 def test_abelian_group_replace_runs_the_checks():
     group = pairglue.AbelianGroup(0, (3,))
     assert group._replace(rank=2) == pairglue.AbelianGroup(2, (3,))

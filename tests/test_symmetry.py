@@ -17,6 +17,7 @@ from pairglue import (
     build_m24,
     build_m25,
     cell_counts,
+    edge_orbits,
     h1,
     is_manifold,
     parse_complex,
@@ -243,6 +244,9 @@ def test_labels_on_no_face_count_in_the_order():
     extra = PairedComplex([*c.vertex_labels, "Z", "W"], c.faces,
                           c.involution, c.pairings)
     assert validate(extra) == []
+    # each forms its own vertex class, so each shifts chi by one
+    assert cell_counts(extra).sigma0 == cell_counts(c).sigma0 + 2
+    assert is_manifold(c) == (True, 0) and is_manifold(extra) == (False, 2)
     swap = {**rotation("m24", 3).vertex_map, "Z": "W", "W": "Z"}
     assert verify_automorphism(extra, swap) == (True, 6, "")
     assert quotient_complex(extra, swap).same_structure(PairedComplex(
@@ -452,6 +456,32 @@ def test_components_of_parsed_copies_match_the_report(family):
                 c for c in report.components
                 if c.kind == "collapsed-edge-class"), (family, n, step)
             assert report.components[:len(components)] == components
+
+
+@pytest.mark.parametrize("family", ["m24", "m25"])
+def test_classes_over_each_downstairs_class_share_one_size(family):
+    # the group permutes the upstairs edge classes over a downstairs class
+    # transitively: each projects into that one class, they share one size,
+    # a multiple of the downstairs size, and their count times the ratio is
+    # the covering degree
+    for n in range(1, 25):
+        for step in (1, 2) if n % 2 == 0 else (1,):
+            auto = rotation(family, n, step)
+            quotient = quotient_complex(auto.domain, auto)
+            down = edge_orbits(quotient)
+            class_of = {slot: i for i, orbit in enumerate(down)
+                        for edge in orbit.member_edges
+                        for slot in (edge, quotient.involution[edge][0])}
+            sizes_over = [[] for _ in down]
+            for orbit in edge_orbits(auto.domain):
+                [i] = {class_of[auto.project(edge)]
+                       for edge in orbit.member_edges}
+                sizes_over[i].append(len(orbit.member_edges))
+            for orbit, sizes in zip(down, sizes_over):
+                size, down_size = sizes[0], len(orbit.member_edges)
+                case = (family, n, step, orbit.representative)
+                assert set(sizes) == {size} and size % down_size == 0, case
+                assert size // down_size * len(sizes) == auto.order, case
 
 
 def test_report_notes_axis_provenance():

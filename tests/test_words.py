@@ -95,6 +95,17 @@ def test_multiplication_concatenates():
     assert Word.parse("a b") * Word.parse("-b c") == Word.parse("a b -b c")
 
 
+@pytest.mark.parametrize("other", [5, 2.0, None, "a", ("a", 1), [("a", 1)]])
+def test_word_times_a_non_word_is_a_type_error(other):
+    # __mul__ returns NotImplemented, so Python raises TypeError for both
+    # operand orders instead of reading attributes the operand lacks
+    assert Word.parse("a b").__mul__(other) is NotImplemented
+    with pytest.raises(TypeError):
+        Word.parse("a b") * other
+    with pytest.raises(TypeError):
+        other * Word.parse("a b")
+
+
 def test_inverse_reverses_and_flips():
     w = Word.parse("a b -c")
     assert w.inverse() == Word.parse("c -b -a")
